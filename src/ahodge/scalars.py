@@ -48,6 +48,8 @@ class QQi:
         self.im = im if isinstance(im, Fraction) else Fraction(im)
 
     def __add__(self, other):
+        if not self.im and not other.im:
+            return QQi(self.re + other.re, self.im)
         return QQi(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other):
@@ -58,6 +60,11 @@ class QQi:
 
     def __mul__(self, other):
         a, b, c, d = self.re, self.im, other.re, other.im
+        # a zero imaginary part drops its two products
+        if not b:
+            return QQi(a * c, a * d if d else b)
+        if not d:
+            return QQi(a * c, b * c)
         return QQi(a * c - b * d, a * d + b * c)
 
     def inv(self):
@@ -70,10 +77,10 @@ class QQi:
         return self * other.inv()
 
     def conj(self):
-        return QQi(self.re, -self.im)
+        return QQi(self.re, -self.im) if self.im else self
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def __eq__(self, other):
         return isinstance(other, QQi) and self.re == other.re and self.im == other.im
@@ -109,6 +116,9 @@ def padd(p, q):
         return q
     if not q:
         return p
+    if len(p) == 1 and len(q) == 1:
+        c = p[0] + q[0]
+        return P_ZERO if c.is_zero() else (c,)
     n = max(len(p), len(q))
     out = []
     for k in range(n):
@@ -204,10 +214,12 @@ class Scalar:
             self.num = P_ZERO
             self.den = P_ONE
             return
-        g = pgcd(num, den)
-        if len(g) > 1 or g[0] != QQI_ONE:
-            num = pdivmod(num, g)[0]
-            den = pdivmod(den, g)[0]
+        # a nonzero constant is a unit, so the monic gcd is then 1
+        if len(num) > 1 and len(den) > 1:
+            g = pgcd(num, den)
+            if len(g) > 1 or g[0] != QQI_ONE:
+                num = pdivmod(num, g)[0]
+                den = pdivmod(den, g)[0]
         lead = den[-1]
         if lead != QQI_ONE:
             inv = lead.inv()
@@ -252,6 +264,9 @@ class Scalar:
         if other.num == P_ZERO:
             return self
         if self.den == other.den:
+            if self.den == P_ONE:
+                total = padd(self.num, other.num)
+                return Scalar(total, P_ONE, _canonical=True) if total else ZERO
             return Scalar(padd(self.num, other.num), self.den)
         return Scalar(
             padd(pmul(self.num, other.den), pmul(other.num, self.den)),
@@ -280,7 +295,8 @@ class Scalar:
         return self * other.inv()
 
     def conj(self):
-        return Scalar(pconj(self.num), pconj(self.den))
+        # coefficient conjugation keeps num and den coprime and den monic
+        return Scalar(pconj(self.num), pconj(self.den), _canonical=True)
 
     # -- predicates and parts -----------------------------------------
 

@@ -9,11 +9,17 @@ from ahodge.scalars import (
     I,
     ONE,
     PI,
+    P_ONE,
     ParseError,
+    QQi,
     Scalar,
     ZERO,
     format_scalar,
     parse_scalar,
+    pdivmod,
+    pgcd,
+    pnorm,
+    pscale,
     sign_at_pi,
 )
 
@@ -147,3 +153,61 @@ def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as err:
         parse_scalar("1 +", lineno=7)
     assert "line 7" in str(err.value)
+
+
+# -- constant-operand fast paths against the pgcd reference normalisation ----
+
+gaussian = st.builds(QQi, rationals, st.one_of(st.just(Fraction(0)), rationals))
+nonzero_gaussian = gaussian.filter(lambda c: not c.is_zero())
+polys = st.lists(gaussian, max_size=4).map(pnorm)
+
+
+def _reference(num, den):
+    """Canonical (num, den) by the full route: monic gcd, then a monic den."""
+    if not num:
+        return (), P_ONE
+    g = pgcd(num, den)
+    num, den = pdivmod(num, g)[0], pdivmod(den, g)[0]
+    inv = den[-1].inv()
+    return pscale(num, inv), pscale(den, inv)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys, nonzero_gaussian, st.booleans())
+def test_constant_operand_matches_reference(poly, const, constant_den):
+    num, den = (poly, (const,)) if constant_den else ((const,), poly)
+    if not den:
+        return
+    value = Scalar(num, den)
+    assert (value.num, value.den) == _reference(num, den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gaussian, gaussian)
+def test_constant_arithmetic_matches_reference(a, b):
+    x, y = (Scalar((c,)) if not c.is_zero() else ZERO for c in (a, b))
+    for value, num in (
+        (x + y, pnorm((a + b,))),
+        (x * y, pnorm((a * b,))),
+        (x.conj(), pnorm((a.conj(),))),
+    ):
+        assert (value.num, value.den) == _reference(num, P_ONE)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gaussian, gaussian)
+def test_gaussian_product_and_sum_match_full_formula(a, b):
+    prod, total = a * b, a + b
+    assert (prod.re, prod.im) == (a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+    assert (total.re, total.im) == (a.re + b.re, a.im + b.im)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars(), scalars())
+def test_conjugate_is_canonical_without_renormalising(a, b):
+    if b.is_zero():
+        return
+    x = a / b
+    c = x.conj()
+    conj = lambda p: tuple(t.conj() for t in p)  # noqa: E731
+    assert (c.num, c.den) == _reference(conj(x.num), conj(x.den))

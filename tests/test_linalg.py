@@ -1,0 +1,76 @@
+"""Block-wise exact inverse against dense Gauss-Jordan elimination."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ahodge import linalg
+from ahodge.scalars import ONE, PI, Scalar, ZERO
+
+# off-diagonal entries of size at most 1/3, so rows stay diagonally dominant
+entries = st.sampled_from(
+    [
+        ZERO,
+        ZERO,
+        Scalar.rational(1, 8),
+        Scalar.rational(-1, 4),
+        Scalar.rational(1, 3),
+        PI / Scalar.integer(32),
+    ]
+)
+
+
+@st.composite
+def permuted_block_diagonal(draw, singular=False):
+    """A square matrix whose blocks are interleaved by a random labelling of
+    the indices; with ``singular`` one block gets a repeated row."""
+    n = draw(st.integers(1, 7))
+    labels = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    a = linalg.zeros(n, n)
+    for i in range(n):
+        for j in range(n):
+            if labels[i] == labels[j]:
+                a[i][j] = draw(entries)
+        a[i][i] = Scalar.integer(draw(st.integers(5, 9)))
+    if singular:
+        i = draw(st.integers(0, n - 1))
+        mates = [j for j in range(n) if labels[j] == labels[i] and j != i]
+        if mates:
+            a[i] = a[mates[0]][:]
+        else:
+            a[i][i] = ZERO
+    return a
+
+
+def _dense_inverse(a):
+    n = len(a)
+    aug = [row[:] + linalg.identity(n)[i] for i, row in enumerate(a)]
+    red, pivots = linalg.rref(aug)
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red]
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_block_diagonal())
+def test_blockwise_inverse_equals_dense(a):
+    inv = linalg.inverse(a)
+    assert linalg.mat_eq(inv, _dense_inverse(a))
+    assert linalg.mat_eq(linalg.mat_mul(a, inv), linalg.identity(len(a)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(permuted_block_diagonal(singular=True))
+def test_blockwise_inverse_raises_on_singular(a):
+    with pytest.raises(ValueError):
+        _dense_inverse(a)
+    with pytest.raises(ValueError):
+        linalg.inverse(a)
+
+
+def test_diagonal_blocks_finds_interleaved_blocks():
+    a = linalg.identity(4)
+    a[0][2] = ONE
+    a[3][1] = ONE
+    assert linalg.diagonal_blocks(a) == [[0, 2], [1, 3]]
+    assert linalg.inverse([]) == []

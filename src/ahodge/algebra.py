@@ -267,6 +267,12 @@ class GramData:
     basis (phi^1..phi^n, conj phi^1..conj phi^n); ``vol`` is the metric
     volume form, a scalar multiple of the full wedge word.  Positivity of
     the (1,0) block is certified by interval evaluation at tau = pi.
+
+    ``cross_block_zero`` records whether the (1,0)/(0,1) block of ``g1``
+    vanishes, as it does for every metric compatible with the almost-complex
+    structure.  Then words of different bidegree are orthogonal, and the
+    Gram determinant of two words of one bidegree factors into a (1,0) and
+    a (0,1) determinant.
     """
 
     __slots__ = (
@@ -274,9 +280,12 @@ class GramData:
         "g1",
         "vol_coeff",
         "orientation",
+        "cross_block_zero",
         "_inner_cache",
+        "_det_cache",
         "_star_cache",
         "_gram_cache",
+        "_inverse_cache",
     )
 
     def __init__(self, n: int, g1, vol_coeff: Scalar, orientation: int, prec: int = 128):
@@ -285,9 +294,16 @@ class GramData:
         self.vol_coeff = vol_coeff
         self.orientation = orientation
         self._inner_cache: dict = {}
+        self._det_cache: dict = {}
         self._star_cache: dict = {}
         self._gram_cache: dict = {}
+        self._inverse_cache: dict = {}
         self._validate(prec)
+        self.cross_block_zero = all(
+            g1[a][b].is_zero() and g1[b][a].is_zero()
+            for a in range(n)
+            for b in range(n, 2 * n)
+        )
 
     def _validate(self, prec: int):
         size = 2 * self.n
@@ -315,10 +331,25 @@ class GramData:
         cached = self._inner_cache.get(key)
         if cached is not None:
             return cached
-        sub = [[self.g1[a - 1][b - 1] for b in w2] for a in w1]
-        value = linalg.det(sub)
+        if self.cross_block_zero:
+            n = self.n
+            p1 = sum(1 for a in w1 if a <= n)
+            if p1 != sum(1 for b in w2 if b <= n):
+                value = ZERO
+            else:
+                value = self._sub_det(w1[:p1], w2[:p1]) * self._sub_det(w1[p1:], w2[p1:])
+        else:
+            value = self._sub_det(w1, w2)
         self._inner_cache[key] = value
         return value
+
+    def _sub_det(self, rows, cols) -> Scalar:
+        key = (rows, cols)
+        cached = self._det_cache.get(key)
+        if cached is None:
+            cached = linalg.det([[self.g1[a - 1][b - 1] for b in cols] for a in rows])
+            self._det_cache[key] = cached
+        return cached
 
     def inner_product(self, alpha: Form, beta: Form) -> Scalar:
         da, db = alpha.degree(), beta.degree()
@@ -375,3 +406,13 @@ class GramData:
         m = [[self.word_inner(w1, w2) for w2 in words] for w1 in words]
         self._gram_cache[degree] = m
         return m
+
+    def conj_gram_inverse(self, degree: int):
+        """Inverse of the conjugated Gram matrix of one degree, the factor
+        every Gram adjoint out of that degree starts with."""
+        cached = self._inverse_cache.get(degree)
+        if cached is None:
+            conj = [[x.conj() for x in row] for row in self.gram_matrix(degree)]
+            cached = linalg.inverse(conj)
+            self._inverse_cache[degree] = cached
+        return cached

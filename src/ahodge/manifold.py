@@ -145,6 +145,7 @@ class ManifoldSpec:
         except ValueError as exc:
             raise NonInvertibleCoframe(str(exc)) from exc
         self._dword_cache: dict = {}
+        self._piece_cache: dict = {}
         self._dgen = {}
         for j in range(1, n + 1):
             self._dgen[j] = dphi[j - 1]
@@ -202,6 +203,37 @@ class ManifoldSpec:
             out = out + self.d_word(w).component(p + dp, q + dq).scale(c)
         return out
 
+    def block_words(self, p: int, q: int):
+        """Sorted index words of bidegree (p, q); empty outside the range."""
+        n = self.n
+        if not (0 <= p <= n and 0 <= q <= n):
+            return []
+        return [w for w in words_of_degree(n, p + q) if word_bidegree(w, n) == (p, q)]
+
+    def piece_matrices(self, pq) -> dict:
+        """Matrices of the four pieces of d on the bidegree block pq, each
+        mapping block pq into block pq + shift (rows and columns follow
+        ``block_words``); a piece whose source or target block is empty is
+        absent.  Cached per spec."""
+        cached = self._piece_cache.get(pq)
+        if cached is not None:
+            return cached
+        p, q = pq
+        src = self.block_words(p, q)
+        out = {}
+        targets = {}
+        for which, (dp, dq) in BIDEGREE_SHIFTS.items():
+            tgt = self.block_words(p + dp, q + dq)
+            if src and tgt:
+                out[which] = linalg.zeros(len(tgt), len(src))
+                targets[(p + dp, q + dq)] = (out[which], {w: k for k, w in enumerate(tgt)})
+        for col, w in enumerate(src):
+            for iw, c in self.d_word(w).coeffs.items():
+                mat, rows = targets[word_bidegree(iw, self.n)]
+                mat[rows[iw]][col] = c
+        self._piece_cache[pq] = out
+        return out
+
     def split_d(self) -> "OperatorSplit":
         return OperatorSplit(self)
 
@@ -251,21 +283,40 @@ class ManifoldSpec:
         ]
         report = []
         n = self.n
-        all_words = [w for k in range(2 * n + 1) for w in words_of_degree(n, k)]
         for name, pairs in relations:
-            holds = True
             witness = None
-            for w in all_words:
-                base = Form.monomial(n, w)
-                total = Form.zero(n)
-                for outer, inner in pairs:
-                    total = total + self.op_apply(outer, self.op_apply(inner, base))
-                if not total.is_zero():
-                    holds = False
-                    witness = w
+            for k in range(2 * n + 1):
+                failing = []
+                for p in range(max(0, k - n), min(k, n) + 1):
+                    total = self._composite(p, k - p, pairs)
+                    if total is None:
+                        continue
+                    src = self.block_words(p, k - p)
+                    failing += [
+                        w for c, w in enumerate(src) if any(not row[c].is_zero() for row in total)
+                    ]
+                if failing:
+                    # the first failing word in degree-then-word order
+                    witness = min(failing)
                     break
-            report.append((name, holds, witness))
+            report.append((name, witness is None, witness))
         return report
+
+    def _composite(self, p: int, q: int, pairs):
+        """Matrix of sum(outer o inner) on block (p, q), or None when every
+        term vanishes for want of a source or target block."""
+        total = None
+        for outer, inner in pairs:
+            first = self.piece_matrices((p, q)).get(inner)
+            if first is None:
+                continue
+            dp, dq = BIDEGREE_SHIFTS[inner]
+            second = self.piece_matrices((p + dp, q + dq)).get(outer)
+            if second is None:
+                continue
+            term = linalg.mat_mul(second, first)
+            total = term if total is None else linalg.mat_add(total, term)
+        return total
 
 
 class OperatorSplit:
@@ -273,35 +324,19 @@ class OperatorSplit:
 
     def __init__(self, spec: ManifoldSpec):
         self.spec = spec
-        self._matrix_cache: dict = {}
 
     def apply(self, which: str, alpha: Form) -> Form:
         return self.spec.op_apply(which, alpha)
 
-    def block_words(self, p: int, q: int):
-        n = self.spec.n
-        return [w for w in words_of_degree(n, p + q) if word_bidegree(w, n) == (p, q)]
-
     def matrix(self, which: str, pq):
         """Matrix of one component from block pq into its target block;
         returns (source_words, target_words, matrix)."""
-        key = (which, pq)
-        cached = self._matrix_cache.get(key)
-        if cached is not None:
-            return cached
         p, q = pq
         dp, dq = BIDEGREE_SHIFTS[which]
-        src = self.block_words(p, q)
-        tgt = self.block_words(p + dp, q + dq)
-        index = {w: k for k, w in enumerate(tgt)}
-        mat = linalg.zeros(len(tgt), len(src))
-        for col, w in enumerate(src):
-            image = self.apply(which, Form.monomial(self.spec.n, w))
-            for iw, c in image.coeffs.items():
-                mat[index[iw]][col] = c
-        out = (src, tgt, mat)
-        self._matrix_cache[key] = out
-        return out
+        src = self.spec.block_words(p, q)
+        tgt = self.spec.block_words(p + dp, q + dq)
+        mat = self.spec.piece_matrices(pq).get(which) or linalg.zeros(len(tgt), len(src))
+        return src, tgt, mat
 
     def sum_is_d(self) -> bool:
         n = self.spec.n

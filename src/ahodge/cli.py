@@ -58,13 +58,13 @@ def compute_report(config: RunConfig) -> HarmonicReport:
     }
     degrees = config.degrees if config.degrees is not None else list(range(spec.n + 1))
     spaces = {}
+    cap = config.modes_bound
     for p in degrees:
-        spaces[("dbar", p)] = fourier.harmonic_basis_dbar(p, spec, config.modes_bound)
-        spaces[("deltabar", p)] = fourier.harmonic_basis_deltabar(
-            p, spec, h, config.modes_bound
-        )
-        spaces[("dol", p)] = fourier.dolbeault_basis(p, spec, config.modes_bound)
-    verdict = obstruction.symplectic_obstruction(spec, config.modes_bound)
+        # one dbar space per degree, shared by both filters
+        dbar = spaces[("dbar", p)] = fourier.harmonic_basis_dbar(p, spec, cap)
+        spaces[("deltabar", p)] = fourier.harmonic_basis_deltabar(p, spec, h, cap, dbar=dbar)
+        spaces[("dol", p)] = fourier.dolbeault_basis(p, spec, cap, dbar=dbar)
+    verdict = obstruction.symplectic_obstruction(spec, cap, dbar=spaces.get(("dbar", 1)))
     status = EXACT
     if any(s.status != EXACT for s in spaces.values()):
         status = UNDETERMINED_STATUS

@@ -790,12 +790,13 @@ def _filter_span(basis, condition, p, theory, rank, n):
 
 
 def harmonic_basis_deltabar(
-    p: int, spec: ManifoldSpec, h, cap: int = 10**6
+    p: int, spec: ManifoldSpec, h, cap: int = 10**6, dbar: HarmonicSpace | None = None
 ) -> HarmonicSpace:
     """(dbar+mu)-harmonic (p,0)-forms: the dbar-closed span cut by the
     kernel of the mu adjoint, computed through the star-based criterion
-    mubar(star psi) = 0, which is function-linear and hence mode-wise."""
-    base = harmonic_basis_dbar(p, spec, cap)
+    mubar(star psi) = 0, which is function-linear and hence mode-wise.
+    ``dbar`` is the degree-p dbar space when the caller already has it."""
+    base = dbar if dbar is not None else harmonic_basis_dbar(p, spec, cap)
     if base.status != EXACT:
         return HarmonicSpace(p, "deltabar", None, [], UNDETERMINED_STATUS)
 
@@ -805,9 +806,12 @@ def harmonic_basis_deltabar(
     return _filter_span(base.basis, condition, p, "deltabar", spec.fibration.rank, spec.n)
 
 
-def dolbeault_basis(p: int, spec: ManifoldSpec, cap: int = 10**6) -> HarmonicSpace:
-    """Dolbeault-type (p,0) space: dbar-closed forms killed by mubar."""
-    base = harmonic_basis_dbar(p, spec, cap)
+def dolbeault_basis(
+    p: int, spec: ManifoldSpec, cap: int = 10**6, dbar: HarmonicSpace | None = None
+) -> HarmonicSpace:
+    """Dolbeault-type (p,0) space: dbar-closed forms killed by mubar.
+    ``dbar`` is the degree-p dbar space when the caller already has it."""
+    base = dbar if dbar is not None else harmonic_basis_dbar(p, spec, cap)
     if base.status != EXACT:
         return HarmonicSpace(p, "dol", None, [], UNDETERMINED_STATUS)
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .fourier import (
     EXACT,
+    HarmonicSpace,
     ModeForm,
     d_mode,
     dbar_mode,
@@ -61,10 +62,13 @@ def coframe_obstruction(spec: ManifoldSpec) -> ObstructionVerdict:
     return ObstructionVerdict("Inconclusive")
 
 
-def symplectic_obstruction(spec: ManifoldSpec, cap: int = 10**6) -> ObstructionVerdict:
+def symplectic_obstruction(
+    spec: ManifoldSpec, cap: int = 10**6, dbar: HarmonicSpace | None = None
+) -> ObstructionVerdict:
     """Search the computed dbar-closed (1,0) basis for a witness with
-    nonzero differential; fall back to the coframe criterion."""
-    space = harmonic_basis_dbar(1, spec, cap)
+    nonzero differential; fall back to the coframe criterion.  ``dbar`` is
+    the degree-1 dbar space when the caller already has it."""
+    space = dbar if dbar is not None else harmonic_basis_dbar(1, spec, cap)
     if space.status == EXACT:
         for psi in space.basis:
             if d_mode(psi, spec).is_zero():

@@ -1,7 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
+from ahodge import fourier, obstruction
 from ahodge.cli import RunConfig, check, compute_report, main, report_to_dict, run
 
 
@@ -151,3 +153,17 @@ def test_reports_byte_identical_across_processes():
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout
+
+
+def test_dbar_space_computed_once_per_degree(monkeypatch):
+    calls = Counter()
+    original = fourier.harmonic_basis_dbar
+
+    def counting(p, *args, **kwargs):
+        calls[p] += 1
+        return original(p, *args, **kwargs)
+
+    monkeypatch.setattr(fourier, "harmonic_basis_dbar", counting)
+    monkeypatch.setattr(obstruction, "harmonic_basis_dbar", counting)
+    compute_report(RunConfig("builtin:iwasawa_std"))
+    assert calls == {0: 1, 1: 1, 2: 1, 3: 1}

@@ -304,3 +304,17 @@ d phi3 = 0
     spec = load_spec(text)
     with pytest.raises(ValueError):
         metric_for(spec)
+
+
+def test_laplacians_refuse_a_gram_matrix_with_a_cross_block(fls, fls_metric):
+    from dataclasses import replace
+
+    from ahodge.algebra import GramData
+
+    g1 = [row[:] for row in fls_metric.gram.g1]
+    half = Scalar.rational(1, 2)
+    g1[0][N], g1[N][0] = half, half
+    gram = GramData(N, g1, fls_metric.gram.vol_coeff, fls_metric.gram.orientation)
+    h = replace(fls_metric, gram=gram, _lap_cache={}, _adj_cache={})
+    with pytest.raises(NotCompatible):
+        delta_laplacians_equal(h, fls)

@@ -276,23 +276,28 @@ def _shift(pq, which: str, sign: int = 1):
     return (pq[0] + sign * dp, pq[1] + sign * dq)
 
 
+def _dense(blocks: dict, spec: ManifoldSpec, k_tgt: int, k_src: int):
+    """Scatter {(target bidegree, source bidegree): matrix} into one matrix
+    from degree k_src to degree k_tgt, in sorted word order."""
+    tgt, src = _positions(spec.n, k_tgt), _positions(spec.n, k_src)
+    mat = linalg.zeros(len(tgt), len(src))
+    for (tgt_pq, src_pq), block in blocks.items():
+        cols = [src[w] for w in spec.block_words(*src_pq)]
+        for w, brow in zip(spec.block_words(*tgt_pq), block):
+            for c, x in zip(cols, brow):
+                mat[tgt[w]][c] = x
+    return mat
+
+
 def operator_matrix(which: str, spec: ManifoldSpec, k: int):
     """Matrix of one first-order operator from degree k to degree k+1."""
-    src = _positions(spec.n, k)
-    tgt = _positions(spec.n, k + 1)
-    mat = linalg.zeros(len(tgt), len(src))
-    for pq in _bidegrees(spec.n, k):
-        cols = [src[w] for w in spec.block_words(*pq)]
-        pieces = spec.piece_matrices(pq)
-        for part in _OPERATOR_PARTS[which]:
-            block = pieces.get(part)
-            if block is None:
-                continue
-            rows = [tgt[w] for w in spec.block_words(*_shift(pq, part))]
-            for r, brow in zip(rows, block):
-                for c, x in zip(cols, brow):
-                    mat[r][c] = x
-    return mat
+    blocks = {
+        (_shift(pq, part), pq): spec.piece_matrices(pq)[part]
+        for pq in _bidegrees(spec.n, k)
+        for part in _OPERATOR_PARTS[which]
+        if part in spec.piece_matrices(pq)
+    }
+    return _dense(blocks, spec, k + 1, k)
 
 
 def _gram_block(matrix, words, index):
@@ -360,15 +365,7 @@ def laplacian_blocks(which: str, h: HermitianData, spec: ManifoldSpec, k: int) -
 
 def laplacian_matrix(which: str, h: HermitianData, spec: ManifoldSpec, k: int):
     """Matrix of O O* + O* O on invariant k-forms."""
-    index = _positions(spec.n, k)
-    lap = linalg.zeros(len(index), len(index))
-    for (tgt, src), block in laplacian_blocks(which, h, spec, k).items():
-        rows = [index[w] for w in spec.block_words(*tgt)]
-        cols = [index[w] for w in spec.block_words(*src)]
-        for r, brow in zip(rows, block):
-            for c, x in zip(cols, brow):
-                lap[r][c] = x
-    return lap
+    return _dense(laplacian_blocks(which, h, spec, k), spec, k, k)
 
 
 @dataclass

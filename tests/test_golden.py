@@ -8,7 +8,6 @@ To re-pin after a deliberate change of output, run
 
 import importlib.util
 import re
-import sys
 from pathlib import Path
 
 import pytest
@@ -72,4 +71,3 @@ if __name__ == "__main__":
         for fmt, rendered in render(source, overrides).items():
             (GOLDEN / (name + _SUFFIX[fmt])).write_text(rendered, encoding="utf-8")
             print("wrote", name + _SUFFIX[fmt])
-    sys.exit(0)

@@ -16,6 +16,7 @@ from ahodge.scalars import (
     ZERO,
     format_scalar,
     parse_scalar,
+    pconj,
     pdivmod,
     pgcd,
     pnorm,
@@ -209,5 +210,4 @@ def test_conjugate_is_canonical_without_renormalising(a, b):
         return
     x = a / b
     c = x.conj()
-    conj = lambda p: tuple(t.conj() for t in p)  # noqa: E731
-    assert (c.num, c.den) == _reference(conj(x.num), conj(x.den))
+    assert (c.num, c.den) == _reference(pconj(x.num), pconj(x.den))

@@ -318,3 +318,32 @@ def test_mode_symbols(fls, iwasawa_ak):
     assert tau == S("2*pi + 3*i*pi", fls)
     sig3 = iwasawa_ak.fibration.sigma(3, (1, 1))
     assert sig3 == S("i*pi - pi")
+
+
+MALFORMED_LINES = [
+    ("fls", "d e3 = -e13 - e25", "d e3 = -e13 / e25"),
+    ("fls", "d e3 = -e13 - e25", "d e3 = e13^2"),
+    ("fls", "d e3 = -e13 - e25", "d e3 = 1 + e13"),
+    ("fls", "d e3 = -e13 - e25", "d e3 = 3"),
+    ("fls", "d e3 = -e13 - e25", "d e3 = -e19"),
+    ("iwasawa_std", "d phi3 = -phi[1b 2b]", "d phi3 = -phi[1b 4b]"),
+    ("iwasawa_std", "d phi3 = -phi[1b 2b]", "d phi3 = -phi14"),
+    ("iwasawa_std", "d phi3 = -phi[1b 2b]", "d phi3 = -phi[1b 2b"),
+    ("fls", "symbol = [-pi, i*pi/(a*a0)]", "symbol = [-pi, i*pi/(a*a0)"),
+    ("fls", "symbol = [-pi, i*pi/(a*a0)]", "symbol = [-pi, (i*pi/(a*a0)]"),
+    ("fls", "symbol = [-pi, i*pi/(a*a0)]", "symbol = [-pi, i*pi/(a*a0)] 2"),
+    ("iwasawa_std", "[0, 0, 2]]", "[0, 0, 2]"),
+    ("iwasawa_std", "gram = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]", "gram = [2, 0, 0]"),
+    ("fls", "coords = [x, t]", "coords = x, t"),
+    ("fls", "fiber_span = [V2, V3]", "fiber_span = [V2, , V3]"),
+]
+
+
+@pytest.mark.parametrize("name, old, new", MALFORMED_LINES)
+def test_malformed_line_is_rejected_with_its_line_number(name, old, new):
+    document = BUILTINS[name].replace(old, new)
+    assert document != BUILTINS[name]
+    lineno = next(k for k, line in enumerate(document.splitlines(), 1) if new in line)
+    with pytest.raises(ParseError) as err:
+        load_spec(document)
+    assert err.value.lineno == lineno

@@ -187,5 +187,5 @@ def builtin_names():
 
 def get_builtin(name: str, overrides: dict | None = None) -> ManifoldSpec:
     if name not in BUILTINS:
-        raise KeyError(f"unknown builtin {name!r}; available: {builtin_names()}")
+        raise ValueError(f"unknown builtin {name!r}; available: {builtin_names()}")
     return load_spec(BUILTINS[name], overrides)

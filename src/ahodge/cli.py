@@ -56,7 +56,8 @@ def compute_report(config: RunConfig) -> HarmonicReport:
         "delta_laplacians_equal": laplacians_equal,
         "ak_identity": laplacians_equal if ak else None,
     }
-    degrees = config.degrees if config.degrees is not None else list(range(spec.n + 1))
+    degrees = range(spec.n + 1) if config.degrees is None else config.degrees
+    degrees = list(dict.fromkeys(degrees))  # a repeated degree is computed once
     spaces = {}
     cap = config.modes_bound
     for p in degrees:
@@ -69,17 +70,15 @@ def compute_report(config: RunConfig) -> HarmonicReport:
     if any(s.status != EXACT for s in spaces.values()):
         status = UNDETERMINED_STATUS
     params = {k: format_scalar(v) for k, v in sorted(spec.params.items())}
-    report = HarmonicReport(
-        manifold=spec.name,
+    return HarmonicReport(
+        spec=spec,
         params=params,
-        degrees=list(degrees),
+        degrees=degrees,
         spaces=spaces,
         flags=flags,
         obstruction=verdict,
         status=status,
     )
-    report.spec = spec  # for pretty-printing bases with the right symbol
-    return report
 
 
 def report_to_dict(report: HarmonicReport) -> dict:
@@ -109,7 +108,7 @@ def report_to_dict(report: HarmonicReport) -> dict:
         ),
     }
     return {
-        "manifold": {"name": report.manifold, "params": report.params},
+        "manifold": {"name": spec.name, "params": report.params},
         "flags": report.flags,
         "tables": tables,
         "bases": bases,
@@ -123,7 +122,7 @@ def report_to_text(report: HarmonicReport) -> str:
     spec = report.spec
     lines = []
     params = ", ".join(f"{k} = {v}" for k, v in report.params.items())
-    lines.append(f"manifold: {report.manifold}" + (f"  ({params})" if params else ""))
+    lines.append(f"manifold: {spec.name}" + (f"  ({params})" if params else ""))
     f = report.flags
     lines.append(
         "validation: d^2 = 0 {}; bidegree relations {}".format(

@@ -684,30 +684,6 @@ def contributing_modes(matrix: ModeMatrix, cap: int = 10**6):
     return sorted(out)
 
 
-def exhaustive_mode_scan(matrix: ModeMatrix, bound: int):
-    """Brute-force oracle: every nonzero mode with |m_j| <= bound whose
-    evaluated system has a nontrivial kernel."""
-    if matrix.rank == 0 or not matrix.base_cols:
-        return []
-    ncols = len(matrix.base_cols)
-    out = []
-    ranges = [range(-bound, bound + 1)] * matrix.rank
-
-    def rec(prefix, rest):
-        if not rest:
-            m = tuple(prefix)
-            if any(m):
-                ev = matrix.eval_nonzero(m)
-                if linalg.kernel_nontrivial(ev, ncols):
-                    out.append(m)
-            return
-        for v in rest[0]:
-            rec(prefix + [v], rest[1:])
-
-    rec([], ranges)
-    return sorted(out)
-
-
 # ---------------------------------------------------------------------------
 # Harmonic spaces
 # ---------------------------------------------------------------------------
@@ -725,9 +701,10 @@ class HarmonicSpace:
 @dataclass
 class HarmonicReport:
     """One manifold's worth of results: the three (p,0) tables with bases,
-    the structural flags, and the obstruction verdict."""
+    the structural flags, and the obstruction verdict.  ``spec`` names the
+    manifold and supplies the symbol and coordinates for printing bases."""
 
-    manifold: str
+    spec: ManifoldSpec
     params: dict
     degrees: list
     spaces: dict  # (theory, p) -> HarmonicSpace

@@ -231,10 +231,6 @@ def metric_for(spec: ManifoldSpec, prec: int = 128) -> HermitianData:
     return metric_from_gram(payload, spec, prec)
 
 
-def is_almost_kahler(h: HermitianData, spec: ManifoldSpec) -> bool:
-    return spec.exterior_d(h.omega).is_zero()
-
-
 # -- adjoints and Laplacians on invariant forms -------------------------
 
 

@@ -21,8 +21,9 @@ import re
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import Form, word_bidegree, words_of_degree
+from .algebra import Form, sort_word, word_bidegree, words_of_degree
 from .scalars import (
+    I,
     ONE,
     ParseError,
     Scalar,
@@ -103,19 +104,10 @@ class FibrationData:
                 raise ParseError(f"fiber_span lists V{i}, which is not pure fiber")
 
 
-def trivial_fibration(n: int) -> FibrationData:
-    return FibrationData(
-        rank=0,
-        coords=(),
-        pure_fiber={i: False for i in range(1, n + 1)},
-        symbols={i: () for i in range(1, n + 1)},
-        fiber_span=(),
-    )
-
-
 class ManifoldSpec:
     """Validated manifold data: structure equations, coframe, metric source,
-    fibration."""
+    fibration.  ``basis`` is the change of basis (P, E, e-forms) that
+    ``_coframe_basis`` computes once per load."""
 
     def __init__(
         self,
@@ -123,7 +115,7 @@ class ManifoldSpec:
         n: int,
         params: dict,
         dphi: list,
-        cmatrix,
+        basis: tuple,
         metric_source,
         fibration: FibrationData,
         symbol: str = "phi",
@@ -132,35 +124,16 @@ class ManifoldSpec:
         self.n = n
         self.params = params
         self.dphi = dphi
-        self.C = cmatrix
+        self.P, self.E, self._e_forms = basis
         self.metric_source = metric_source
         self.fibration = fibration
         self.symbol = symbol
-        size = 2 * n
-        self.P = [list(row) for row in cmatrix] + [
-            [c.conj() for c in row] for row in cmatrix
-        ]
-        try:
-            self.E = linalg.inverse(self.P)
-        except ValueError as exc:
-            raise NonInvertibleCoframe(str(exc)) from exc
         self._dword_cache: dict = {}
         self._piece_cache: dict = {}
         self._dgen = {}
         for j in range(1, n + 1):
             self._dgen[j] = dphi[j - 1]
             self._dgen[j + n] = dphi[j - 1].conj()
-        self._e_forms = [
-            Form(
-                n,
-                {
-                    (a + 1,): self.E[k][a]
-                    for a in range(size)
-                    if not self.E[k][a].is_zero()
-                },
-            )
-            for k in range(size)
-        ]
         self.validate()
 
     # -- basic geometry -------------------------------------------------
@@ -233,9 +206,6 @@ class ManifoldSpec:
                 mat[rows[iw]][col] = c
         self._piece_cache[pq] = out
         return out
-
-    def split_d(self) -> "OperatorSplit":
-        return OperatorSplit(self)
 
     def is_integrable(self) -> bool:
         for a in range(1, 2 * self.n + 1):
@@ -319,38 +289,6 @@ class ManifoldSpec:
         return total
 
 
-class OperatorSplit:
-    """The four bidegree-homogeneous pieces of d on invariant forms."""
-
-    def __init__(self, spec: ManifoldSpec):
-        self.spec = spec
-
-    def apply(self, which: str, alpha: Form) -> Form:
-        return self.spec.op_apply(which, alpha)
-
-    def matrix(self, which: str, pq):
-        """Matrix of one component from block pq into its target block;
-        returns (source_words, target_words, matrix)."""
-        p, q = pq
-        dp, dq = BIDEGREE_SHIFTS[which]
-        src = self.spec.block_words(p, q)
-        tgt = self.spec.block_words(p + dp, q + dq)
-        mat = self.spec.piece_matrices(pq).get(which) or linalg.zeros(len(tgt), len(src))
-        return src, tgt, mat
-
-    def sum_is_d(self) -> bool:
-        n = self.spec.n
-        for k in range(2 * n + 1):
-            for w in words_of_degree(n, k):
-                base = Form.monomial(n, w)
-                total = Form.zero(n)
-                for which in BIDEGREE_SHIFTS:
-                    total = total + self.apply(which, base)
-                if not (total - self.spec.exterior_d(base)).is_zero():
-                    return False
-        return True
-
-
 # ---------------------------------------------------------------------------
 # Manifest parsing
 # ---------------------------------------------------------------------------
@@ -364,7 +302,7 @@ _VECTOR_RE = re.compile(r"^V(\d+)\s*:\s*(.+)$")
 
 
 class _FormParser(_ScalarParser):
-    """Expression parser producing scalars or forms.
+    """The scalar grammar over scalars and forms.
 
     ``mode`` selects the admissible form atoms: real coframe monomials like
     ``e13`` or (1,0)-coframe monomials like ``phi12`` / ``phi[1 2b]``.
@@ -375,54 +313,15 @@ class _FormParser(_ScalarParser):
         self.n = n
         self.mode = mode
 
-    def parse_value(self):
-        value = self.expr()
-        if self.pos != len(self.tokens):
-            raise ParseError(f"trailing input {self.peek()[1]!r}", self.lineno)
-        return value
-
-    # arithmetic on (kind, value) pairs --------------------------------
-
-    def expr(self):
-        value = self.term()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                value = self._addsub(value, rhs, val)
-            else:
-                return value
-
-    def _addsub(self, a, b, op):
-        if isinstance(a, Scalar) and isinstance(b, Scalar):
-            return a + b if op == "+" else a - b
-        fa = self._as_form(a)
-        fb = self._as_form(b)
-        return fa + fb if op == "+" else fa - fb
-
-    def _as_form(self, v):
-        if isinstance(v, Form):
-            return v
-        if isinstance(v, Scalar) and v.is_zero():
-            return Form.zero(self.n)
-        raise ParseError("scalar used where a form is required", self.lineno)
-
-    def term(self):
-        value = self.factor()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                rhs = self.factor()
-                value = self._muldiv(value, rhs, val)
-            else:
-                return value
-
-    def _muldiv(self, a, b, op):
+    def combine(self, a, op, b):
+        if isinstance(a, Scalar) and not isinstance(b, Form):
+            return super().combine(a, op, b)
+        if op == "^":
+            raise ParseError("exponent applied to a form", self.lineno)
+        if op in "+-":
+            fa, fb = self._as_form(a), self._as_form(b)
+            return fa + fb if op == "+" else fa - fb
         if op == "*":
-            if isinstance(a, Scalar) and isinstance(b, Scalar):
-                return a * b
             if isinstance(a, Scalar):
                 return b.scale(a)
             if isinstance(b, Scalar):
@@ -430,43 +329,27 @@ class _FormParser(_ScalarParser):
             return a.wedge(b)
         if not isinstance(b, Scalar):
             raise ParseError("division by a form", self.lineno)
-        if b.is_zero():
-            raise ParseError("division by zero", self.lineno)
-        if isinstance(a, Scalar):
-            return a / b
-        return a.scale(b.inv())
+        return a.scale(super().combine(ONE, "/", b))
 
-    def factor(self):
-        kind, val = self.peek()
-        if kind == "op" and val in "+-":
-            self.take()
-            inner = self.factor()
-            if val == "-":
-                return -inner
-            return inner
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            if not isinstance(base, Scalar):
-                raise ParseError("exponent applied to a form", self.lineno)
-            return super_power(self, base)
-        return base
+    def _as_form(self, v):
+        if isinstance(v, Form):
+            return v
+        if v.is_zero():
+            return Form.zero(self.n)
+        raise ParseError("scalar used where a form is required", self.lineno)
 
     def atom(self):
         kind, val = self.peek()
         if kind == "name":
             if self.mode == "e" and re.fullmatch(r"e\d+", val):
                 self.take()
-                return self._e_monomial(val)
+                return self._monomial([int(ch) for ch in val[1:]], 2 * self.n)
             if self.mode == "phi" and val == "phi" and self._next_is_bracket():
                 self.take()
                 return self._phi_bracket()
             if self.mode == "phi" and re.fullmatch(r"phi\d+", val):
                 self.take()
-                return self._phi_plain(val)
+                return self._monomial([int(ch) for ch in val[3:]], self.n)
         return super().atom()
 
     def _next_is_bracket(self):
@@ -475,83 +358,38 @@ class _FormParser(_ScalarParser):
             return kind == "op" and val == "["
         return False
 
-    def _e_monomial(self, token):
-        digits = [int(ch) for ch in token[1:]]
-        for d in digits:
-            if not 1 <= d <= 2 * self.n:
-                raise ParseError(f"coframe index {d} out of range", self.lineno)
-        from .algebra import sort_word
-
-        sorted_ = sort_word(digits)
-        if sorted_ is None:
-            return Form.zero(self.n)
-        sign, word = sorted_
-        coeff = ONE if sign > 0 else -ONE
-        return Form.monomial(self.n, word, coeff)
-
-    def _phi_plain(self, token):
-        digits = [int(ch) for ch in token[3:]]
-        for d in digits:
-            if not 1 <= d <= self.n:
-                raise ParseError(f"coframe index {d} out of range", self.lineno)
-        from .algebra import sort_word
-
-        sorted_ = sort_word(digits)
-        if sorted_ is None:
-            return Form.zero(self.n)
-        sign, word = sorted_
-        return Form.monomial(self.n, word, ONE if sign > 0 else -ONE)
-
     def _phi_bracket(self):
         self.expect_op("[")
         indices = []
+        barred = set()
         while True:
-            kind, val = self.peek()
+            kind, val = self.take()
             if kind == "op" and val == "]":
-                self.take()
-                break
+                return self._monomial(indices, self.n, barred)
             if kind == "op" and val == ",":
-                self.take()
                 continue
             if kind != "int":
                 raise ParseError(f"bad index {val!r} in phi[...]", self.lineno)
-            self.take()
-            j = int(val)
-            if not 1 <= j <= self.n:
-                raise ParseError(f"index {j} out of range", self.lineno)
-            kind2, val2 = self.peek()
-            if kind2 == "name" and val2 == "b":
+            if self.peek() == ("name", "b"):
                 self.take()
-                j += self.n
-            indices.append(j)
-        from .algebra import sort_word
+                barred.add(len(indices))
+            indices.append(int(val))
 
-        sorted_ = sort_word(indices)
+    def _monomial(self, indices, top, barred=()):
+        """The signed monomial of coframe indices in 1..top; the positions
+        in ``barred`` are conjugated (shifted by n)."""
+        for j in indices:
+            if not 1 <= j <= top:
+                raise ParseError(f"coframe index {j} out of range", self.lineno)
+        sorted_ = sort_word([j + self.n if k in barred else j for k, j in enumerate(indices)])
         if sorted_ is None:
             return Form.zero(self.n)
         sign, word = sorted_
         return Form.monomial(self.n, word, ONE if sign > 0 else -ONE)
 
 
-def super_power(parser, base: Scalar) -> Scalar:
-    parser.take()
-    neg = False
-    kind, val = parser.peek()
-    if kind == "op" and val == "-":
-        parser.take()
-        neg = True
-    kind, val = parser.take()
-    if kind != "int":
-        raise ParseError("exponent must be an integer", parser.lineno)
-    out = ONE
-    for _ in range(int(val)):
-        out = out * base
-    return out.inv() if neg else out
-
-
 def _parse_form_expr(text, params, n, mode, lineno):
-    tokens = tokenize(text, lineno)
-    value = _FormParser(tokens, params, n, mode, lineno).parse_value()
+    value = _FormParser(tokenize(text, lineno), params, n, mode, lineno).parse()
     if isinstance(value, Scalar):
         if value.is_zero():
             return Form.zero(n)
@@ -559,43 +397,10 @@ def _parse_form_expr(text, params, n, mode, lineno):
     return value
 
 
-def _parse_scalar_list(text, params, lineno):
-    """Parse ``[expr, expr, ...]`` into a list of scalars."""
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError("expected a bracketed list", lineno)
-    inner = text[1:-1].strip()
-    if not inner:
-        return []
-    return [parse_scalar(part, params, lineno) for part in _split_top(inner, lineno)]
-
-
-def _split_top(text, lineno):
-    parts = []
-    depth = 0
-    current = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-            if depth < 0:
-                raise ParseError("unbalanced brackets", lineno)
-        if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
-        else:
-            current.append(ch)
-    parts.append("".join(current))
-    return [p.strip() for p in parts]
-
-
-def _parse_matrix(text, params, lineno):
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError("expected [[...], ...]", lineno)
-    rows_text = _split_top(text[1:-1].strip(), lineno)
-    return [_parse_scalar_list(row, params, lineno) for row in rows_text]
+def _parse_list(text, params, lineno, item):
+    """Parse ``[entry, ...]``; ``item`` maps the parser to one entry."""
+    parser = _ScalarParser(tokenize(text, lineno), params, lineno)
+    return parser.parse(lambda: parser.bracketed(lambda: item(parser)))
 
 
 def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
@@ -696,24 +501,25 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
         raise ParseError("manifest declares no structure equations")
 
     if real_route:
-        cmatrix = []
-        for j in range(1, n + 1):
-            row = [acs_rows[j].coefficient((k,)) for k in range(1, 2 * n + 1)]
-            cmatrix.append(row)
-        dphi = _derive_complex_equations(n, de, cmatrix)
-        if declared_dphi:
-            for j in range(1, n + 1):
-                if not (dphi[j - 1] - declared_dphi[j]).is_zero():
-                    raise ParseError(
-                        f"declared d phi{j} disagrees with the real coframe derivation"
-                    )
+        cmatrix = [
+            [acs_rows[j].coefficient((k,)) for k in range(1, 2 * n + 1)]
+            for j in range(1, n + 1)
+        ]
     else:
         cmatrix = linalg.zeros(n, 2 * n)
-        from .scalars import I as IMAG
-
         for j in range(1, n + 1):
             cmatrix[j - 1][2 * j - 2] = ONE
-            cmatrix[j - 1][2 * j - 1] = IMAG
+            cmatrix[j - 1][2 * j - 1] = I
+    basis = _coframe_basis(cmatrix)
+    e_forms = basis[2]
+    if real_route:
+        dphi = _derive_complex_equations(de, cmatrix, e_forms)
+        for j in sorted(declared_dphi):
+            if not (dphi[j - 1] - declared_dphi[j]).is_zero():
+                raise ParseError(
+                    f"declared d phi{j} disagrees with the real coframe derivation"
+                )
+    else:
         dphi = [declared_dphi[j] for j in range(1, n + 1)]
 
     metric_source = None
@@ -723,69 +529,65 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
             raise ParseError(f"bad [metric] line: {line!r}", lineno)
         key, value = m.group(1), m.group(2)
         if key == "omega":
-            metric_source = ("omega", ("e", value, lineno))
+            omega = _parse_form_expr(value, params, n, "e", lineno)
+            metric_source = ("omega", _e_to_phi(e_forms, omega))
         elif key == "gram":
-            h = _parse_matrix(value, params, lineno)
+            h = _parse_list(value, params, lineno, lambda p: p.bracketed(p.expr))
             if len(h) != n or any(len(r) != n for r in h):
                 raise ParseError(f"gram must be {n}x{n}", lineno)
             metric_source = ("gram", h)
         else:
             raise ParseError(f"unknown [metric] key {key!r}", lineno)
 
-    fibration = _parse_fibration(sections.get("fibration", []), params, n)
-
-    spec = ManifoldSpec(
+    return ManifoldSpec(
         name=name,
         n=n,
         params=params,
         dphi=dphi,
-        cmatrix=cmatrix,
-        metric_source=None,
-        fibration=fibration,
+        basis=basis,
+        metric_source=metric_source,
+        fibration=_parse_fibration(sections.get("fibration", []), params, n),
         symbol=symbol,
     )
-    # converting the omega expression to the phi-basis needs the inverse
-    # change of basis, which only exists once the object is built
-    if metric_source is not None and metric_source[0] == "omega":
-        _mode, (_basis, text, lineno) = metric_source
-        e_form = _parse_form_expr(text, params, n, "e", lineno)
-        metric_source = ("omega", _e_to_phi(spec, e_form))
-    spec.metric_source = metric_source
-    return spec
 
 
-def _derive_complex_equations(n: int, de: dict, cmatrix):
+def _coframe_basis(cmatrix):
+    """The change of basis of a (1,0)-coframe given by its rows over
+    e^1..e^2n: P (the phi^j, then their conjugates), E = P^-1, and the e^k
+    as forms in the phi-basis."""
+    n = len(cmatrix)
+    P = [list(row) for row in cmatrix] + [[c.conj() for c in row] for row in cmatrix]
+    try:
+        E = linalg.inverse(P)
+    except ValueError as exc:
+        raise NonInvertibleCoframe(str(exc)) from exc
+    e_forms = [
+        Form(n, {(a + 1,): c for a, c in enumerate(row) if not c.is_zero()}) for row in E
+    ]
+    return P, E, e_forms
+
+
+def _derive_complex_equations(de: dict, cmatrix, e_forms):
     """Derive d phi^j from real structure equations and the acs rows."""
-    probe = ManifoldSpec(
-        name="_probe",
-        n=n,
-        params={},
-        dphi=[Form.zero(n) for _ in range(n)],
-        cmatrix=cmatrix,
-        metric_source=None,
-        fibration=trivial_fibration(n),
-    )
-    d_e_phi = {}
-    for k in range(1, 2 * n + 1):
-        d_e_phi[k] = _e_to_phi(probe, de[k])
+    d_e_phi = {k: _e_to_phi(e_forms, form) for k, form in de.items()}
     out = []
-    for j in range(1, n + 1):
-        total = Form.zero(n)
-        for k in range(1, 2 * n + 1):
-            c = cmatrix[j - 1][k - 1]
+    for row in cmatrix:
+        total = Form.zero(len(cmatrix))
+        for k, c in enumerate(row, start=1):
             if not c.is_zero():
                 total = total + d_e_phi[k].scale(c)
         out.append(total)
     return out
 
 
-def _e_to_phi(spec: ManifoldSpec, e_expr: Form) -> Form:
+def _e_to_phi(e_forms, e_expr: Form) -> Form:
     """Convert a form written over real coframe indices to the phi-basis."""
-    out = Form.zero(spec.n)
+    n = len(e_forms) // 2
+    out = Form.zero(n)
     for word, c in e_expr.coeffs.items():
-        term = Form.scalar(spec.n, c)
+        term = Form.scalar(n, c)
         for k in word:
-            term = term.wedge(spec.e_form(k))
+            term = term.wedge(e_forms[k - 1])
         out = out + term
     return out
 
@@ -813,7 +615,8 @@ def _parse_fibration(lines, params, n) -> FibrationData:
                 m = _ASSIGN_RE.match(rest)
                 if not m or m.group(1) != "symbol":
                     raise ParseError(f"expected 'symbol = [...]' in {line!r}", lineno)
-                symbols[i] = tuple(_parse_scalar_list(m.group(2), params, lineno))
+                entries = _parse_list(m.group(2), params, lineno, _ScalarParser.expr)
+                symbols[i] = tuple(entries)
             else:
                 raise ParseError(f"bad vector kind in {line!r}", lineno)
             continue
@@ -824,17 +627,10 @@ def _parse_fibration(lines, params, n) -> FibrationData:
         if key == "rank":
             rank = int(value)
         elif key == "coords":
-            if not (value.startswith("[") and value.endswith("]")):
-                raise ParseError("coords must be a bracketed list", lineno)
-            inner = value[1:-1].strip()
-            coords = tuple(p.strip() for p in inner.split(",")) if inner else ()
+            coords = tuple(_parse_list(value, params, lineno, _ScalarParser.name))
         elif key == "fiber_span":
-            if not (value.startswith("[") and value.endswith("]")):
-                raise ParseError("fiber_span must be a bracketed list", lineno)
-            inner = value[1:-1].strip()
-            items = [p.strip() for p in inner.split(",")] if inner else []
             span = []
-            for item in items:
+            for item in _parse_list(value, params, lineno, _ScalarParser.name):
                 if not re.fullmatch(r"V\d+", item):
                     raise ParseError(f"bad fiber_span entry {item!r}", lineno)
                 span.append(int(item[1:]))

@@ -445,8 +445,12 @@ def tokenize(text: str, lineno: int | None = None):
 
 
 class _ScalarParser:
-    """Recursive descent over +, -, *, /, ^, parentheses, pi, i, rationals
-    and bound parameter names."""
+    """Recursive descent over +, -, *, /, ^, parentheses, pi, i, rationals,
+    bound parameter names and bracketed lists.
+
+    This is the one expression grammar of the manifest.  Subclasses change
+    the values it builds by overriding ``atom`` and ``combine``.
+    """
 
     def __init__(self, tokens, params, lineno=None):
         self.tokens = tokens
@@ -462,75 +466,76 @@ class _ScalarParser:
         self.pos += 1
         return tok
 
+    def at_op(self, ops: str) -> bool:
+        kind, val = self.peek()
+        return kind == "op" and val in ops
+
     def expect_op(self, op):
         kind, val = self.take()
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}, got {val!r}", self.lineno)
 
-    def parse(self) -> Scalar:
-        value = self.expr()
+    def parse(self, rule=None):
+        """Apply ``rule`` (default: ``expr``) to the whole token list."""
+        value = (rule or self.expr)()
         if self.pos != len(self.tokens):
             raise ParseError(f"trailing input {self.peek()[1]!r}", self.lineno)
         return value
 
-    def expr(self) -> Scalar:
+    def combine(self, a, op: str, b):
+        """Value of ``a op b`` for op in + - * / ^; ``b`` is an int for ^."""
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        if op == "^" and b < 0:
+            a, b = self.combine(ONE, "/", a), -b
+        if op == "/":
+            if b.is_zero():
+                raise ParseError("division by zero", self.lineno)
+            return a / b
+        out = ONE
+        for _ in range(b):
+            out = out * a
+        return out
+
+    def expr(self):
         value = self.term()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                value = value + rhs if val == "+" else value - rhs
-            else:
-                return value
+        while self.at_op("+-"):
+            op = self.take()[1]
+            value = self.combine(value, op, self.term())
+        return value
 
-    def term(self) -> Scalar:
+    def term(self):
         value = self.factor()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                rhs = self.factor()
-                if val == "*":
-                    value = value * rhs
-                else:
-                    if rhs.is_zero():
-                        raise ParseError("division by zero", self.lineno)
-                    value = value / rhs
-            else:
-                return value
+        while self.at_op("*/"):
+            op = self.take()[1]
+            value = self.combine(value, op, self.factor())
+        return value
 
-    def factor(self) -> Scalar:
-        kind, val = self.peek()
-        if kind == "op" and val in "+-":
-            self.take()
+    def factor(self):
+        if self.at_op("+-"):
+            op = self.take()[1]
             inner = self.factor()
-            return inner if val == "+" else -inner
+            return inner if op == "+" else -inner
         return self.power()
 
-    def power(self) -> Scalar:
+    def power(self):
         base = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
+        if not self.at_op("^"):
+            return base
+        self.take()
+        negative = self.at_op("-")
+        if negative:
             self.take()
-            neg = False
-            kind, val = self.peek()
-            if kind == "op" and val == "-":
-                self.take()
-                neg = True
-            kind, val = self.take()
-            if kind != "int":
-                raise ParseError("exponent must be an integer", self.lineno)
-            k = int(val)
-            out = ONE
-            for _ in range(k):
-                out = out * base
-            if neg:
-                out = out.inv()
-            return out
-        return base
+        kind, val = self.take()
+        if kind != "int":
+            raise ParseError("exponent must be an integer", self.lineno)
+        return self.combine(base, "^", -int(val) if negative else int(val))
 
-    def atom(self) -> Scalar:
+    def atom(self):
         kind, val = self.take()
         if kind == "int":
             return Scalar.integer(int(val))
@@ -547,6 +552,25 @@ class _ScalarParser:
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected token {val!r}", self.lineno)
+
+    def name(self) -> str:
+        kind, val = self.take()
+        if kind != "name":
+            raise ParseError(f"expected a name, got {val!r}", self.lineno)
+        return val
+
+    def bracketed(self, item) -> list:
+        """``[item, item, ...]``, possibly empty; ``item`` is a rule."""
+        self.expect_op("[")
+        if self.at_op("]"):
+            self.take()
+            return []
+        out = [item()]
+        while self.at_op(","):
+            self.take()
+            out.append(item())
+        self.expect_op("]")
+        return out
 
 
 def parse_scalar(text: str, params: dict | None = None, lineno: int | None = None) -> Scalar:

@@ -14,7 +14,6 @@ from ahodge.fourier import (
     contributing_modes,
     dbar_mode,
     dolbeault_basis,
-    exhaustive_mode_scan,
     harmonic_basis_dbar,
     harmonic_basis_deltabar,
     mode_matrix,
@@ -29,7 +28,7 @@ from ahodge.hermitian import (
 )
 from ahodge.obstruction import symplectic_obstruction
 from ahodge.pdesolve import build_dbar_system, reduce
-from util import invariant, spans_equal
+from util import exhaustive_mode_scan, invariant, spans_equal
 
 
 def _pass(n, text):

@@ -167,3 +167,24 @@ def test_dbar_space_computed_once_per_degree(monkeypatch):
     monkeypatch.setattr(obstruction, "harmonic_basis_dbar", counting)
     compute_report(RunConfig("builtin:iwasawa_std"))
     assert calls == {0: 1, 1: 1, 2: 1, 3: 1}
+
+
+def test_repeated_degree_is_reported_and_computed_once(monkeypatch, capsys):
+    assert main(["run", "builtin:iwasawa_std", "--p", "1"]) == 0
+    once = capsys.readouterr().out
+    calls = Counter()
+    original = fourier.harmonic_basis_dbar
+
+    def counting(p, *args, **kwargs):
+        calls[p] += 1
+        return original(p, *args, **kwargs)
+
+    monkeypatch.setattr(fourier, "harmonic_basis_dbar", counting)
+    assert main(["run", "builtin:iwasawa_std", "--p", "1,1"]) == 0
+    assert capsys.readouterr().out == once
+    assert calls == {1: 1}
+
+
+def test_unknown_builtin_message_is_unquoted(capsys):
+    assert main(["run", "builtin:nosuch"]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown builtin 'nosuch'")

@@ -16,7 +16,6 @@ from ahodge.fourier import (
     d_mode,
     dbar_mode,
     dolbeault_basis,
-    exhaustive_mode_scan,
     harmonic_basis_dbar,
     harmonic_basis_deltabar,
     mode_matrix,
@@ -33,7 +32,15 @@ from ahodge.pdesolve import (
     reduce,
 )
 from ahodge.scalars import ONE, Scalar
-from util import S, basis_independent, form, invariant, spans_equal, word
+from util import (
+    S,
+    basis_independent,
+    exhaustive_mode_scan,
+    form,
+    invariant,
+    spans_equal,
+    word,
+)
 
 
 def _reduced(spec, p):

@@ -1,6 +1,6 @@
 import pytest
 
-from ahodge import hermitian, linalg
+from ahodge import linalg
 from ahodge.algebra import Form, NotPositive, word_bidegree, words_of_degree
 from ahodge.builtins import get_builtin
 from ahodge.hermitian import (
@@ -226,10 +226,6 @@ def test_ak_identity_requires_closed_form(fls_nonak, fls_nonak_metric):
         check_ak_identity(fls_nonak_metric, fls_nonak)
     # the comparison itself is still reported, with no expected value
     assert isinstance(delta_laplacians_equal(fls_nonak_metric, fls_nonak), bool)
-
-
-def test_is_almost_kahler_helper(fls, fls_metric):
-    assert hermitian.is_almost_kahler(fls_metric, fls)
 
 
 def test_full_d_laplacian_on_functions(iwasawa_ak, iwasawa_ak_metric):

@@ -5,6 +5,7 @@ import pytest
 from ahodge.algebra import Form, words_of_degree
 from ahodge.builtins import BUILTINS, get_builtin
 from ahodge.manifold import (
+    BIDEGREE_SHIFTS,
     JacobiViolation,
     NonInvertibleCoframe,
     load_spec,
@@ -148,11 +149,17 @@ def test_d_squared_vanishes_on_random_forms(any_builtin):
 
 
 def test_split_components_sum_to_d(any_builtin):
-    assert any_builtin.split_d().sum_is_d()
+    spec = any_builtin
+    for k in range(2 * spec.n + 1):
+        for w in words_of_degree(spec.n, k):
+            base = Form.monomial(spec.n, w)
+            total = Form.zero(spec.n)
+            for which in BIDEGREE_SHIFTS:
+                total = total + spec.op_apply(which, base)
+            assert total == spec.exterior_d(base), w
 
 
 def test_split_shifts_bidegree(fls_4pi):
-    split = fls_4pi.split_d()
     for which, (dp, dq) in (
         ("mu", (2, -1)),
         ("del", (1, 0)),
@@ -160,7 +167,7 @@ def test_split_shifts_bidegree(fls_4pi):
         ("mubar", (-1, 2)),
     ):
         for w in words_of_degree(3, 2):
-            image = split.apply(which, Form.monomial(3, w))
+            image = fls_4pi.op_apply(which, Form.monomial(3, w))
             for part in image.bidegree_split():
                 p = sum(1 for j in w if j <= 3)
                 q = len(w) - p
@@ -168,8 +175,9 @@ def test_split_shifts_bidegree(fls_4pi):
 
 
 def test_split_block_matrices(iwasawa_std, fls):
-    split = iwasawa_std.split_d()
-    src, tgt, mat = split.matrix("mubar", (1, 0))
+    src = iwasawa_std.block_words(1, 0)
+    tgt = iwasawa_std.block_words(0, 2)
+    mat = iwasawa_std.piece_matrices((1, 0))["mubar"]
     assert src == [(1,), (2,), (3,)]
     # d psi^3 = -psi^{1bar 2bar} is the only (0,2) image
     col = src.index((3,))
@@ -181,9 +189,9 @@ def test_split_block_matrices(iwasawa_std, fls):
         for c in range(len(src))
         if (r, c) != (row, col)
     )
-    # matrices on empty blocks are empty, not errors
-    src, tgt, mat = fls.split_d().matrix("mu", (1, 0))
-    assert tgt == [] and mat == []
+    # a piece whose target block is empty has no matrix
+    assert fls.block_words(3, -1) == []
+    assert "mu" not in fls.piece_matrices((1, 0))
 
 
 def test_operator_values_from_structure_equations(fls, iwasawa_std):
@@ -336,6 +344,8 @@ MALFORMED_LINES = [
     ("iwasawa_std", "gram = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]", "gram = [2, 0, 0]"),
     ("fls", "coords = [x, t]", "coords = x, t"),
     ("fls", "fiber_span = [V2, V3]", "fiber_span = [V2, , V3]"),
+    ("fls", "coords = [x, t]", "coords = [x 1, t]"),
+    ("iwasawa_std", "gram = [[2, 0, 0]", "gram = [[0^-1, 0, 0]"),
 ]
 
 
@@ -347,3 +357,36 @@ def test_malformed_line_is_rejected_with_its_line_number(name, old, new):
     with pytest.raises(ParseError) as err:
         load_spec(document)
     assert err.value.lineno == lineno
+
+
+def test_one_change_of_basis_per_load(monkeypatch):
+    from ahodge import linalg
+
+    calls = []
+    original = linalg.inverse
+
+    def counting(m):
+        calls.append(len(m))
+        return original(m)
+
+    monkeypatch.setattr(linalg, "inverse", counting)
+    spec = load_spec(BUILTINS["fls"])
+    assert calls == [6]
+    # the metric was converted with the same basis the spec keeps
+    e = spec.e_form
+    expected = e(1).wedge(e(2)) + (e(3).wedge(e(6)) + e(4).wedge(e(5)))
+    assert spec.metric_source == ("omega", expected)
+
+
+def test_bracketed_lists_use_the_scalar_grammar():
+    spec = load_spec(
+        BUILTINS["fls"]
+        .replace("symbol = [-pi, i*pi/(a*a0)]", "symbol = [-(pi), (i*pi)/((a)*a0)]")
+        .replace("coords = [x, t]", "coords = [ x ,t ]")
+    )
+    assert spec.fibration.symbols[1] == (S("-pi"), S("i*pi"))
+    assert spec.fibration.coords == ("x", "t")
+    gram = BUILTINS["iwasawa_std"].replace(
+        "[[2, 0, 0], [0, 2, 0], [0, 0, 2]]", "[[2^1, 0, 0], [0, (4/2), 0], [0, 0, 1+1]]"
+    )
+    assert load_spec(gram).metric_source == load_spec(BUILTINS["iwasawa_std"]).metric_source

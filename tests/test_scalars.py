@@ -143,7 +143,8 @@ def test_parser_grammar():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "1 +", "unknown_name", "pi^x", "(1", "1/0", "2 ** 3"]
+    "bad",
+    ["", "1 +", "unknown_name", "pi^x", "(1", "1/0", "2 ** 3", "0^-1", "(pi-pi)^-2"],
 )
 def test_parser_rejects_malformed_input(bad):
     with pytest.raises(ParseError):

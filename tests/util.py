@@ -2,7 +2,7 @@
 
 from ahodge import linalg
 from ahodge.algebra import Form
-from ahodge.fourier import ModeForm
+from ahodge.fourier import ModeForm, ModeMatrix
 from ahodge.scalars import ZERO, parse_scalar
 
 
@@ -69,3 +69,27 @@ def basis_independent(basis) -> bool:
         return True
     rows = _mode_basis_matrix(basis, keys)
     return linalg.rank(rows) == len(basis)
+
+
+def exhaustive_mode_scan(matrix: ModeMatrix, bound: int):
+    """Brute-force oracle: every nonzero mode with |m_j| <= bound whose
+    evaluated system has a nontrivial kernel."""
+    if matrix.rank == 0 or not matrix.base_cols:
+        return []
+    ncols = len(matrix.base_cols)
+    out = []
+    ranges = [range(-bound, bound + 1)] * matrix.rank
+
+    def rec(prefix, rest):
+        if not rest:
+            m = tuple(prefix)
+            if any(m):
+                ev = matrix.eval_nonzero(m)
+                if linalg.kernel_nontrivial(ev, ncols):
+                    out.append(m)
+            return
+        for v in rest[0]:
+            rec(prefix + [v], rest[1:])
+
+    rec([], ranges)
+    return sorted(out)

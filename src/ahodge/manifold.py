@@ -436,7 +436,7 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
         if key == "name":
             name = value
         elif key == "dim":
-            dim = int(value)
+            dim = _integer(key, value, lineno)
         elif key == "symbol":
             symbol = value
         else:
@@ -592,6 +592,13 @@ def _e_to_phi(e_forms, e_expr: Form) -> Form:
     return out
 
 
+def _integer(key: str, value: str, lineno: int) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ParseError(f"{key} must be an integer, got {value!r}", lineno) from None
+
+
 def _parse_fibration(lines, params, n) -> FibrationData:
     rank = 0
     coords: tuple = ()
@@ -625,7 +632,7 @@ def _parse_fibration(lines, params, n) -> FibrationData:
             raise ParseError(f"bad [fibration] line: {line!r}", lineno)
         key, value = m.group(1), m.group(2).strip()
         if key == "rank":
-            rank = int(value)
+            rank = _integer(key, value, lineno)
         elif key == "coords":
             coords = tuple(_parse_list(value, params, lineno, _ScalarParser.name))
         elif key == "fiber_span":

@@ -346,6 +346,8 @@ MALFORMED_LINES = [
     ("fls", "fiber_span = [V2, V3]", "fiber_span = [V2, , V3]"),
     ("fls", "coords = [x, t]", "coords = [x 1, t]"),
     ("iwasawa_std", "gram = [[2, 0, 0]", "gram = [[0^-1, 0, 0]"),
+    ("fls", "dim = 6", "dim = six"),
+    ("fls", "rank = 2", "rank = two"),
 ]
 
 

@@ -288,7 +288,7 @@ class GramData:
         "_inverse_cache",
     )
 
-    def __init__(self, n: int, g1, vol_coeff: Scalar, orientation: int, prec: int = 128):
+    def __init__(self, n: int, g1, vol_coeff: Scalar, orientation: int):
         self.n = n
         self.g1 = g1
         self.vol_coeff = vol_coeff
@@ -298,14 +298,14 @@ class GramData:
         self._star_cache: dict = {}
         self._gram_cache: dict = {}
         self._inverse_cache: dict = {}
-        self._validate(prec)
+        self._validate()
         self.cross_block_zero = all(
             g1[a][b].is_zero() and g1[b][a].is_zero()
             for a in range(n)
             for b in range(n, 2 * n)
         )
 
-    def _validate(self, prec: int):
+    def _validate(self):
         size = 2 * self.n
         for a in range(size):
             for b in range(size):
@@ -316,7 +316,7 @@ class GramData:
             minor = linalg.det([row[:k] for row in h[:k]])
             if not minor.is_real():
                 raise ValueError("principal minor of the Gram matrix not real")
-            if not is_positive(minor, prec):
+            if not is_positive(minor):
                 raise NotPositive(f"leading principal minor {k} is not positive")
 
     @property

@@ -29,7 +29,6 @@ class RunConfig:
     degrees: list | None = None
     report_format: str = "text"
     modes_bound: int = 10**6
-    prec: int = 128
 
 
 def _load_source(source: str, overrides: dict) -> ManifoldSpec:
@@ -45,7 +44,7 @@ THEORIES = ("dbar", "deltabar", "dol")
 def compute_report(config: RunConfig) -> HarmonicReport:
     spec = _load_source(config.source, config.overrides)
     relations = spec.check_d2_relations()
-    h = hermitian.metric_for(spec, config.prec)
+    h = hermitian.metric_for(spec)
     ak = h.is_almost_kahler
     laplacians_equal = hermitian.delta_laplacians_equal(h, spec)
     flags = {
@@ -226,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--p", help="comma-separated degrees, default 0..n")
     runp.add_argument("--report", choices=("text", "json"), default="text")
     runp.add_argument("--modes-bound", type=int, default=10**6)
-    runp.add_argument("--prec", type=int, default=128)
     checkp = sub.add_parser("check", help="validate a manifest only")
     checkp.add_argument("source")
     return parser
@@ -250,7 +248,6 @@ def main(argv=None) -> int:
                 degrees=_parse_degrees(args.p) if args.p else None,
                 report_format=args.report,
                 modes_bound=args.modes_bound,
-                prec=args.prec,
             )
             out, code = run(config)
     except Exception as exc:  # validation errors carry their own context

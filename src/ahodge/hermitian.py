@@ -102,17 +102,17 @@ def _omega_on_coframe_vectors(omega: Form, spec: ManifoldSpec):
     return out
 
 
-def _certify_positive(matrix, prec: int, what: str):
+def _certify_positive(matrix, what: str):
     for k in range(1, len(matrix) + 1):
         minor = linalg.det([row[:k] for row in matrix[:k]])
         if not minor.is_real():
             raise NotPositive(f"{what}: principal minor {k} not real")
-        if not is_positive(minor, prec):
+        if not is_positive(minor):
             raise NotPositive(f"{what}: principal minor {k} not positive")
 
 
 def _build_from_vector_metric(
-    spec: ManifoldSpec, g_vec, declared_omega: Form | None, prec: int
+    spec: ManifoldSpec, g_vec, declared_omega: Form | None
 ) -> HermitianData:
     n = spec.n
     size = 2 * n
@@ -122,7 +122,7 @@ def _build_from_vector_metric(
                 raise NotCompatible("induced metric has non-real components")
             if not (g_vec[k][l] - g_vec[l][k]).is_zero():
                 raise NotCompatible("induced metric is not symmetric")
-    _certify_positive(g_vec, prec, "vector metric")
+    _certify_positive(g_vec, "vector metric")
 
     jmat = _j_on_coframe_vectors(spec)
     # fundamental form omega(u, v) = g(Ju, v) rebuilt on the coframe
@@ -168,17 +168,17 @@ def _build_from_vector_metric(
     v_raw = vol_raw.coefficient(full_word)
     det_e = linalg.det(spec.E)
     ratio = v_raw / det_e
-    sign = 1 if is_positive(ratio, prec) else -1
+    sign = 1 if is_positive(ratio) else -1
     vol_coeff = v_raw if sign > 0 else -v_raw
 
-    gram = GramData(n, g1, vol_coeff, orientation=sign, prec=prec)
+    gram = GramData(n, g1, vol_coeff, orientation=sign)
     closed = spec.exterior_d(omega).is_zero()
     return HermitianData(
         gram=gram, omega=omega, is_compatible=True, is_almost_kahler=closed
     )
 
 
-def metric_from_pair(omega: Form, spec: ManifoldSpec, prec: int = 128) -> HermitianData:
+def metric_from_pair(omega: Form, spec: ManifoldSpec) -> HermitianData:
     """Metric g(u, v) = omega(u, Jv) from a compatible fundamental 2-form."""
     if omega.degree() != 2:
         raise NotCompatible("fundamental form must be a 2-form")
@@ -190,10 +190,10 @@ def metric_from_pair(omega: Form, spec: ManifoldSpec, prec: int = 128) -> Hermit
     jmat = _j_on_coframe_vectors(spec)
     we = _omega_on_coframe_vectors(omega, spec)
     g_vec = linalg.mat_mul(we, jmat)
-    return _build_from_vector_metric(spec, g_vec, omega, prec)
+    return _build_from_vector_metric(spec, g_vec, omega)
 
 
-def metric_from_gram(h, spec: ManifoldSpec, prec: int = 128) -> HermitianData:
+def metric_from_gram(h, spec: ManifoldSpec) -> HermitianData:
     """Metric from an explicit Hermitian Gram matrix on the (1,0)-coframe."""
     n = spec.n
     size = 2 * n
@@ -218,17 +218,17 @@ def metric_from_gram(h, spec: ManifoldSpec, prec: int = 128) -> HermitianData:
                         total = total + ea * eb.conj() * g1[a][b]
             ge_cov[k][l] = total
     g_vec = linalg.inverse(ge_cov)
-    return _build_from_vector_metric(spec, g_vec, None, prec)
+    return _build_from_vector_metric(spec, g_vec, None)
 
 
-def metric_for(spec: ManifoldSpec, prec: int = 128) -> HermitianData:
+def metric_for(spec: ManifoldSpec) -> HermitianData:
     """Build the metric declared by the manifest."""
     if spec.metric_source is None:
         raise ValueError(f"manifest {spec.name!r} declares no metric")
     kind, payload = spec.metric_source
     if kind == "omega":
-        return metric_from_pair(payload, spec, prec)
-    return metric_from_gram(payload, spec, prec)
+        return metric_from_pair(payload, spec)
+    return metric_from_gram(payload, spec)
 
 
 # -- adjoints and Laplacians on invariant forms -------------------------

@@ -130,10 +130,6 @@ def test_modes_bound_flag_threads_through(capsys):
     assert code == 2
 
 
-def test_prec_flag_accepted(capsys):
-    assert main(["run", "builtin:fls", "--p", "1", "--prec", "64"]) == 0
-
-
 def test_reports_byte_identical_across_processes():
     import subprocess
     import sys

@@ -6,7 +6,6 @@ from .builtins import builtin_names, get_builtin
 from .fourier import (
     EXACT,
     UNDETERMINED,
-    UNDETERMINED_STATUS,
     HarmonicSpace,
     ModeForm,
     dolbeault_basis,
@@ -31,7 +30,6 @@ __all__ = [
     "ObstructionVerdict",
     "Scalar",
     "UNDETERMINED",
-    "UNDETERMINED_STATUS",
     "builtin_names",
     "check_ak_identity",
     "coframe_obstruction",

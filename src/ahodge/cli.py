@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import fourier, hermitian, obstruction
 from .builtins import builtin_names, get_builtin
-from .fourier import EXACT, HarmonicReport, UNDETERMINED_STATUS
+from .fourier import EXACT, UNDETERMINED, HarmonicReport
 from .manifold import ManifoldSpec, load_spec
 from .scalars import format_scalar
 
@@ -62,12 +62,11 @@ def compute_report(config: RunConfig) -> HarmonicReport:
     for p in degrees:
         # one dbar space per degree, shared by both filters
         dbar = spaces[("dbar", p)] = fourier.harmonic_basis_dbar(p, spec, cap)
-        spaces[("deltabar", p)] = fourier.harmonic_basis_deltabar(p, spec, h, cap, dbar=dbar)
-        spaces[("dol", p)] = fourier.dolbeault_basis(p, spec, cap, dbar=dbar)
-    verdict = obstruction.symplectic_obstruction(spec, cap, dbar=spaces.get(("dbar", 1)))
-    status = EXACT
-    if any(s.status != EXACT for s in spaces.values()):
-        status = UNDETERMINED_STATUS
+        spaces[("deltabar", p)] = fourier.harmonic_basis_deltabar(dbar, spec, h)
+        spaces[("dol", p)] = fourier.dolbeault_basis(dbar, spec)
+    # the obstruction searches degree 1, computed here only when --p left it out
+    dbar1 = spaces.get(("dbar", 1)) or fourier.harmonic_basis_dbar(1, spec, cap)
+    verdict = obstruction.symplectic_obstruction(spec, dbar1)
     params = {k: format_scalar(v) for k, v in sorted(spec.params.items())}
     return HarmonicReport(
         spec=spec,
@@ -76,7 +75,6 @@ def compute_report(config: RunConfig) -> HarmonicReport:
         spaces=spaces,
         flags=flags,
         obstruction=verdict,
-        status=status,
     )
 
 
@@ -94,7 +92,7 @@ def report_to_dict(report: HarmonicReport) -> dict:
             tables[theory][str(p)] = space.dimension
             statuses[theory][str(p)] = space.status
             bases[theory][str(p)] = [
-                mf.pretty(spec.symbol, spec.fibration.coords) for mf in space.basis
+                mf.pretty(spec.symbol, spec.fibration.coords) for mf in space.basis or ()
             ]
     verdict = report.obstruction
     obstruction_out = {
@@ -148,9 +146,7 @@ def report_to_text(report: HarmonicReport) -> str:
             space = report.spaces[(theory, p)]
             row.append("?" if space.dimension is None else str(space.dimension))
             stat.append(space.status)
-        overall = (
-            EXACT if all(s == EXACT for s in stat) else UNDETERMINED_STATUS
-        )
+        overall = EXACT if all(s == EXACT for s in stat) else UNDETERMINED
         lines.append(
             f"  {p} | {row[0]:>4} | {row[1]:>8} | {row[2]:>3} | {overall}"
         )

@@ -8,40 +8,29 @@ vector m over Q(pi)(i).  The kernel is nontrivial exactly where all maximal
 minors vanish; each minor splits (clearing denominators, separating real and
 imaginary parts, grading by powers of pi, all exact by transcendence) into
 integer-coefficient polynomial conditions on m, which are solved by resultant
-elimination and bounded integer root enumeration.  Whenever elimination
-degenerates or a root bound exceeds the configured cap the result is
-UNDETERMINED, never a guess.
+elimination and bounded integer root enumeration.  Minors and resultants are
+both polynomials of one sparse type (see "Symbolic minors" below).
+
+"No certified answer" is ``None`` throughout: the mode search returns it when
+elimination degenerates or a root bound exceeds the configured cap, and a
+HarmonicSpace holds ``basis=None``, rendered as UNDETERMINED, never a guess.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
+from math import comb, gcd
 
 from . import linalg, pdesolve
 from .algebra import Form
 from .manifold import ManifoldSpec
-from .scalars import (
-    ONE,
-    P_ONE,
-    Scalar,
-    ZERO,
-    pdivmod,
-    pgcd,
-    pmul,
-)
+from .scalars import ONE, P_ONE, Scalar, ZERO, pdivmod, pgcd, pmul
 
+# The two rendered statuses of a space and of a report.
 EXACT = "EXACT"
-UNDETERMINED_STATUS = "UNDETERMINED"
-
-
-class _Undetermined:
-    def __repr__(self):
-        return "UNDETERMINED"
-
-
-UNDETERMINED = _Undetermined()
+UNDETERMINED = "UNDETERMINED"
 
 
 class UndeterminedUnknowns(ValueError):
@@ -216,6 +205,15 @@ class ModeAffine:
     def is_zero(self) -> bool:
         return self.const.is_zero() and all(s.is_zero() for s in self.lin)
 
+    def poly(self) -> dict:
+        """This entry as a polynomial in the mode vector."""
+        rank = len(self.lin)
+        out = {(0,) * rank: self.const} if self.const else {}
+        for j, s in enumerate(self.lin):
+            if s:
+                out[tuple(int(t == j) for t in range(rank))] = s
+        return out
+
 
 @dataclass
 class ModeMatrix:
@@ -229,24 +227,13 @@ class ModeMatrix:
     rows: list  # list of dicts: unknown word -> ModeAffine
     row_monomials: list  # output monomial labelling each row
 
-    def eval_nonzero(self, m):
-        out = []
-        for row in self.rows:
-            out.append(
-                [
-                    row[u].eval(m) if u in row else ZERO
-                    for u in self.base_cols
-                ]
-            )
-        return out
+    def columns(self, m) -> list:
+        """The unknowns owning a column of the system at mode m."""
+        return self.base_cols if any(m) else self.base_cols + self.const_cols
 
-    def eval_zero(self):
-        cols = self.base_cols + self.const_cols
-        zero = (0,) * self.rank
-        out = []
-        for row in self.rows:
-            out.append([row[u].eval(zero) if u in row else ZERO for u in cols])
-        return out
+    def eval(self, m) -> list:
+        cols = self.columns(m)
+        return [[row[u].eval(m) if u in row else ZERO for u in cols] for row in self.rows]
 
 
 def mode_matrix(reduced: pdesolve.ReducedSystem, spec: ManifoldSpec) -> ModeMatrix:
@@ -287,89 +274,66 @@ def mode_matrix(reduced: pdesolve.ReducedSystem, spec: ManifoldSpec) -> ModeMatr
 # ---------------------------------------------------------------------------
 # Symbolic minors and integer solving
 # ---------------------------------------------------------------------------
-# A ModePoly is a dict mapping exponent tuples (one slot per mode coordinate)
-# to Scalar coefficients; a RatPoly is the same with Fraction coefficients.
+# A polynomial in the mode vector is a dict mapping exponent tuples (one slot
+# per mode coordinate) to nonzero coefficients: Scalars in the maximal minors,
+# Fractions in the split conditions and their resultants.  The empty dict is
+# the zero polynomial.  Every routine below serves both coefficient types.
 
 
-def _mp_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        cur = out.get(e)
-        total = c if cur is None else cur + c
-        if total.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = total
-    return out
+def _poly_add(poly: dict, e: tuple, c) -> None:
+    """Add the term c*m^e to ``poly`` in place, keeping zeros out."""
+    total = poly[e] + c if e in poly else c
+    if total:
+        poly[e] = total
+    else:
+        poly.pop(e, None)
 
 
-def _mp_mul(a: dict, b: dict) -> dict:
+def _poly_mul(a: dict, b: dict) -> dict:
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            c = ca * cb
-            cur = out.get(e)
-            total = c if cur is None else cur + c
-            if total.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = total
+            _poly_add(out, tuple(x + y for x, y in zip(ea, eb)), ca * cb)
     return out
 
 
-def _mp_det(rows, cols, entries, rank):
-    """Determinant of the square submatrix given by row and column indices;
-    entries[(r, u)] are ModeAffine, absent means zero."""
-    k = len(rows)
+def _poly_det(matrix) -> dict:
+    """Determinant of a square matrix of polynomials, by Laplace expansion
+    along the first row."""
+    if len(matrix) == 1:
+        return matrix[0][0]
     total: dict = {}
-    zero_e = (0,) * rank
-    for perm in permutations(range(k)):
-        sign = _perm_sign(perm)
-        prod = {zero_e: ONE}
-        ok = True
-        for r, pc in enumerate(perm):
-            aff = entries.get((rows[r], cols[pc]))
-            if aff is None:
-                ok = False
-                break
-            term: dict = {}
-            if not aff.const.is_zero():
-                term[zero_e] = aff.const
-            for j, s in enumerate(aff.lin):
-                if not s.is_zero():
-                    e = tuple(1 if t == j else 0 for t in range(rank))
-                    term[e] = s
-            if not term:
-                ok = False
-                break
-            prod = _mp_mul(prod, term)
-        if not ok or not prod:
+    for col, entry in enumerate(matrix[0]):
+        if not entry:
             continue
-        if sign < 0:
-            prod = {e: -c for e, c in prod.items()}
-        total = _mp_add(total, prod)
+        minor = [row[:col] + row[col + 1 :] for row in matrix[1:]]
+        for e, c in _poly_mul(entry, _poly_det(minor)).items():
+            _poly_add(total, e, -c if col % 2 else c)
     return total
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            k = perm[k]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _poly_vars(poly: dict, rank: int):
+    return [j for j in range(rank) if any(e[j] for e in poly)]
 
 
-def _split_constraints(mode_polys, rank) -> list:
+def _poly_substitute(poly: dict, var: int, value: int) -> dict:
+    """``poly`` with mode coordinate ``var`` set to the integer ``value``."""
+    out: dict = {}
+    for e, c in poly.items():
+        _poly_add(out, e[:var] + (0,) + e[var + 1 :], c * value ** e[var])
+    return out
+
+
+def _poly_coeffs(poly: dict, var: int) -> list:
+    """Coefficients of ``poly`` as a polynomial in ``var``, lowest degree
+    first; each is a polynomial in the other coordinates."""
+    coeffs = [dict() for _ in range(max((e[var] for e in poly), default=-1) + 1)]
+    for e, c in poly.items():
+        coeffs[e[var]][e[:var] + (0,) + e[var + 1 :]] = c
+    return coeffs
+
+
+def _split_constraints(mode_polys) -> list:
     """Split Scalar-coefficient polynomials into rational ones, exactly.
 
     Clearing the common tau-denominator preserves the vanishing locus since
@@ -384,13 +348,9 @@ def _split_constraints(mode_polys, rank) -> list:
         for s in mp.values():
             g = pgcd(den, s.den)
             den = pmul(pdivmod(den, g)[0], s.den)
-        cleared = {}
-        for e, s in mp.items():
-            factor = pdivmod(den, s.den)[0]
-            cleared[e] = pmul(s.num, factor)
         groups: dict = {}
-        for e, poly in cleared.items():
-            for t, c in enumerate(poly):
+        for e, s in mp.items():
+            for t, c in enumerate(pmul(s.num, pdivmod(den, s.den)[0])):
                 if c.re != 0:
                     groups.setdefault((t, "re"), {})[e] = c.re
                 if c.im != 0:
@@ -405,8 +365,8 @@ def _split_constraints(mode_polys, rank) -> list:
 
 
 def _rp_normalize(poly: dict) -> dict:
-    from math import gcd
-
+    """Primitive integer multiple of a Fraction polynomial, leading
+    coefficient positive."""
     dens = 1
     for c in poly.values():
         dens = dens * c.denominator // gcd(dens, c.denominator)
@@ -422,109 +382,14 @@ def _rp_normalize(poly: dict) -> dict:
     return {e: Fraction(v) for e, v in scaled.items()}
 
 
-def _rp_vars(poly: dict, rank: int):
-    return [j for j in range(rank) if any(e[j] for e in poly)]
-
-
-def _rp_eval(poly: dict, m) -> Fraction:
-    total = Fraction(0)
-    for e, c in poly.items():
-        term = c
-        for j, exp in enumerate(e):
-            for _ in range(exp):
-                term *= m[j]
-        total += term
-    return total
-
-
-def _rp_substitute(poly: dict, var: int, value: int, rank: int) -> dict:
-    out: dict = {}
-    for e, c in poly.items():
-        scaled = c * (value ** e[var])
-        ne = tuple(0 if j == var else e[j] for j in range(rank))
-        total = out.get(ne, Fraction(0)) + scaled
-        if total:
-            out[ne] = total
-        else:
-            out.pop(ne, None)
-    return out
-
-
-def _rp_to_coeff_list(poly: dict, var: int):
-    """Coefficient list in ``var`` whose entries are polynomials in the rest."""
-    if not poly:
-        return []
-    deg = max(e[var] for e in poly)
-    coeffs = [dict() for _ in range(deg + 1)]
-    for e, c in poly.items():
-        ne = tuple(0 if j == var else e[j] for j in range(len(e)))
-        coeffs[e[var]][ne] = coeffs[e[var]].get(ne, Fraction(0)) + c
-    return [
-        {e: c for e, c in layer.items() if c} for layer in coeffs
-    ]
-
-
-def _poly_dict_det(matrix):
-    """Determinant of a small matrix whose entries are RatPoly dicts."""
-    k = len(matrix)
-    if k == 0:
-        return {}
-    if k == 1:
-        return matrix[0][0]
-    total: dict = {}
-    for col in range(k):
-        entry = matrix[0][col]
-        if not entry:
-            continue
-        minor = [
-            [matrix[r][c] for c in range(k) if c != col] for r in range(1, k)
-        ]
-        sub = _poly_dict_det(minor)
-        if not sub:
-            continue
-        prod: dict = {}
-        for ea, ca in entry.items():
-            for eb, cb in sub.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                prod[e] = prod.get(e, Fraction(0)) + ca * cb
-        prod = {e: c for e, c in prod.items() if c}
-        if col % 2 == 1:
-            prod = {e: -c for e, c in prod.items()}
-        for e, c in prod.items():
-            total[e] = total.get(e, Fraction(0)) + c
-    return {e: c for e, c in total.items() if c}
-
-
-def _resultant(p: dict, q: dict, var: int):
-    """Resultant of two rational polynomials eliminating ``var``."""
-    cp = _rp_to_coeff_list(p, var)
-    cq = _rp_to_coeff_list(q, var)
+def _resultant(p: dict, q: dict, var: int) -> dict:
+    """Sylvester resultant of two polynomials of positive degree in ``var``."""
+    cp = _poly_coeffs(p, var)[::-1]
+    cq = _poly_coeffs(q, var)[::-1]
     dp, dq = len(cp) - 1, len(cq) - 1
-    if dp <= 0 or dq <= 0:
-        return None
-    size = dp + dq
-    rows = []
-    for shift in range(dq):
-        row = [dict() for _ in range(size)]
-        for k, c in enumerate(reversed(cp)):
-            row[shift + k] = c
-        rows.append(row)
-    for shift in range(dp):
-        row = [dict() for _ in range(size)]
-        for k, c in enumerate(reversed(cq)):
-            row[shift + k] = c
-        rows.append(row)
-    return _poly_dict_det(rows)
-
-
-def _uni_coeffs(poly: dict, var: int):
-    deg = max((e[var] for e in poly), default=0)
-    out = [Fraction(0)] * (deg + 1)
-    for e, c in poly.items():
-        out[e[var]] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    rows = [[{}] * shift + cp + [{}] * (dq - 1 - shift) for shift in range(dq)]
+    rows += [[{}] * shift + cq + [{}] * (dp - 1 - shift) for shift in range(dp)]
+    return _poly_det(rows)
 
 
 def _uni_gcd(a, b):
@@ -551,7 +416,7 @@ def _integer_roots(coeffs, cap: int):
     if len(coeffs) == 1:
         return []
     lead = abs(coeffs[-1])
-    bound = 1 + max(abs(c) / lead for c in coeffs[:-1]) if len(coeffs) > 1 else 1
+    bound = 1 + max(abs(c) / lead for c in coeffs[:-1])
     if bound > cap:
         return None
     limit = int(bound)
@@ -565,123 +430,91 @@ def _integer_roots(coeffs, cap: int):
     return roots
 
 
-def _solve_integer_system(polys, rank: int, cap: int):
-    """All integer solutions of a finite polynomial system, or UNDETERMINED."""
-    polys = [p for p in polys if p]
+def _common_roots(polys, var: int, cap: int):
+    """Integer common roots of nonzero polynomials in ``var`` alone (the
+    roots of their gcd), or None when the root bound exceeds the cap."""
+    g = None
     for p in polys:
-        if not _rp_vars(p, rank) and any(c for c in p.values()):
-            return []
-    polys = [p for p in polys if _rp_vars(p, rank)]
-    if not polys:
-        return UNDETERMINED
+        coeffs = [sum(c.values(), Fraction(0)) for c in _poly_coeffs(p, var)]
+        g = coeffs if g is None else _uni_gcd(g, coeffs)
+    return _integer_roots(g, cap)
+
+
+def _solve_integer_system(polys, rank: int, cap: int):
+    """All integer solutions of a finite polynomial system, or None when
+    they cannot be certified.  Every root found is a root of a gcd of all
+    the conditions, so it solves the system without a further check."""
+    polys = [p for p in polys if p]
+    if any(not _poly_vars(p, rank) for p in polys):
+        return []  # a nonzero constant condition
+    if not polys or rank not in (1, 2):
+        return None
     if rank == 1:
-        g = None
-        for p in polys:
-            coeffs = _uni_coeffs(p, 0)
-            g = coeffs if g is None else _uni_gcd(g, coeffs)
-        if len(g) == 1:
-            return []
-        roots = _integer_roots(g, cap)
-        if roots is None:
-            return UNDETERMINED
-        return [(k,) for k in roots if all(_rp_eval(p, (k,)) == 0 for p in polys)]
-    if rank != 2:
-        return UNDETERMINED
+        roots = _common_roots(polys, 0, cap)
+        return None if roots is None else [(k,) for k in roots]
     for var in (0, 1):
         other = 1 - var
-        elims = [p for p in polys if _rp_vars(p, rank) == [var]]
-        pair_pool = [p for p in polys if other in _rp_vars(p, rank)]
+        elims = [p for p in polys if _poly_vars(p, rank) == [var]]
+        pair_pool = [p for p in polys if other in _poly_vars(p, rank)]
         for a, b in combinations(pair_pool, 2):
             res = _resultant(a, b, other)
             if res:
                 elims.append(res)
-        elims = [p for p in elims if p]
-        consts = [p for p in elims if not _rp_vars(p, rank)]
-        if any(any(c for c in p.values()) for p in consts):
+        if any(not _poly_vars(p, rank) for p in elims):
             return []
-        elims = [p for p in elims if _rp_vars(p, rank)]
         if not elims:
             continue
-        g = None
-        for p in elims:
-            coeffs = _uni_coeffs(p, var)
-            g = coeffs if g is None else _uni_gcd(g, coeffs)
-        if len(g) == 1:
-            return []
-        roots = _integer_roots(g, cap)
+        roots = _common_roots(elims, var, cap)
         if roots is None:
-            return UNDETERMINED
+            return None
         solutions = []
         for k in roots:
-            sub = [_rp_substitute(p, var, k, rank) for p in polys]
-            if any(p and not _rp_vars(p, rank) for p in sub):
+            sub = [_poly_substitute(p, var, k) for p in polys]
+            if any(p and not _poly_vars(p, rank) for p in sub):
                 continue
             remaining = [p for p in sub if p]
             if not remaining:
-                return UNDETERMINED
-            g2 = None
-            for p in remaining:
-                g2c = _uni_coeffs(p, other)
-                g2 = g2c if g2 is None else _uni_gcd(g2, g2c)
-            if len(g2) == 1:
-                continue
-            roots2 = _integer_roots(g2, cap)
+                return None
+            roots2 = _common_roots(remaining, other, cap)
             if roots2 is None:
-                return UNDETERMINED
+                return None
             for k2 in roots2:
                 m = [0, 0]
                 m[var], m[other] = k, k2
-                m = tuple(m)
-                if all(_rp_eval(p, m) == 0 for p in polys):
-                    solutions.append(m)
+                solutions.append(tuple(m))
         return sorted(set(solutions))
-    return UNDETERMINED
+    return None
 
 
 _MINOR_BUDGET = 20000
 
 
 def contributing_modes(matrix: ModeMatrix, cap: int = 10**6):
-    """The set of nonzero integer modes at which the per-mode system has a
-    nontrivial kernel, or UNDETERMINED.  The zero mode is always analyzed
-    separately (its matrix includes the constant unknowns)."""
+    """The sorted nonzero integer modes at which the per-mode system has a
+    nontrivial kernel, or None when they cannot be certified.  The zero
+    mode is always analyzed separately (its matrix includes the constant
+    unknowns)."""
     rank = matrix.rank
     if rank == 0 or not matrix.base_cols:
         return []
     ncols = len(matrix.base_cols)
-    entries: dict = {}
-    live_rows = []
-    for r, row in enumerate(matrix.rows):
-        alive = False
-        for u, aff in row.items():
-            if u in matrix.base_cols and not aff.is_zero():
-                entries[(r, u)] = aff
-                alive = True
-        if alive:
-            live_rows.append(r)
-    if len(live_rows) < ncols:
-        return UNDETERMINED
-    from math import comb
-
-    if comb(len(live_rows), ncols) > _MINOR_BUDGET:
-        return UNDETERMINED
-    minors = []
-    for rows in combinations(live_rows, ncols):
-        minors.append(_mp_det(list(rows), matrix.base_cols, entries, rank))
-    constraints = _split_constraints(minors, rank)
+    rows = []
+    for row in matrix.rows:
+        polys = [row[u].poly() if u in row else {} for u in matrix.base_cols]
+        if any(polys):
+            rows.append(polys)
+    if len(rows) < ncols or comb(len(rows), ncols) > _MINOR_BUDGET:
+        return None
+    minors = [_poly_det(list(pick)) for pick in combinations(rows, ncols)]
+    constraints = _split_constraints(minors)
     if not constraints:
-        return UNDETERMINED
+        return None
     solutions = _solve_integer_system(constraints, rank, cap)
-    if solutions is UNDETERMINED:
-        return UNDETERMINED
-    out = []
-    for m in solutions:
-        if not any(m):
-            continue
-        ev = matrix.eval_nonzero(m)
-        if linalg.kernel_nontrivial(ev, ncols):
-            out.append(m)
-    return sorted(out)
+    if solutions is None:
+        return None
+    return [
+        m for m in solutions if any(m) and linalg.kernel_nontrivial(matrix.eval(m), ncols)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -691,11 +524,20 @@ def contributing_modes(matrix: ModeMatrix, cap: int = 10**6):
 
 @dataclass
 class HarmonicSpace:
+    """A harmonic (p,0) space of one theory; ``basis`` is None when the space
+    is undetermined, and the dimension and status follow from it."""
+
     p: int
     theory: str
-    dimension: int | None
-    basis: list
-    status: str
+    basis: list | None
+
+    @property
+    def dimension(self) -> int | None:
+        return None if self.basis is None else len(self.basis)
+
+    @property
+    def status(self) -> str:
+        return UNDETERMINED if self.basis is None else EXACT
 
 
 @dataclass
@@ -710,89 +552,72 @@ class HarmonicReport:
     spaces: dict  # (theory, p) -> HarmonicSpace
     flags: dict
     obstruction: object
-    status: str
+
+    @property
+    def status(self) -> str:
+        exact = all(s.basis is not None for s in self.spaces.values())
+        return EXACT if exact else UNDETERMINED
 
 
 def harmonic_basis_dbar(p: int, spec: ManifoldSpec, cap: int = 10**6) -> HarmonicSpace:
     """dbar-harmonic (p,0)-forms; in this bidegree harmonic = dbar-closed,
-    independent of any metric."""
-    system = pdesolve.build_dbar_system(p, spec)
-    reduced = pdesolve.reduce(system, spec)
+    independent of any metric.  One kernel per mode: the zero mode, then
+    each contributing mode."""
+    reduced = pdesolve.reduce(pdesolve.build_dbar_system(p, spec), spec)
     if reduced.has_free:
-        return HarmonicSpace(p, "dbar", None, [], UNDETERMINED_STATUS)
+        return HarmonicSpace(p, "dbar", None)
     matrix = mode_matrix(reduced, spec)
     modes = contributing_modes(matrix, cap)
-    if modes is UNDETERMINED:
-        return HarmonicSpace(p, "dbar", None, [], UNDETERMINED_STATUS)
-    rank = matrix.rank
+    if modes is None:
+        return HarmonicSpace(p, "dbar", None)
     n = spec.n
     basis = []
-    cols_zero = matrix.base_cols + matrix.const_cols
-    for vec in linalg.nullspace(matrix.eval_zero(), cols=len(cols_zero)):
-        form = Form.zero(n)
-        for c, u in zip(vec, cols_zero):
-            if not c.is_zero():
-                form = form + Form.monomial(n, u, c)
-        basis.append(ModeForm(n, rank, {(0,) * rank: form}))
-    for m in modes:
-        for vec in linalg.nullspace(matrix.eval_nonzero(m), cols=len(matrix.base_cols)):
+    for m in [(0,) * matrix.rank] + modes:
+        cols = matrix.columns(m)
+        for vec in linalg.nullspace(matrix.eval(m), cols=len(cols)):
             form = Form.zero(n)
-            for c, u in zip(vec, matrix.base_cols):
+            for c, u in zip(vec, cols):
                 if not c.is_zero():
                     form = form + Form.monomial(n, u, c)
-            basis.append(ModeForm(n, rank, {m: form}))
-    return HarmonicSpace(p, "dbar", len(basis), basis, EXACT)
+            basis.append(ModeForm(n, matrix.rank, {m: form}))
+    return HarmonicSpace(p, "dbar", basis)
 
 
-def _filter_span(basis, condition, p, theory, rank, n):
-    """Cut the span of a basis by a function-linear condition, mode-wise."""
-    if not basis:
-        return HarmonicSpace(p, theory, 0, [], EXACT)
+def _filter_span(dbar: HarmonicSpace, condition, theory: str, spec: ManifoldSpec):
+    """Cut the span of the dbar space by a function-linear condition,
+    mode-wise; an undetermined or zero dbar space is passed through."""
+    if not dbar.basis:
+        return HarmonicSpace(dbar.p, theory, dbar.basis)
+    basis = dbar.basis
     rows: dict = {}
     for j, mf in enumerate(basis):
-        cond = condition(mf)
-        for m, form in cond.modes.items():
+        for m, form in condition(mf).modes.items():
             for w, c in form.coeffs.items():
                 rows.setdefault((m, w), [ZERO] * len(basis))[j] = c
     matrix = [rows[key] for key in sorted(rows)]
-    kernel = linalg.nullspace(matrix, cols=len(basis))
     out = []
-    for vec in kernel:
-        total = ModeForm(n, rank)
+    for vec in linalg.nullspace(matrix, cols=len(basis)):
+        total = ModeForm(spec.n, spec.fibration.rank)
         for c, mf in zip(vec, basis):
             if not c.is_zero():
                 total = total + mf.scale(c)
         out.append(total)
-    return HarmonicSpace(p, theory, len(out), out, EXACT)
+    return HarmonicSpace(dbar.p, theory, out)
 
 
-def harmonic_basis_deltabar(
-    p: int, spec: ManifoldSpec, h, cap: int = 10**6, dbar: HarmonicSpace | None = None
-) -> HarmonicSpace:
-    """(dbar+mu)-harmonic (p,0)-forms: the dbar-closed span cut by the
-    kernel of the mu adjoint, computed through the star-based criterion
-    mubar(star psi) = 0, which is function-linear and hence mode-wise.
-    ``dbar`` is the degree-p dbar space when the caller already has it."""
-    base = dbar if dbar is not None else harmonic_basis_dbar(p, spec, cap)
-    if base.status != EXACT:
-        return HarmonicSpace(p, "deltabar", None, [], UNDETERMINED_STATUS)
+def harmonic_basis_deltabar(dbar: HarmonicSpace, spec: ManifoldSpec, h) -> HarmonicSpace:
+    """(dbar+mu)-harmonic (p,0)-forms: the dbar space ``dbar`` of degree p
+    cut by the kernel of the mu adjoint, computed through the star-based
+    criterion mubar(star psi) = 0, which is function-linear and hence
+    mode-wise."""
 
     def condition(mf):
         return mubar_mode(star_mode(mf, h.gram), spec)
 
-    return _filter_span(base.basis, condition, p, "deltabar", spec.fibration.rank, spec.n)
+    return _filter_span(dbar, condition, "deltabar", spec)
 
 
-def dolbeault_basis(
-    p: int, spec: ManifoldSpec, cap: int = 10**6, dbar: HarmonicSpace | None = None
-) -> HarmonicSpace:
-    """Dolbeault-type (p,0) space: dbar-closed forms killed by mubar.
-    ``dbar`` is the degree-p dbar space when the caller already has it."""
-    base = dbar if dbar is not None else harmonic_basis_dbar(p, spec, cap)
-    if base.status != EXACT:
-        return HarmonicSpace(p, "dol", None, [], UNDETERMINED_STATUS)
-
-    def condition(mf):
-        return mubar_mode(mf, spec)
-
-    return _filter_span(base.basis, condition, p, "dol", spec.fibration.rank, spec.n)
+def dolbeault_basis(dbar: HarmonicSpace, spec: ManifoldSpec) -> HarmonicSpace:
+    """Dolbeault-type (p,0) space: the forms of the dbar space ``dbar``
+    killed by mubar."""
+    return _filter_span(dbar, lambda mf: mubar_mode(mf, spec), "dol", spec)

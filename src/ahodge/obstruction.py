@@ -16,14 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fourier import (
-    EXACT,
-    HarmonicSpace,
-    ModeForm,
-    d_mode,
-    dbar_mode,
-    harmonic_basis_dbar,
-)
+from .fourier import HarmonicSpace, ModeForm, d_mode, dbar_mode
 from .manifold import ManifoldSpec
 
 
@@ -62,18 +55,13 @@ def coframe_obstruction(spec: ManifoldSpec) -> ObstructionVerdict:
     return ObstructionVerdict("Inconclusive")
 
 
-def symplectic_obstruction(
-    spec: ManifoldSpec, cap: int = 10**6, dbar: HarmonicSpace | None = None
-) -> ObstructionVerdict:
-    """Search the computed dbar-closed (1,0) basis for a witness with
-    nonzero differential; fall back to the coframe criterion.  ``dbar`` is
-    the degree-1 dbar space when the caller already has it."""
-    space = dbar if dbar is not None else harmonic_basis_dbar(1, spec, cap)
-    if space.status == EXACT:
-        for psi in space.basis:
-            if d_mode(psi, spec).is_zero():
-                continue
-            cert = _certify(psi, spec)
-            if cert["dbar_witness_zero"] and cert["d_witness_nonzero"]:
-                return ObstructionVerdict("Obstructed", psi, "theorem", cert)
+def symplectic_obstruction(spec: ManifoldSpec, dbar: HarmonicSpace) -> ObstructionVerdict:
+    """Search the degree-1 dbar space ``dbar`` (when determined) for a
+    witness with nonzero differential; fall back to the coframe criterion."""
+    for psi in dbar.basis or ():
+        if d_mode(psi, spec).is_zero():
+            continue
+        cert = _certify(psi, spec)
+        if cert["dbar_witness_zero"] and cert["d_witness_nonzero"]:
+            return ObstructionVerdict("Obstructed", psi, "theorem", cert)
     return coframe_obstruction(spec)

@@ -303,6 +303,10 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.num == P_ZERO
 
+    def __bool__(self) -> bool:
+        # nonzero is true, as for Fraction, so polynomial code serves both
+        return self.num != P_ZERO
+
     def is_real(self) -> bool:
         return self == self.conj()
 

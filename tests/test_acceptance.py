@@ -47,8 +47,9 @@ def _dbar_dims(spec):
 def _filtered_dims(spec, h):
     deltabar, dol = [], []
     for p in (1, 2, 3):
-        d1 = harmonic_basis_deltabar(p, spec, h)
-        d2 = dolbeault_basis(p, spec)
+        dbar = harmonic_basis_dbar(p, spec)
+        d1 = harmonic_basis_deltabar(dbar, spec, h)
+        d2 = dolbeault_basis(dbar, spec)
         assert d1.status == EXACT and d2.status == EXACT
         deltabar.append(d1.dimension)
         dol.append(d2.dimension)
@@ -126,10 +127,11 @@ def test_criterion_5_iwasawa_ak():
 
 def test_criterion_6_obstruction():
     std = get_builtin("iwasawa_std")
-    verdict = symplectic_obstruction(std)
+    verdict = symplectic_obstruction(std, harmonic_basis_dbar(1, std))
     assert verdict.obstructed
     assert spans_equal([verdict.witness], [invariant(std, [("1", ("3",))])])
-    assert symplectic_obstruction(get_builtin("fls_nonak")).verdict == "Inconclusive"
+    nonak = get_builtin("fls_nonak")
+    assert symplectic_obstruction(nonak, harmonic_basis_dbar(1, nonak)).verdict == "Inconclusive"
     rng = random.Random(61)
     for _ in range(5):
         overrides = {
@@ -138,7 +140,8 @@ def test_criterion_6_obstruction():
             "c": rng.choice(["1", "-2", "4*pi", "-4*pi", "2/3"]),
         }
         spec = get_builtin("fls", overrides)
-        assert symplectic_obstruction(spec).verdict == "Inconclusive", overrides
+        verdict = symplectic_obstruction(spec, harmonic_basis_dbar(1, spec))
+        assert verdict.verdict == "Inconclusive", overrides
     _pass(6, "obstruction verdicts: Obstructed with witness psi^3; Inconclusive elsewhere")
 
 
@@ -196,14 +199,15 @@ def test_criterion_9_basis_certificates():
     for spec in cases:
         h = metric_for(spec)
         for p in (0, 1, 2, 3):
-            for psi in harmonic_basis_dbar(p, spec).basis:
+            dbar = harmonic_basis_dbar(p, spec)
+            for psi in dbar.basis:
                 assert dbar_mode(psi, spec).is_zero(), (spec.name, p)
                 checked += 1
-            for psi in harmonic_basis_deltabar(p, spec, h).basis:
+            for psi in harmonic_basis_deltabar(dbar, spec, h).basis:
                 assert dbar_mode(psi, spec).is_zero(), (spec.name, p)
                 assert mubar_mode(star_mode(psi, h.gram), spec).is_zero(), (spec.name, p)
                 checked += 1
-            for psi in dolbeault_basis(p, spec).basis:
+            for psi in dolbeault_basis(dbar, spec).basis:
                 assert dbar_mode(psi, spec).is_zero(), (spec.name, p)
                 assert mubar_mode(psi, spec).is_zero(), (spec.name, p)
                 checked += 1

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from ahodge import fourier, obstruction
+from ahodge import fourier
 from ahodge.cli import RunConfig, check, compute_report, main, report_to_dict, run
 
 
@@ -160,7 +160,6 @@ def test_dbar_space_computed_once_per_degree(monkeypatch):
         return original(p, *args, **kwargs)
 
     monkeypatch.setattr(fourier, "harmonic_basis_dbar", counting)
-    monkeypatch.setattr(obstruction, "harmonic_basis_dbar", counting)
     compute_report(RunConfig("builtin:iwasawa_std"))
     assert calls == {0: 1, 1: 1, 2: 1, 3: 1}
 

@@ -9,7 +9,6 @@ from ahodge.fourier import (
     EXACT,
     ModeForm,
     UNDETERMINED,
-    UNDETERMINED_STATUS,
     UndeterminedUnknowns,
     _solve_integer_system,
     contributing_modes,
@@ -90,7 +89,7 @@ def test_mode_matrix_row_matches_scaled_first_order_equation(fls_4pi):
 def test_mode_matrix_zero_mode_is_invariant_system(fls):
     # base symbols vanish at the zero mode, leaving the invariant-form system
     m = _mode_matrix(fls, 2)
-    mat0 = m.eval_zero()
+    mat0 = m.eval((0, 0))
     ker = linalg.nullspace(mat0, cols=len(m.base_cols) + len(m.const_cols))
     assert ker == []  # invariant (2,0) kernel is trivial for this family
 
@@ -139,7 +138,7 @@ def test_contributing_modes_family_branch_cases():
     spec = get_builtin("fls", {"c": "2*pi"})
     m = _mode_matrix(spec, 2)
     assert contributing_modes(m) == []
-    assert linalg.nullspace(m.eval_zero(), cols=3) == []
+    assert linalg.nullspace(m.eval((0, 0)), cols=3) == []
     spec = get_builtin("fls", {"c": "8*pi"})
     assert contributing_modes(_mode_matrix(spec, 2)) == [(-2, 0), (2, 0)]
 
@@ -148,7 +147,7 @@ def test_contributing_modes_corner_case():
     spec = get_builtin("fls", {"a": "2", "b": "0", "c": "-1"})
     m = _mode_matrix(spec, 1)
     assert contributing_modes(m) == []
-    ker = linalg.nullspace(m.eval_zero(), cols=len(m.base_cols) + len(m.const_cols))
+    ker = linalg.nullspace(m.eval((0, 0)), cols=len(m.base_cols) + len(m.const_cols))
     assert len(ker) == 1
     cols = m.base_cols + m.const_cols
     nonzero = [u for u, c in zip(cols, ker[0]) if not c.is_zero()]
@@ -168,7 +167,7 @@ def test_mode_loci_insensitive_to_lattice_period():
 
 def test_contributing_modes_respects_cap():
     spec = get_builtin("fls", {"c": "4*pi"})
-    assert contributing_modes(_mode_matrix(spec, 2), cap=0) is UNDETERMINED
+    assert contributing_modes(_mode_matrix(spec, 2), cap=0) is None
 
 
 def test_exhaustive_scan_agrees_on_small_window():
@@ -194,16 +193,16 @@ def test_integer_system_solver_two_variables():
 
 
 def test_integer_system_solver_edge_cases():
-    assert _solve_integer_system([], 2, 10**6) is UNDETERMINED
+    assert _solve_integer_system([], 2, 10**6) is None
     assert _solve_integer_system([_rp({(0, 0): 1})], 2, 10**6) == []
     # a single curve with infinitely many integer points stays undetermined
-    assert _solve_integer_system([_rp({(1, 1): 1})], 2, 10**6) is UNDETERMINED
+    assert _solve_integer_system([_rp({(1, 1): 1})], 2, 10**6) is None
     assert _solve_integer_system([_rp({(1,): 2, (0,): -4})], 1, 10**6) == [(2,)]
     assert _solve_integer_system([_rp({(2,): 1, (0,): 2})], 1, 10**6) == []
 
 
 def test_integer_system_cap_triggers_undetermined():
-    assert _solve_integer_system([_rp({(1,): 1, (0,): -50})], 1, 10) is UNDETERMINED
+    assert _solve_integer_system([_rp({(1,): 1, (0,): -50})], 1, 10) is None
 
 
 # -- harmonic spaces -----------------------------------------------------
@@ -243,30 +242,34 @@ def test_dbar_space_iwasawa(iwasawa_ak):
 
 
 def test_deltabar_spaces(fls, fls_4pi, fls_metric, fls_4pi_metric, iwasawa_ak, iwasawa_ak_metric):
-    assert harmonic_basis_deltabar(3, fls, fls_metric).dimension == 0
-    assert harmonic_basis_deltabar(2, fls_4pi, fls_4pi_metric).dimension == 0
-    space = harmonic_basis_deltabar(2, iwasawa_ak, iwasawa_ak_metric)
+    def deltabar(p, spec, h):
+        return harmonic_basis_deltabar(harmonic_basis_dbar(p, spec), spec, h)
+
+    assert deltabar(3, fls, fls_metric).dimension == 0
+    assert deltabar(2, fls_4pi, fls_4pi_metric).dimension == 0
+    space = deltabar(2, iwasawa_ak, iwasawa_ak_metric)
     assert space.dimension == 1
     assert spans_equal(
         space.basis, [invariant(iwasawa_ak, [("i", ("1", "3")), ("1", ("2", "3"))])]
     )
     # bidegree reasons: on (1,0) the mu adjoint vanishes identically
     one_dbar = harmonic_basis_dbar(1, fls_4pi)
-    one_delta = harmonic_basis_deltabar(1, fls_4pi, fls_4pi_metric)
+    one_delta = harmonic_basis_deltabar(one_dbar, fls_4pi, fls_4pi_metric)
     assert one_delta.dimension == one_dbar.dimension
     assert spans_equal(one_delta.basis, one_dbar.basis)
 
 
 def test_dolbeault_spaces(fls, fls_4pi, iwasawa_ak, fls_nonak):
-    assert dolbeault_basis(1, fls).dimension == 1
-    assert spans_equal(
-        dolbeault_basis(1, fls).basis, [invariant(fls, [("1", ("1",))])]
-    )
-    assert dolbeault_basis(2, fls_4pi).dimension == 0
-    assert dolbeault_basis(3, fls).dimension == 0
-    space = dolbeault_basis(2, iwasawa_ak)
+    def dol(p, spec):
+        return dolbeault_basis(harmonic_basis_dbar(p, spec), spec)
+
+    assert dol(1, fls).dimension == 1
+    assert spans_equal(dol(1, fls).basis, [invariant(fls, [("1", ("1",))])])
+    assert dol(2, fls_4pi).dimension == 0
+    assert dol(3, fls).dimension == 0
+    space = dol(2, iwasawa_ak)
     assert space.dimension == 1
-    assert dolbeault_basis(2, fls_nonak).dimension == 0
+    assert dol(2, fls_nonak).dimension == 0
 
 
 def test_mubar_closed_form_values(fls_nonak, iwasawa_ak):
@@ -285,10 +288,10 @@ def test_basis_certificates_and_independence(fls_4pi, fls_4pi_metric, iwasawa_ak
             assert basis_independent(dbar_space.basis)
             for psi in dbar_space.basis:
                 assert dbar_mode(psi, spec).is_zero()
-            for psi in harmonic_basis_deltabar(p, spec, h).basis:
+            for psi in harmonic_basis_deltabar(dbar_space, spec, h).basis:
                 assert dbar_mode(psi, spec).is_zero()
                 assert mubar_mode(star_mode(psi, h.gram), spec).is_zero()
-            for psi in dolbeault_basis(p, spec).basis:
+            for psi in dolbeault_basis(dbar_space, spec).basis:
                 assert dbar_mode(psi, spec).is_zero()
                 assert mubar_mode(psi, spec).is_zero()
 
@@ -318,7 +321,7 @@ def test_deltabar_mode_zero_part_matches_invariant_laplacian(
         rank = spec.fibration.rank
         zero_mode = (0,) * rank
         for p in (0, 1, 2, 3):
-            space = harmonic_basis_deltabar(p, spec, h)
+            space = harmonic_basis_deltabar(harmonic_basis_dbar(p, spec), spec, h)
             invariant_count = sum(
                 1 for mf in space.basis if set(mf.modes) == {zero_mode}
             )
@@ -327,9 +330,10 @@ def test_deltabar_mode_zero_part_matches_invariant_laplacian(
 
 def test_undetermined_propagates_to_filters(fls_4pi, fls_4pi_metric):
     space = harmonic_basis_dbar(2, fls_4pi, cap=0)
-    assert space.status == UNDETERMINED_STATUS and space.dimension is None
-    assert harmonic_basis_deltabar(2, fls_4pi, fls_4pi_metric, cap=0).status == UNDETERMINED_STATUS
-    assert dolbeault_basis(2, fls_4pi, cap=0).status == UNDETERMINED_STATUS
+    assert space.status == UNDETERMINED and space.dimension is None
+    assert space.basis is None
+    assert harmonic_basis_deltabar(space, fls_4pi, fls_4pi_metric).status == UNDETERMINED
+    assert dolbeault_basis(space, fls_4pi).status == UNDETERMINED
 
 
 def test_modeform_arithmetic_and_pretty(fls_4pi):

@@ -1,9 +1,14 @@
 import random
 
 from ahodge.builtins import get_builtin
-from ahodge.fourier import d_mode, dbar_mode
+from ahodge.fourier import d_mode, dbar_mode, harmonic_basis_dbar
 from ahodge.hermitian import metric_for
 from ahodge.obstruction import coframe_obstruction, symplectic_obstruction
+
+
+def search(spec):
+    """The obstruction search over the spec's degree-1 dbar space."""
+    return symplectic_obstruction(spec, harmonic_basis_dbar(1, spec))
 
 
 def test_conjugated_iwasawa_coframe_is_obstructed(iwasawa_std):
@@ -12,7 +17,7 @@ def test_conjugated_iwasawa_coframe_is_obstructed(iwasawa_std):
     assert verdict.rule == "coframe_corollary"
     assert set(verdict.witness.invariant_part().coeffs) == {(3,)}
 
-    full = symplectic_obstruction(iwasawa_std)
+    full = search(iwasawa_std)
     assert full.obstructed
     assert set(full.witness.invariant_part().coeffs) == {(3,)}
     assert full.certificate == {
@@ -24,13 +29,13 @@ def test_conjugated_iwasawa_coframe_is_obstructed(iwasawa_std):
 def test_family_is_inconclusive(fls, fls_4pi):
     for spec in (fls, fls_4pi):
         assert coframe_obstruction(spec).verdict == "Inconclusive"
-        assert symplectic_obstruction(spec).verdict == "Inconclusive"
+        assert search(spec).verdict == "Inconclusive"
 
 
 def test_nonak_structure_is_inconclusive(fls_nonak):
     # no compatible symplectic structure exists here, but the criterion
     # cannot see that; Inconclusive is the only sound answer
-    assert symplectic_obstruction(fls_nonak).verdict == "Inconclusive"
+    assert search(fls_nonak).verdict == "Inconclusive"
 
 
 def test_integrable_iwasawa_obstructed(iwasawa_complex):
@@ -38,7 +43,7 @@ def test_integrable_iwasawa_obstructed(iwasawa_complex):
     # criterion fires even though the structure is integrable
     verdict = coframe_obstruction(iwasawa_complex)
     assert verdict.obstructed
-    both = symplectic_obstruction(iwasawa_complex)
+    both = search(iwasawa_complex)
     assert both.obstructed
 
 
@@ -53,13 +58,13 @@ def test_obstruction_never_fires_on_almost_kahler_points():
         spec = get_builtin("fls", {"a": a, "b": b, "c": c})
         h = metric_for(spec)
         assert h.is_almost_kahler, (a, b, c)
-        verdict = symplectic_obstruction(spec)
+        verdict = search(spec)
         assert verdict.verdict == "Inconclusive", (a, b, c)
 
 
 def test_witness_certificates_reverify_independently(iwasawa_std, iwasawa_complex):
     for spec in (iwasawa_std, iwasawa_complex):
-        verdict = symplectic_obstruction(spec)
+        verdict = search(spec)
         psi = verdict.witness
         assert dbar_mode(psi, spec).is_zero()
         assert not d_mode(psi, spec).is_zero()

@@ -84,7 +84,7 @@ def exhaustive_mode_scan(matrix: ModeMatrix, bound: int):
         if not rest:
             m = tuple(prefix)
             if any(m):
-                ev = matrix.eval_nonzero(m)
+                ev = matrix.eval(m)
                 if linalg.kernel_nontrivial(ev, ncols):
                     out.append(m)
             return

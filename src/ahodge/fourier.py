@@ -327,7 +327,7 @@ def _poly_substitute(poly: dict, var: int, value: int) -> dict:
 def _poly_coeffs(poly: dict, var: int) -> list:
     """Coefficients of ``poly`` as a polynomial in ``var``, lowest degree
     first; each is a polynomial in the other coordinates."""
-    coeffs = [dict() for _ in range(max((e[var] for e in poly), default=-1) + 1)]
+    coeffs = [{} for _ in range(max(e[var] for e in poly) + 1)]
     for e, c in poly.items():
         coeffs[e[var]][e[:var] + (0,) + e[var + 1 :]] = c
     return coeffs

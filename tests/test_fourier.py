@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ from ahodge.fourier import (
     ModeForm,
     UNDETERMINED,
     UndeterminedUnknowns,
+    _poly_det,
+    _resultant,
     _solve_integer_system,
     contributing_modes,
     d_mode,
@@ -181,6 +184,30 @@ def test_exhaustive_scan_agrees_on_small_window():
 
 def _rp(terms):
     return {e: Fraction(c) for e, c in terms.items()}
+
+
+def test_poly_det_matches_gaussian_elimination():
+    # Laplace expansion against linalg.det on Scalar matrices over Q(pi),
+    # taken as constant polynomials in a rank-2 mode vector
+    rng = random.Random(7)
+    for size in (1, 2, 3, 4):
+        matrix = [
+            [
+                Scalar.integer(rng.randint(-2, 2)) + Scalar.pi_power(1, rng.randint(-1, 1))
+                for _ in range(size)
+            ]
+            for _ in range(size)
+        ]
+        polys = [[{(0, 0): c} if c else {} for c in row] for row in matrix]
+        det = linalg.det(matrix)
+        assert _poly_det(polys) == ({(0, 0): det} if det else {})
+
+
+def test_resultant_eliminates_the_shared_root():
+    # x^2 - y and x - 2 share a root in x exactly when y = 4
+    res = _resultant(_rp({(2, 0): 1, (0, 1): -1}), _rp({(1, 0): 1, (0, 0): -2}), 0)
+    assert set(res) == {(0, 0), (0, 1)}
+    assert res[(0, 1)] / res[(0, 0)] == Fraction(-1, 4)
 
 
 def test_integer_system_solver_two_variables():

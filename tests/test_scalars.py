@@ -55,6 +55,15 @@ def test_field_axioms(a, b, c):
 
 @settings(max_examples=60, deadline=None)
 @given(scalars())
+def test_truth_value_is_nonzero(a):
+    # as for Fraction, so the sparse polynomials in fourier drop zero terms
+    # of either coefficient type with one test
+    assert bool(a) == (not a.is_zero())
+    assert not (a - a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scalars())
 def test_inverse_roundtrip(a):
     if a.is_zero():
         with pytest.raises(DivisionByZero):

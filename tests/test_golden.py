@@ -2,6 +2,7 @@
 the standalone torus manifest, a large lattice point of the `fls` family and
 one lattice point whose mode search is UNDETERMINED must render exactly the
 text and JSON reports pinned under tests/golden/, with the pinned exit code.
+A case is (source, parameter overrides, other RunConfig options).
 
 To re-pin after a deliberate change of output, run
 ``PYTHONPATH=src python3 tests/test_golden.py`` and review the diff.
@@ -27,29 +28,35 @@ def _reproduce_cases():
     return list(module.CASES)
 
 
-CASES = _reproduce_cases() + [
-    (str(ROOT / "manifests" / "torus6.am"), {}),
-    ("builtin:fls", {"c": "400*pi"}),
-    ("builtin:fls", {"c": "4000*pi"}),
+CASES = [(source, overrides, {}) for source, overrides in _reproduce_cases()] + [
+    (str(ROOT / "manifests" / "torus6.am"), {}, {}),
+    ("builtin:fls", {"c": "400*pi"}, {}),
+    ("builtin:fls", {"c": "4000*pi"}, {}),
+    ("builtin:fls", {"c": "4*pi"}, {"degrees": [2], "modes_bound": 0}),
 ]
 
 # Exit code of every case: 0 when all spaces are EXACT, 2 when one is not.
-# At c = 4000*pi the Cauchy root bound passes the default --modes-bound.
-EXIT_CODES = {"fls_c4000pi": 2}
+# A modes bound of 0 leaves the dbar p=2 mode search at c = 4*pi without an
+# answer.
+EXIT_CODES = {"fls_c4000pi": 2, "fls_c4pi_p2_bound0": 2}
 
 
-def case_name(source: str, overrides: dict) -> str:
+def case_name(source: str, overrides: dict, options: dict) -> str:
     stem = source[len("builtin:") :] if source.startswith("builtin:") else Path(source).stem
     for key, value in sorted(overrides.items()):
         value = value.replace("-", "m").replace("*", "").replace("/", "over")
         stem += f"_{key}{re.sub(r'[^A-Za-z0-9]', '', value)}"
+    if "degrees" in options:
+        stem += "_p" + "".join(map(str, options["degrees"]))
+    if "modes_bound" in options:
+        stem += f"_bound{options['modes_bound']}"
     return stem
 
 
-def render(source: str, overrides: dict) -> dict:
+def render(source: str, overrides: dict, options: dict) -> dict:
     """(rendered report, exit code) for each report format."""
     return {
-        fmt: run(RunConfig(source, dict(overrides), report_format=fmt))
+        fmt: run(RunConfig(source, dict(overrides), report_format=fmt, **options))
         for fmt in ("text", "json")
     }
 
@@ -58,24 +65,24 @@ _SUFFIX = {"text": ".txt", "json": ".json"}
 
 
 @pytest.mark.parametrize(
-    "source, overrides", CASES, ids=[case_name(s, o) for s, o in CASES]
+    "source, overrides, options", CASES, ids=[case_name(*case) for case in CASES]
 )
-def test_report_matches_golden(source, overrides):
-    name = case_name(source, overrides)
-    for fmt, (rendered, code) in render(source, overrides).items():
+def test_report_matches_golden(source, overrides, options):
+    name = case_name(source, overrides, options)
+    for fmt, (rendered, code) in render(source, overrides, options).items():
         expected = (GOLDEN / (name + _SUFFIX[fmt])).read_text(encoding="utf-8")
         assert rendered == expected, f"{name}{_SUFFIX[fmt]} differs from the golden report"
         assert code == EXIT_CODES.get(name, 0), f"{name}{_SUFFIX[fmt]} exit code"
 
 
 def test_golden_names_are_distinct():
-    assert len({case_name(s, o) for s, o in CASES}) == len(CASES)
+    assert len({case_name(*case) for case in CASES}) == len(CASES)
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for source, overrides in CASES:
-        name = case_name(source, overrides)
-        for fmt, (rendered, _code) in render(source, overrides).items():
+    for case in CASES:
+        name = case_name(*case)
+        for fmt, (rendered, _code) in render(*case).items():
             (GOLDEN / (name + _SUFFIX[fmt])).write_text(rendered, encoding="utf-8")
             print("wrote", name + _SUFFIX[fmt])

@@ -4,7 +4,8 @@
 three (p,0) tables with explicit bases, and the symplectic obstruction
 verdict, then emits a deterministic text or JSON report.  Exit code 0 means
 every space was computed exactly, 2 means something came back UNDETERMINED,
-1 means the manifest failed validation.
+1 means bad input (a usage error, an unreadable or invalid manifest), and 3
+means an internal error, reported as ``internal error: <type>: <message>``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class RunConfig:
     overrides: dict = field(default_factory=dict)
     degrees: list | None = None
     report_format: str = "text"
-    modes_bound: int = 10**6
+    modes_bound: int = fourier.MODES_BOUND  # bits of a root bound
 
 
 def _load_source(source: str, overrides: dict) -> ManifoldSpec:
@@ -203,8 +204,16 @@ def _parse_degrees(text: str):
     return [int(part) for part in text.split(",") if part.strip() != ""]
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1, as other bad input does (2 means UNDETERMINED)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ahodge",
         description=(
             "Exact (p,0) harmonic-form invariants for invariant almost-complex "
@@ -220,7 +229,14 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--c", help="override parameter c")
     runp.add_argument("--p", help="comma-separated degrees, default 0..n")
     runp.add_argument("--report", choices=("text", "json"), default="text")
-    runp.add_argument("--modes-bound", type=int, default=10**6)
+    runp.add_argument(
+        "--modes-bound",
+        type=int,
+        default=fourier.MODES_BOUND,
+        metavar="BITS",
+        help="cap on the bit length of the integer root bound in the mode "
+        f"search; an exceeded cap gives UNDETERMINED (default {fourier.MODES_BOUND})",
+    )
     checkp = sub.add_parser("check", help="validate a manifest only")
     checkp.add_argument("source")
     return parser
@@ -246,9 +262,13 @@ def main(argv=None) -> int:
                 modes_bound=args.modes_bound,
             )
             out, code = run(config)
-    except Exception as exc:  # validation errors carry their own context
+    except (ValueError, ZeroDivisionError, OSError) as exc:
+        # bad input; validation errors carry their own context
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     sys.stdout.write(out)
     return code
 

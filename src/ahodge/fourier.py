@@ -8,12 +8,14 @@ vector m over Q(pi)(i).  The kernel is nontrivial exactly where all maximal
 minors vanish; each minor splits (clearing denominators, separating real and
 imaginary parts, grading by powers of pi, all exact by transcendence) into
 integer-coefficient polynomial conditions on m, which are solved by resultant
-elimination and bounded integer root enumeration.  Minors and resultants are
-both polynomials of one sparse type (see "Symbolic minors" below).
+elimination and exact integer root isolation (bisection between the integer
+breaks where a polynomial is monotone).  Minors and resultants are both
+polynomials of one sparse type (see "Symbolic minors" below).
 
 "No certified answer" is ``None`` throughout: the mode search returns it when
-elimination degenerates or a root bound exceeds the configured cap, and a
-HarmonicSpace holds ``basis=None``, rendered as UNDETERMINED, never a guess.
+elimination degenerates or a root bound has more bits than the configured
+cap (``MODES_BOUND`` by default), and a HarmonicSpace holds ``basis=None``,
+rendered as UNDETERMINED, never a guess.
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from .scalars import ONE, P_ONE, Scalar, ZERO, pdivmod, pgcd, pmul
 # The two rendered statuses of a space and of a report.
 EXACT = "EXACT"
 UNDETERMINED = "UNDETERMINED"
+
+# Default cap on the bit length of a root bound in the mode search.
+MODES_BOUND = 256
 
 
 class UndeterminedUnknowns(ValueError):
@@ -410,24 +415,79 @@ def _uni_gcd(a, b):
     return a
 
 
+# Integer roots are isolated exactly, without scanning: a polynomial is
+# monotone between consecutive integer "breaks" at distance at least 2, so
+# each such gap holds at most one root, found by bisection over the integers.
+# The breaks of f are the integers bracketing the sign changes of f', found
+# the same way from the breaks of f''.  A unit gap may hold a sign change of
+# the derivative, so it is never taken as monotone: both its ends stay
+# breaks.  Each sign change costs one bisection, so the work grows with the
+# degree and the bit length of the root bound, not with the bound itself.
+
+
+def _horner_sign(coeffs, x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return (acc > 0) - (acc < 0)
+
+
+def _sign_changes(coeffs, breaks) -> list:
+    """Integers bracketing every sign change of the integer polynomial
+    ``coeffs`` on [breaks[0], breaks[-1]], given that it is monotone on each
+    gap of ``breaks`` of width at least 2: its integer zeros there, both ends
+    of a unit interval holding a non-integer zero, and both ends of every
+    unit gap."""
+    out = []
+    for lo, hi in zip(breaks, breaks[1:]):
+        if hi - lo == 1:
+            out += [lo, hi]
+            continue
+        s_lo, s_hi = _horner_sign(coeffs, lo), _horner_sign(coeffs, hi)
+        out += [x for x, s in ((lo, s_lo), (hi, s_hi)) if s == 0]
+        if s_lo * s_hi < 0:
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                s = _horner_sign(coeffs, mid)
+                if s == 0:
+                    lo = hi = mid
+                elif s == s_lo:
+                    lo = mid
+                else:
+                    hi = mid
+            out += [lo, hi]
+    return out
+
+
+def _monotone_breaks(coeffs, lo: int, hi: int) -> list:
+    """Sorted integers from ``lo`` to ``hi``, both included, such that the
+    integer polynomial ``coeffs`` is monotone on every gap of width at
+    least 2 between consecutive ones."""
+    if len(coeffs) <= 2:
+        return [lo, hi]
+    deriv = [k * c for k, c in enumerate(coeffs)][1:]
+    return sorted({lo, hi, *_sign_changes(deriv, _monotone_breaks(deriv, lo, hi))})
+
+
 def _integer_roots(coeffs, cap: int):
-    """Integer roots of a nonzero univariate polynomial over Q, enumerated
-    inside the Cauchy bound; None when the bound exceeds the cap."""
+    """Integer roots of a nonzero univariate polynomial over Q (lowest
+    degree first), isolated exactly inside its Cauchy bound; None when the
+    bound has more than ``cap`` bits."""
     if len(coeffs) == 1:
         return []
-    lead = abs(coeffs[-1])
-    bound = 1 + max(abs(c) / lead for c in coeffs[:-1])
-    if bound > cap:
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    coeffs = [int(c * den) for c in coeffs]
+    zero_root = coeffs[0] == 0
+    while coeffs[0] == 0:  # strip the x^v factor
+        coeffs.pop(0)
+    bound = 1 + max((abs(c) for c in coeffs[:-1]), default=0) // abs(coeffs[-1])
+    if bound.bit_length() > cap:
         return None
-    limit = int(bound)
-    roots = []
-    for k in range(-limit, limit + 1):
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * k + c
-        if acc == 0:
-            roots.append(k)
-    return roots
+    candidates = _sign_changes(coeffs, _monotone_breaks(coeffs, -bound, bound))
+    roots = {x for x in candidates if _horner_sign(coeffs, x) == 0}
+    return sorted(roots | {0} if zero_root else roots)
 
 
 def _common_roots(polys, var: int, cap: int):
@@ -489,7 +549,7 @@ def _solve_integer_system(polys, rank: int, cap: int):
 _MINOR_BUDGET = 20000
 
 
-def contributing_modes(matrix: ModeMatrix, cap: int = 10**6):
+def contributing_modes(matrix: ModeMatrix, cap: int = MODES_BOUND):
     """The sorted nonzero integer modes at which the per-mode system has a
     nontrivial kernel, or None when they cannot be certified.  The zero
     mode is always analyzed separately (its matrix includes the constant
@@ -559,7 +619,7 @@ class HarmonicReport:
         return EXACT if exact else UNDETERMINED
 
 
-def harmonic_basis_dbar(p: int, spec: ManifoldSpec, cap: int = 10**6) -> HarmonicSpace:
+def harmonic_basis_dbar(p: int, spec: ManifoldSpec, cap: int = MODES_BOUND) -> HarmonicSpace:
     """dbar-harmonic (p,0)-forms; in this bidegree harmonic = dbar-closed,
     independent of any metric.  One kernel per mode: the zero mode, then
     each contributing mode."""

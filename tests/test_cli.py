@@ -183,3 +183,34 @@ def test_repeated_degree_is_reported_and_computed_once(monkeypatch, capsys):
 def test_unknown_builtin_message_is_unquoted(capsys):
     assert main(["run", "builtin:nosuch"]) == 1
     assert capsys.readouterr().err.startswith("error: unknown builtin 'nosuch'")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "builtin:fls", "--report", "xml"],
+        ["run", "builtin:fls", "--modes-bound", "many"],
+        ["run"],
+        ["frobnicate"],
+    ],
+)
+def test_usage_errors_exit_like_bad_input(argv, capsys):
+    # exit code 2 is reserved for UNDETERMINED reports
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_bad_input_and_internal_faults_exit_apart(tmp_path, monkeypatch, capsys):
+    assert main(["run", str(tmp_path / "missing.am")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["run", "builtin:fls", "--p", "one"]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+    def broken(config):
+        raise KeyError("e7")
+
+    monkeypatch.setattr("ahodge.cli.compute_report", broken)
+    assert main(["run", "builtin:fls"]) == 3
+    assert capsys.readouterr().err == "internal error: KeyError: 'e7'\n"

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ahodge import linalg
 from ahodge.algebra import Form
@@ -11,6 +13,7 @@ from ahodge.fourier import (
     ModeForm,
     UNDETERMINED,
     UndeterminedUnknowns,
+    _integer_roots,
     _poly_det,
     _resultant,
     _solve_integer_system,
@@ -229,7 +232,86 @@ def test_integer_system_solver_edge_cases():
 
 
 def test_integer_system_cap_triggers_undetermined():
-    assert _solve_integer_system([_rp({(1,): 1, (0,): -50})], 1, 10) is None
+    # the cap bounds the bit length of the root bound: x - 2^11 has the
+    # Cauchy bound 2^11 + 1, of 12 bits
+    system = [_rp({(1,): 1, (0,): -(2**11)})]
+    assert _solve_integer_system(system, 1, 10) is None
+    assert _solve_integer_system(system, 1, 12) == [(2048,)]
+
+
+# -- exact integer root isolation ----------------------------------------
+
+
+def _poly_from_factors(factors):
+    """Coefficients, lowest degree first, of a product of integer
+    polynomials given lowest degree first."""
+    out = [Fraction(1)]
+    for f in factors:
+        prod = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+# integer factors with no integer root: x^2 - 2 and 3x - 1
+_ROOTLESS = ([-2, 0, 1], [-1, 3])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(-20, 20),
+            st.integers(2**40, 2**45),
+            st.integers(-(2**45), -(2**40)),
+        ),
+        min_size=1,
+        max_size=5,
+    ),
+    st.lists(st.sampled_from(_ROOTLESS), max_size=2),
+    st.sampled_from([1, -3, Fraction(2, 7)]),
+)
+def test_integer_roots_of_a_product_are_its_integer_factors(roots, rootless, scale):
+    # repeated roots, a root at 0 and roots beyond 2^40 are all drawn
+    coeffs = _poly_from_factors([[-r, 1] for r in roots] + list(rootless))
+    coeffs = [c * scale for c in coeffs]
+    assert _integer_roots(coeffs, 256) == sorted(set(roots))
+
+
+def test_integer_roots_agree_with_a_scan_inside_the_cauchy_bound():
+    rng = random.Random(11)
+    for _ in range(400):
+        coeffs = [Fraction(rng.randint(-12, 12), rng.randint(1, 3)) for _ in range(rng.randint(1, 6))]
+        coeffs.append(Fraction(rng.choice((-2, -1, 1, 3))))
+        bound = 1 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
+        scan = [
+            k
+            for k in range(-int(bound), int(bound) + 1)
+            if sum(c * k**j for j, c in enumerate(coeffs)) == 0
+        ]
+        assert _integer_roots(coeffs, 256) == scan, coeffs
+
+
+def test_integer_roots_edge_cases():
+    assert _integer_roots([Fraction(5)], 0) == []
+    assert _integer_roots([Fraction(0), Fraction(0), Fraction(3)], 256) == [0]
+    # a unit interval holding both roots of the derivative keeps its ends:
+    # (x - 1)(2x - 3)(x - 2) has both critical points inside (1, 2)
+    assert _integer_roots([Fraction(c) for c in (-6, 13, -9, 2)], 256) == [1, 2]
+    # a cap of 0 bits leaves every nonconstant polynomial undetermined
+    assert _integer_roots([Fraction(0), Fraction(1)], 0) is None
+
+
+@pytest.mark.parametrize("k", [1, 10, 100, 1000, 10**6])
+def test_lattice_modes_are_exact_for_large_k(k):
+    # at c = 4*k*pi the dbar (2,0) space lives at the modes (+-k, 0); the
+    # Cauchy bound of the mode polynomial is k^2 + 1
+    spec = get_builtin("fls", {"c": f"{4 * k}*pi"})
+    assert contributing_modes(_mode_matrix(spec, 2)) == [(-k, 0), (k, 0)]
+    space = harmonic_basis_dbar(2, spec)
+    assert (space.dimension, space.status) == (2, EXACT)
 
 
 # -- harmonic spaces -----------------------------------------------------

@@ -1,8 +1,9 @@
 """Byte-exact behaviour contract: every case of scripts/reproduce_tables.py,
-the standalone torus manifest, a large lattice point of the `fls` family and
-one lattice point whose mode search is UNDETERMINED must render exactly the
-text and JSON reports pinned under tests/golden/, with the pinned exit code.
-A case is (source, parameter overrides, other RunConfig options).
+the standalone torus manifest, two large lattice points of the `fls` family
+and one lattice point left UNDETERMINED by a modes bound of 0 must render
+exactly the text and JSON reports pinned under tests/golden/, with the
+pinned exit code.  A case is (source, parameter overrides, other RunConfig
+options).
 
 To re-pin after a deliberate change of output, run
 ``PYTHONPATH=src python3 tests/test_golden.py`` and review the diff.
@@ -36,9 +37,8 @@ CASES = [(source, overrides, {}) for source, overrides in _reproduce_cases()] + 
 ]
 
 # Exit code of every case: 0 when all spaces are EXACT, 2 when one is not.
-# A modes bound of 0 leaves the dbar p=2 mode search at c = 4*pi without an
-# answer.
-EXIT_CODES = {"fls_c4000pi": 2, "fls_c4pi_p2_bound0": 2}
+# A modes bound of 0 bits leaves every mode search without an answer.
+EXIT_CODES = {"fls_c4pi_p2_bound0": 2}
 
 
 def case_name(source: str, overrides: dict, options: dict) -> str:

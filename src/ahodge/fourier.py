@@ -418,11 +418,12 @@ def _uni_gcd(a, b):
 # Integer roots are isolated exactly, without scanning: a polynomial is
 # monotone between consecutive integer "breaks" at distance at least 2, so
 # each such gap holds at most one root, found by bisection over the integers.
-# The breaks of f are the integers bracketing the sign changes of f', found
-# the same way from the breaks of f''.  A unit gap may hold a sign change of
-# the derivative, so it is never taken as monotone: both its ends stay
-# breaks.  Each sign change costs one bisection, so the work grows with the
-# degree and the bit length of the root bound, not with the bound itself.
+# The breaks of f are those of f' plus the integers bracketing each sign
+# change of f', found the same way.  Keeping every break of f' keeps both
+# ends of a unit gap, which may hold a sign change of the derivative and so
+# is never taken as monotone.  Each sign change costs one bisection, so the
+# work grows with the degree and the bit length of the root bound, not with
+# the bound itself.
 
 
 def _horner_sign(coeffs, x: int) -> int:
@@ -432,19 +433,14 @@ def _horner_sign(coeffs, x: int) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sign_changes(coeffs, breaks) -> list:
-    """Integers bracketing every sign change of the integer polynomial
-    ``coeffs`` on [breaks[0], breaks[-1]], given that it is monotone on each
-    gap of ``breaks`` of width at least 2: its integer zeros there, both ends
-    of a unit interval holding a non-integer zero, and both ends of every
-    unit gap."""
-    out = []
-    for lo, hi in zip(breaks, breaks[1:]):
-        if hi - lo == 1:
-            out += [lo, hi]
-            continue
-        s_lo, s_hi = _horner_sign(coeffs, lo), _horner_sign(coeffs, hi)
-        out += [x for x, s in ((lo, s_lo), (hi, s_hi)) if s == 0]
+def _refine(coeffs, breaks) -> list:
+    """``breaks`` plus, in each gap where the integer polynomial ``coeffs``
+    changes sign, its integer zero or the two consecutive integers around
+    its zero; the polynomial must be monotone on every gap of width at
+    least 2."""
+    out = list(breaks)
+    signs = [_horner_sign(coeffs, x) for x in breaks]
+    for lo, hi, s_lo, s_hi in zip(breaks, breaks[1:], signs, signs[1:]):
         if s_lo * s_hi < 0:
             while hi - lo > 1:
                 mid = (lo + hi) // 2
@@ -466,7 +462,7 @@ def _monotone_breaks(coeffs, lo: int, hi: int) -> list:
     if len(coeffs) <= 2:
         return [lo, hi]
     deriv = [k * c for k, c in enumerate(coeffs)][1:]
-    return sorted({lo, hi, *_sign_changes(deriv, _monotone_breaks(deriv, lo, hi))})
+    return sorted(set(_refine(deriv, _monotone_breaks(deriv, lo, hi))))
 
 
 def _integer_roots(coeffs, cap: int):
@@ -485,7 +481,7 @@ def _integer_roots(coeffs, cap: int):
     bound = 1 + max((abs(c) for c in coeffs[:-1]), default=0) // abs(coeffs[-1])
     if bound.bit_length() > cap:
         return None
-    candidates = _sign_changes(coeffs, _monotone_breaks(coeffs, -bound, bound))
+    candidates = _refine(coeffs, _monotone_breaks(coeffs, -bound, bound))
     roots = {x for x in candidates if _horner_sign(coeffs, x) == 0}
     return sorted(roots | {0} if zero_root else roots)
 

@@ -31,6 +31,12 @@ class RunConfig:
     report_format: str = "text"
     modes_bound: int = fourier.MODES_BOUND  # bits of a root bound
 
+    def __post_init__(self):
+        if self.modes_bound < 0:
+            raise ValueError(
+                f"modes bound must be a nonnegative number of bits, got {self.modes_bound}"
+            )
+
 
 def _load_source(source: str, overrides: dict) -> ManifoldSpec:
     if source.startswith("builtin:"):

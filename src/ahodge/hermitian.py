@@ -10,7 +10,10 @@ these adjoints in the test suite rather than assumed.
 A compatible metric makes forms of different bidegree orthogonal, so the
 Gram matrices are block-diagonal by bidegree and every Laplacian is
 assembled from the four bidegree-homogeneous pieces of d and their
-adjoints, block by block.
+adjoints, block by block.  Only the dbar+mu Laplacian is built for a
+report: d and the metric are real, so the del+mubar Laplacian is its
+conjugate under the signed conjugation of words, and the two are compared
+through that conjugation.
 
 The restriction of the L2 adjoint to invariant forms is the Gram adjoint;
 this uses that averaging over the compact quotient preserves invariant forms,
@@ -22,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import linalg
-from .algebra import Form, GramData, NotPositive, words_of_degree
+from .algebra import Form, GramData, NotPositive, conj_word, words_of_degree
 from .manifold import BIDEGREE_SHIFTS, ManifoldSpec
 from .scalars import ONE, ZERO, I as IMAG, Scalar, is_positive
 
@@ -238,13 +241,6 @@ def _conj(m):
     return [[x.conj() for x in row] for row in m]
 
 
-def adjoint_matrix(m, g_src, g_tgt):
-    """Gram adjoint: <M x, y>_tgt = <x, A y>_src for all basis vectors."""
-    if not m:
-        return []
-    return _gram_adjoint(m, linalg.inverse(_conj(g_src)), g_tgt)
-
-
 def _gram_adjoint(m, conj_src_inverse, g_tgt):
     return linalg.mat_mul(
         conj_src_inverse, linalg.mat_mul(linalg.conj_transpose(m), _conj(g_tgt))
@@ -270,30 +266,6 @@ def _bidegrees(n: int, k: int):
 def _shift(pq, which: str, sign: int = 1):
     dp, dq = BIDEGREE_SHIFTS[which]
     return (pq[0] + sign * dp, pq[1] + sign * dq)
-
-
-def _dense(blocks: dict, spec: ManifoldSpec, k_tgt: int, k_src: int):
-    """Scatter {(target bidegree, source bidegree): matrix} into one matrix
-    from degree k_src to degree k_tgt, in sorted word order."""
-    tgt, src = _positions(spec.n, k_tgt), _positions(spec.n, k_src)
-    mat = linalg.zeros(len(tgt), len(src))
-    for (tgt_pq, src_pq), block in blocks.items():
-        cols = [src[w] for w in spec.block_words(*src_pq)]
-        for w, brow in zip(spec.block_words(*tgt_pq), block):
-            for c, x in zip(cols, brow):
-                mat[tgt[w]][c] = x
-    return mat
-
-
-def operator_matrix(which: str, spec: ManifoldSpec, k: int):
-    """Matrix of one first-order operator from degree k to degree k+1."""
-    blocks = {
-        (_shift(pq, part), pq): spec.piece_matrices(pq)[part]
-        for pq in _bidegrees(spec.n, k)
-        for part in _OPERATOR_PARTS[which]
-        if part in spec.piece_matrices(pq)
-    }
-    return _dense(blocks, spec, k + 1, k)
 
 
 def _gram_block(matrix, words, index):
@@ -359,55 +331,49 @@ def laplacian_blocks(which: str, h: HermitianData, spec: ManifoldSpec, k: int) -
     return blocks
 
 
-def laplacian_matrix(which: str, h: HermitianData, spec: ManifoldSpec, k: int):
-    """Matrix of O O* + O* O on invariant k-forms."""
-    return _dense(laplacian_blocks(which, h, spec, k), spec, k, k)
+def _bar(pq):
+    return (pq[1], pq[0])
 
 
-@dataclass
-class BlockKernel:
-    bidegree: tuple
-    dimension: int
-    basis: list
-
-
-def laplacian_invariant(which: str, h: HermitianData, spec: ManifoldSpec) -> dict:
-    """Kernel of the chosen Laplacian restricted to each bidegree block of
-    invariant forms.  Returns {(p, q): BlockKernel}."""
-    n = spec.n
-    out = {}
-    for k in range(2 * n + 1):
-        words = words_of_degree(n, k)
-        lap = laplacian_matrix(which, h, spec, k)
-        blocks: dict = {}
-        for i, w in enumerate(words):
-            from .algebra import word_bidegree
-
-            blocks.setdefault(word_bidegree(w, n), []).append(i)
-        for pq, cols in sorted(blocks.items()):
-            sub = [[row[c] for c in cols] for row in lap]
-            kernel = linalg.nullspace(sub, cols=len(cols))
-            basis = []
-            for vec in kernel:
-                form = Form.zero(n)
-                for c, col in zip(vec, cols):
-                    if not c.is_zero():
-                        form = form + Form.monomial(n, words[col], c)
-                basis.append(form)
-            out[pq] = BlockKernel(pq, len(kernel), basis)
+def _conjugation(spec: ManifoldSpec, pq) -> list:
+    """C on block pq: for each word, its sign and the position of its
+    conjugate word in block (q, p)."""
+    index = {w: i for i, w in enumerate(spec.block_words(*_bar(pq)))}
+    out = []
+    for w in spec.block_words(*pq):
+        sign, cw = conj_word(w, spec.n)
+        out.append((sign, index[cw]))
     return out
 
 
 def delta_laplacians_equal(h: HermitianData, spec: ManifoldSpec) -> bool:
-    """Whether the two mixed Laplacians coincide on every invariant degree."""
+    """Whether the two mixed Laplacians coincide on every invariant degree.
+
+    Only L_deltabar is built.  d and the metric are real, so L_delta =
+    C L_deltabar C with C the signed conjugation of words: block (t, s) of
+    L_delta has entries s_u s_w conj(L_deltabar[(bar t, bar s)][c(u)][c(w)]),
+    where bar (p, q) = (q, p).  A block absent on one side must be zero."""
+    conj: dict = {}
     for k in range(2 * spec.n + 1):
-        a = laplacian_blocks("deltabar", h, spec, k)
-        b = laplacian_blocks("delta", h, spec, k)
-        for key in sorted(a.keys() | b.keys()):
-            if key not in a or key not in b:
-                if not linalg.is_zero_matrix(a.get(key) or b.get(key)):
+        blocks = laplacian_blocks("deltabar", h, spec, k)
+        for tgt, src in sorted(blocks.keys() | {(_bar(t), _bar(s)) for t, s in blocks}):
+            mine = blocks.get((tgt, src))
+            mirror = blocks.get((_bar(tgt), _bar(src)))
+            if mine is None or mirror is None:
+                if not linalg.is_zero_matrix(mine or mirror):
                     return False
-            elif not linalg.mat_eq(a[key], b[key]):
+                continue
+            for pq in (tgt, src):
+                if pq not in conj:
+                    conj[pq] = _conjugation(spec, pq)
+            delta = [
+                [
+                    mirror[cu][cw].conj() if su == sw else -mirror[cu][cw].conj()
+                    for sw, cw in conj[src]
+                ]
+                for su, cu in conj[tgt]
+            ]
+            if not linalg.mat_eq(mine, delta):
                 return False
     return True
 

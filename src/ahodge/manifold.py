@@ -28,6 +28,7 @@ from .scalars import (
     ParseError,
     Scalar,
     ZERO,
+    format_scalar,
     parse_scalar,
     tokenize,
     _ScalarParser,
@@ -53,6 +54,26 @@ BIDEGREE_SHIFTS = {
     "dbar": (0, 1),
     "mubar": (-1, 2),
 }
+
+# the seven bidegree components of d^2 = 0, each as (name, [(outer, inner)])
+D2_RELATIONS = [
+    ("mu mu", [("mu", "mu")]),
+    ("mu del + del mu", [("mu", "del"), ("del", "mu")]),
+    (
+        "del del + mu dbar + dbar mu",
+        [("del", "del"), ("mu", "dbar"), ("dbar", "mu")],
+    ),
+    (
+        "del dbar + dbar del + mu mubar + mubar mu",
+        [("del", "dbar"), ("dbar", "del"), ("mu", "mubar"), ("mubar", "mu")],
+    ),
+    (
+        "dbar dbar + mubar del + del mubar",
+        [("dbar", "dbar"), ("mubar", "del"), ("del", "mubar")],
+    ),
+    ("mubar dbar + dbar mubar", [("mubar", "dbar"), ("dbar", "mubar")]),
+    ("mubar mubar", [("mubar", "mubar")]),
+]
 
 
 @dataclass(frozen=True)
@@ -231,44 +252,22 @@ class ManifoldSpec:
         self.fibration.validate(n)
 
     def check_d2_relations(self):
-        """Evaluate the seven bidegree components of d^2 = 0 on every
-        invariant monomial; returns (name, holds, witness word or None)."""
-        relations = [
-            ("mu mu", [("mu", "mu")]),
-            ("mu del + del mu", [("mu", "del"), ("del", "mu")]),
-            (
-                "del del + mu dbar + dbar mu",
-                [("del", "del"), ("mu", "dbar"), ("dbar", "mu")],
-            ),
-            (
-                "del dbar + dbar del + mu mubar + mubar mu",
-                [("del", "dbar"), ("dbar", "del"), ("mu", "mubar"), ("mubar", "mu")],
-            ),
-            (
-                "dbar dbar + mubar del + del mubar",
-                [("dbar", "dbar"), ("mubar", "del"), ("del", "mubar")],
-            ),
-            ("mubar dbar + dbar mubar", [("mubar", "dbar"), ("dbar", "mubar")]),
-            ("mubar mubar", [("mubar", "mubar")]),
-        ]
+        """Evaluate the seven bidegree components of d^2 = 0 on degree-1
+        words; returns (name, holds, witness word or None).  Each component
+        is a derivation, as d is one, so it vanishes on every invariant form
+        once it vanishes on the degree-1 words, which generate them."""
         report = []
-        n = self.n
-        for name, pairs in relations:
-            witness = None
-            for k in range(2 * n + 1):
-                failing = []
-                for p in range(max(0, k - n), min(k, n) + 1):
-                    total = self._composite(p, k - p, pairs)
-                    if total is None:
-                        continue
-                    src = self.block_words(p, k - p)
-                    failing += [
-                        w for c, w in enumerate(src) if any(not row[c].is_zero() for row in total)
-                    ]
-                if failing:
-                    # the first failing word in degree-then-word order
-                    witness = min(failing)
-                    break
+        for name, pairs in D2_RELATIONS:
+            failing = []
+            for p, q in ((1, 0), (0, 1)):
+                total = self._composite(p, q, pairs)
+                if total is None:
+                    continue
+                src = self.block_words(p, q)
+                failing += [
+                    w for c, w in enumerate(src) if any(not row[c].is_zero() for row in total)
+                ]
+            witness = min(failing, default=None)
             report.append((name, witness is None, witness))
         return report
 
@@ -510,7 +509,14 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
         for j in range(1, n + 1):
             cmatrix[j - 1][2 * j - 2] = ONE
             cmatrix[j - 1][2 * j - 1] = I
-    basis = _coframe_basis(cmatrix)
+    try:
+        basis = _coframe_basis(cmatrix)
+    except ValueError as exc:
+        at = ", ".join(f"{k} = {format_scalar(v)}" for k, v in sorted(params.items()))
+        raise NonInvertibleCoframe(
+            f"[acs]: phi1..phi{n} and their conjugates do not span the "
+            f"complexified coframe ({exc})" + (f" at {at}" if at else "")
+        ) from exc
     e_forms = basis[2]
     if real_route:
         dphi = _derive_complex_equations(de, cmatrix, e_forms)
@@ -557,10 +563,7 @@ def _coframe_basis(cmatrix):
     as forms in the phi-basis."""
     n = len(cmatrix)
     P = [list(row) for row in cmatrix] + [[c.conj() for c in row] for row in cmatrix]
-    try:
-        E = linalg.inverse(P)
-    except ValueError as exc:
-        raise NonInvertibleCoframe(str(exc)) from exc
+    E = linalg.inverse(P)
     e_forms = [
         Form(n, {(a + 1,): c for a, c in enumerate(row) if not c.is_zero()}) for row in E
     ]

@@ -20,15 +20,16 @@ from ahodge.fourier import (
     mubar_mode,
     star_mode,
 )
-from ahodge.hermitian import (
-    adjoint_matrix,
-    check_ak_identity,
-    metric_for,
-    operator_matrix,
-)
+from ahodge.hermitian import check_ak_identity, metric_for
 from ahodge.obstruction import symplectic_obstruction
 from ahodge.pdesolve import build_dbar_system, reduce
-from util import exhaustive_mode_scan, invariant, spans_equal
+from util import (
+    adjoint_matrix,
+    exhaustive_mode_scan,
+    invariant,
+    operator_matrix,
+    spans_equal,
+)
 
 
 def _pass(n, text):

@@ -130,6 +130,30 @@ def test_modes_bound_flag_threads_through(capsys):
     assert code == 2
 
 
+def test_negative_modes_bound_is_bad_input(capsys):
+    argv = ["run", "builtin:fls", "--c", "4*pi", "--p", "2", "--modes-bound", "-3"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: modes bound must be a nonnegative number of bits, got -3\n"
+    )
+
+
+def test_run_config_rejects_a_negative_modes_bound():
+    with pytest.raises(ValueError, match="nonnegative"):
+        RunConfig("builtin:fls", modes_bound=-1)
+    assert RunConfig("builtin:fls", modes_bound=0).modes_bound == 0
+
+
+def test_singular_coframe_names_the_section_and_the_parameters(capsys):
+    assert main(["run", "builtin:fls", "--a", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: [acs]: phi1..phi3 and their conjugates do not span the "
+        "complexified coframe (matrix is singular) at a = 0, a0 = 1, b = 0, c = 1\n"
+    )
+
+
 def test_reports_byte_identical_across_processes():
     import subprocess
     import sys

@@ -43,6 +43,7 @@ from util import (
     exhaustive_mode_scan,
     form,
     invariant,
+    laplacian_invariant,
     spans_equal,
     word,
 )
@@ -406,8 +407,6 @@ def test_basis_certificates_and_independence(fls_4pi, fls_4pi_metric, iwasawa_ak
 
 
 def test_mode_zero_part_matches_invariant_laplacian(fls_4pi, fls_4pi_metric):
-    from ahodge.hermitian import laplacian_invariant
-
     blocks = laplacian_invariant("dbar", fls_4pi_metric, fls_4pi)
     for p in (0, 1, 2, 3):
         space = harmonic_basis_dbar(p, fls_4pi)
@@ -423,8 +422,6 @@ def test_deltabar_mode_zero_part_matches_invariant_laplacian(
 ):
     # dual route: the invariant part of the star-criterion filter must agree
     # with the Gram-adjoint Laplacian kernel on each (p,0) block
-    from ahodge.hermitian import laplacian_invariant
-
     for spec, h in ((fls_4pi, fls_4pi_metric), (iwasawa_ak, iwasawa_ak_metric)):
         blocks = laplacian_invariant("deltabar", h, spec)
         rank = spec.fibration.rank

@@ -1,21 +1,28 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ahodge import linalg
+from ahodge import hermitian, linalg
 from ahodge.algebra import Form, NotPositive, word_bidegree, words_of_degree
-from ahodge.builtins import get_builtin
+from ahodge.builtins import builtin_names, get_builtin
+from ahodge.cli import RunConfig, compute_report
 from ahodge.hermitian import (
     NotAlmostKahler,
     NotCompatible,
-    adjoint_matrix,
     check_ak_identity,
     delta_laplacians_equal,
-    laplacian_invariant,
-    laplacian_matrix,
     metric_for,
     metric_from_pair,
-    operator_matrix,
 )
 from ahodge.scalars import ONE, Scalar, ZERO
+from util import (
+    adjoint_matrix,
+    conjugated,
+    delta_laplacian,
+    laplacian_invariant,
+    laplacian_matrix,
+    operator_matrix,
+)
 
 N = 3
 
@@ -226,6 +233,77 @@ def test_ak_identity_requires_closed_form(fls_nonak, fls_nonak_metric):
         check_ak_identity(fls_nonak_metric, fls_nonak)
     # the comparison itself is still reported, with no expected value
     assert isinstance(delta_laplacians_equal(fls_nonak_metric, fls_nonak), bool)
+
+
+def _differing_blocks(a, b, spec, k):
+    """Bidegree blocks (target, source) where two k-form matrices differ."""
+    bidegrees = [word_bidegree(w, spec.n) for w in words_of_degree(spec.n, k)]
+    return sorted(
+        {
+            (bidegrees[i], bidegrees[j])
+            for i, (ra, rb) in enumerate(zip(a, b))
+            for j, (x, y) in enumerate(zip(ra, rb))
+            if not (x - y).is_zero()
+        }
+    )
+
+
+def _check_conjugation(spec):
+    """conj(L_deltabar) is the directly built L_delta on every block, and the
+    flag equals the direct comparison of the two Laplacians."""
+    h = metric_for(spec)
+    equal = True
+    for k in range(2 * spec.n + 1):
+        deltabar = laplacian_matrix("deltabar", h, spec, k)
+        delta = delta_laplacian(h, spec, k)
+        assert _differing_blocks(conjugated(deltabar, spec, k), delta, spec, k) == [], k
+        equal = equal and linalg.mat_eq(deltabar, delta)
+    assert delta_laplacians_equal(h, spec) == equal
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_conjugated_deltabar_laplacian_is_the_delta_laplacian(name):
+    _check_conjugation(get_builtin(name))
+
+
+def _fls_parameter(nonzero=False):
+    """A random rational, times pi or not, as a scalar expression."""
+    ratio = st.fractions(min_value=-5, max_value=5, max_denominator=5)
+    if nonzero:
+        ratio = ratio.filter(bool)
+    return st.builds(lambda r, pi: f"({r})" + ("*pi" if pi else ""), ratio, st.booleans())
+
+
+# a and c are nonzero on the family (the coframe is singular otherwise)
+@settings(max_examples=12, deadline=None)
+@given(a=_fls_parameter(nonzero=True), b=_fls_parameter(), c=_fls_parameter(nonzero=True))
+def test_conjugated_deltabar_laplacian_on_fls_points(a, b, c):
+    _check_conjugation(get_builtin("fls", {"a": a, "b": b, "c": c}))
+
+
+def test_a_block_without_a_mirror_must_be_zero(fls, fls_metric, monkeypatch):
+    # the block sets built from real manifests are closed under conjugation;
+    # a lone block stands against the zero block of its absent mirror
+    for block, expected in (([[ZERO, ZERO]], True), ([[ZERO, ONE]], False)):
+        monkeypatch.setattr(
+            hermitian, "laplacian_blocks", lambda *args: {((1, 0), (2, 0)): block}
+        )
+        assert delta_laplacians_equal(fls_metric, fls) is expected
+
+
+def test_a_report_never_builds_the_delta_laplacian(monkeypatch):
+    calls = []
+    original = hermitian.laplacian_blocks
+
+    def spy(which, *args):
+        calls.append(which)
+        return original(which, *args)
+
+    monkeypatch.setattr(hermitian, "laplacian_blocks", spy)
+    for name in builtin_names():
+        compute_report(RunConfig(f"builtin:{name}"))
+    assert "deltabar" in calls
+    assert "delta" not in calls
 
 
 def test_full_d_laplacian_on_functions(iwasawa_ak, iwasawa_ak_metric):

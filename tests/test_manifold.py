@@ -7,11 +7,12 @@ from ahodge.builtins import BUILTINS, get_builtin
 from ahodge.manifold import (
     BIDEGREE_SHIFTS,
     JacobiViolation,
+    ManifoldSpec,
     NonInvertibleCoframe,
     load_spec,
 )
 from ahodge.scalars import ONE, ParseError, Scalar
-from util import S, form, word
+from util import S, d2_relations_all_degrees, form, word
 
 ALL_BUILTINS = ["fls", "fls_nonak", "iwasawa_ak", "iwasawa_std", "iwasawa_complex"]
 
@@ -221,6 +222,29 @@ def test_seven_relations_hold_on_builtins(any_builtin):
         assert ok, (name, witness)
 
 
+def test_degree_one_d2_relations_match_the_all_degree_oracle(any_builtin):
+    assert any_builtin.check_d2_relations() == d2_relations_all_degrees(any_builtin)
+
+
+def test_degree_one_d2_relations_match_the_oracle_on_torus6():
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "manifests" / "torus6.am"
+    spec = load_spec(path.read_text(encoding="utf-8"))
+    assert spec.check_d2_relations() == d2_relations_all_degrees(spec)
+
+
+def test_degree_one_d2_witnesses_match_the_oracle_where_d2_fails(monkeypatch):
+    # with validation skipped, d e3 = e12 and d e4 = e34 give d^2 e4 = e124:
+    # every failing relation already fails on a degree-1 word, and it is the
+    # first failing word in degree-then-word order
+    monkeypatch.setattr(ManifoldSpec, "validate", lambda self: None)
+    spec = load_spec(TOY.replace("{DE4}", "e34"))
+    report = spec.check_d2_relations()
+    assert not all(ok for _name, ok, _w in report)
+    assert report == d2_relations_all_degrees(spec)
+
+
 def test_integrability_flags(fls, iwasawa_std, iwasawa_complex):
     assert not fls.is_integrable()
     assert not iwasawa_std.is_integrable()
@@ -267,7 +291,7 @@ def test_sign_flip_in_structure_equation_is_caught():
 
 def test_non_invertible_coframe_rejected():
     bad = BUILTINS["fls_nonak"].replace("phi3 = e5 + i*e6", "phi3 = e1 + i*e2")
-    with pytest.raises(NonInvertibleCoframe):
+    with pytest.raises(NonInvertibleCoframe, match=r"^\[acs\]: phi1..phi3 and their"):
         load_spec(bad)
 
 

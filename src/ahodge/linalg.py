@@ -44,12 +44,6 @@ def mat_mul(a, b):
     return out
 
 
-def mat_vec(a, v):
-    return [
-        sum((c * x for c, x in zip(row, v) if not c.is_zero()), ZERO) for row in a
-    ]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
@@ -101,12 +95,6 @@ def rref(a):
         if r == rows:
             break
     return m, pivots
-
-
-def rank(a) -> int:
-    if not a or not a[0]:
-        return 0
-    return len(rref(a)[1])
 
 
 def nullspace(a, cols: int | None = None):
@@ -247,13 +235,3 @@ def det(a) -> Scalar:
                 f = m[i][c] * inv
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return out * sign
-
-
-def row_space_equal(a, b) -> bool:
-    """Whether two row sets span the same subspace (exact)."""
-    ra = rank(a) if a else 0
-    rb = rank(b) if b else 0
-    if ra != rb:
-        return False
-    stacked = [row[:] for row in a] + [row[:] for row in b]
-    return (rank(stacked) if stacked else 0) == ra

@@ -455,7 +455,12 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
     for key, value in (overrides or {}).items():
         if key not in params:
             raise ParseError(f"override for unknown parameter {key!r}")
-        params[key] = value if isinstance(value, Scalar) else parse_scalar(value, params)
+        if not isinstance(value, Scalar):
+            try:
+                value = parse_scalar(value, params)
+            except ParseError as exc:
+                raise ParseError(f"override {key} = {value}: {exc}") from exc
+        params[key] = value
 
     de: dict = {}
     for lineno, line in sections.get("coframe", []):

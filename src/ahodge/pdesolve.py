@@ -204,31 +204,6 @@ def infer_global_constancy(sys: PDESystem, spec: ManifoldSpec) -> PDESystem:
     return out
 
 
-def recheck_promotion(sys: PDESystem, promo: Promotion, spec: ManifoldSpec) -> bool:
-    """Re-verify a recorded promotion certificate against the final statuses.
-
-    The status lattice only tightens, so a certificate valid at promotion
-    time stays valid at the fixpoint.
-    """
-    frames = (
-        spec.fibration.fiber_span
-        if promo.rule == "fiber_maximum_principle"
-        else tuple(range(1, spec.n + 1))
-    )
-    if len(promo.equations) != len(frames):
-        return False
-    for frame, idx in zip(frames, promo.equations):
-        eq = sys.equations[idx]
-        if len(eq.derivs) != 1:
-            return False
-        t = eq.derivs[0]
-        if t.frame != frame or t.unknown != promo.unknown or t.coeff.is_zero():
-            return False
-        if not _remainder_annihilated(sys, eq, frame, spec):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class ResidualRow:
     monomial: tuple

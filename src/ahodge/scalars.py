@@ -2,10 +2,11 @@
 
 A scalar is a rational function in one transcendental symbol tau (evaluated
 at pi whenever a sign is needed) with Gaussian-rational coefficients, kept in
-canonical form: numerator and denominator coprime, denominator monic.  With
-that normalization equality is syntactic, so zero tests are exact; in
-particular expressions like ``-4*pi*k + 1`` with integer ``k`` are provably
-nonzero without any floating point.
+canonical form: numerator and denominator coprime, denominator monic.  Each
+coefficient is one integer triple (a + b*i)/d with d > 0 and
+gcd(a, b, d) == 1.  With that normalization equality is syntactic, so zero
+tests are exact; in particular expressions like ``-4*pi*k + 1`` with integer
+``k`` are provably nonzero without any floating point.
 
 Sign queries (needed only for inequalities, e.g. metric positivity) evaluate
 the two polynomials at a certified interval enclosure of pi via mpmath,
@@ -16,6 +17,7 @@ guarantees termination for nonzero inputs.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import mpmath
 
@@ -34,59 +36,101 @@ class ParseError(ValueError):
         super().__init__(message)
 
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+_new = object.__new__
+
+
+def _triple(a: int, b: int, d: int) -> "QQi":
+    """The QQi (a + b*i)/d for a triple already in canonical form."""
+    z = _new(QQi)
+    z.a, z.b, z.d = a, b, d
+    return z
+
+
+def _reduced(a: int, b: int, d: int) -> "QQi":
+    """The QQi (a + b*i)/d for d > 0, divided through by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    return _triple(a, b, d) if g == 1 else _triple(a // g, b // g, d // g)
 
 
 class QQi:
-    """Gaussian rational a + b*i with Fraction components."""
+    """Gaussian rational (a + b*i)/d held as three ints with d > 0 and
+    gcd(a, b, d) == 1, so each value has exactly one triple and equality is
+    componentwise; zero is (0, 0, 1).  ``re`` and ``im`` read the parts as
+    Fractions."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        re, im = Fraction(re), Fraction(im)
+        d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     def __add__(self, other):
-        if not self.im and not other.im:
-            return QQi(self.re + other.re, self.im)
-        return QQi(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == e:
+            if d == 1:
+                return _triple(self.a + other.a, self.b + other.b, 1)
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     def __sub__(self, other):
-        return QQi(self.re - other.re, self.im - other.im)
+        d, e = self.d, other.d
+        if d == e:
+            if d == 1:
+                return _triple(self.a - other.a, self.b - other.b, 1)
+            return _reduced(self.a - other.a, self.b - other.b, d)
+        return _reduced(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        return _triple(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        a, b, c, d = self.re, self.im, other.re, other.im
+        a, b, c, e = self.a, self.b, other.a, other.b
         # a zero imaginary part drops its two products
         if not b:
-            return QQi(a * c, a * d if d else b)
-        if not d:
-            return QQi(a * c, b * c)
-        return QQi(a * c - b * d, a * d + b * c)
+            re, im = a * c, a * e
+        elif not e:
+            re, im = a * c, b * c
+        else:
+            re, im = a * c - b * e, a * e + b * c
+        d = self.d * other.d
+        return _triple(re, im, 1) if d == 1 else _reduced(re, im, d)
 
     def inv(self):
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
+        a, b, d = self.a, self.b, self.d
+        if b:
+            return _reduced(d * a, -d * b, a * a + b * b)
+        if not a:
             raise DivisionByZero("1/0 in QQi")
-        return QQi(self.re / n, -self.im / n)
+        # gcd(a, d) == 1 already; only the sign moves to the numerator
+        return _triple(d, 0, a) if a > 0 else _triple(-d, 0, -a)
 
     def __truediv__(self, other):
         return self * other.inv()
 
     def conj(self):
-        return QQi(self.re, -self.im) if self.im else self
+        return _triple(self.a, -self.b, self.d) if self.b else self
 
     def is_zero(self):
-        return not self.re and not self.im
+        return not self.a and not self.b
 
     def __eq__(self, other):
-        return isinstance(other, QQi) and self.re == other.re and self.im == other.im
+        return isinstance(other, QQi) and (
+            self.a == other.a and self.b == other.b and self.d == other.d
+        )
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def __repr__(self):
         return f"QQi({self.re}, {self.im})"
@@ -130,10 +174,6 @@ def padd(p, q):
 
 def pneg(p):
     return tuple(-c for c in p)
-
-
-def psub(p, q):
-    return padd(p, pneg(q))
 
 
 def pmul(p, q):
@@ -315,18 +355,6 @@ class Scalar:
 
     def im(self) -> "Scalar":
         return (self - self.conj()) * HALF * MINUS_I
-
-    def is_rational_multiple_of_pi_power(self):
-        """Return (k, Fraction) if self = r * pi^k with r rational, else None."""
-        if self.den != P_ONE:
-            return None
-        nz = [(k, c) for k, c in enumerate(self.num) if not c.is_zero()]
-        if len(nz) != 1:
-            return None
-        k, c = nz[0]
-        if c.im != 0:
-            return None
-        return k, c.re
 
     def __eq__(self, other):
         return (

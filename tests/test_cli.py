@@ -154,6 +154,17 @@ def test_singular_coframe_names_the_section_and_the_parameters(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "value, reason",
+    [("1/0", "division by zero"), ("x+1", "unknown name 'x'")],
+)
+def test_unparsable_override_names_the_parameter(capsys, value, reason):
+    assert main(["run", "builtin:fls", "--b", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: override b = {value}: {reason}\n"
+
+
 def test_reports_byte_identical_across_processes():
     import subprocess
     import sys

@@ -7,11 +7,10 @@ from ahodge.pdesolve import (
     build_dbar_system,
     infer_fiber_constancy,
     infer_global_constancy,
-    recheck_promotion,
     reduce,
 )
 from ahodge.scalars import ONE
-from util import S
+from util import S, recheck_promotion
 
 
 def _find_equation(system, frame, unknown):

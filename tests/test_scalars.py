@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,15 @@ from ahodge.scalars import (
     pnorm,
     pscale,
     sign_at_pi,
+)
+from util import (
+    RefQQi,
+    is_canonical_form_of,
+    ref_format,
+    ref_padd,
+    ref_pmul,
+    ref_poly,
+    to_ref,
 )
 
 rationals = st.fractions(
@@ -221,3 +231,120 @@ def test_conjugate_is_canonical_without_renormalising(a, b):
     x = a / b
     c = x.conj()
     assert (c.num, c.den) == _reference(pconj(x.num), pconj(x.den))
+
+
+# -- the integer-triple QQi against the Fraction-pair reference -------------
+
+heights = st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30))
+# Fraction inputs with signed denominators, ints, zero, large heights
+parts = st.one_of(
+    st.just(0), heights, st.builds(Fraction, heights, heights.filter(bool))
+)
+# (re, im) inputs, purely imaginary ones included
+gaussian_parts = st.one_of(st.tuples(parts, parts), st.tuples(st.just(0), parts))
+
+
+def _agrees(z, ref):
+    assert z.d > 0 and gcd(z.a, z.b, z.d) == 1, (z.a, z.b, z.d)
+    assert (z.re, z.im) == (ref.re, ref.im)
+    assert isinstance(z.re, Fraction) and isinstance(z.im, Fraction)
+    assert z.is_zero() == ref.is_zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaussian_parts, gaussian_parts)
+def test_qqi_matches_the_fraction_reference(p, q):
+    x, y, rx, ry = QQi(*p), QQi(*q), RefQQi(*p), RefQQi(*q)
+    _agrees(x, rx)
+    for z, rz in (
+        (x + y, rx + ry),
+        (x - y, rx - ry),
+        (x * y, rx * ry),
+        (-x, -rx),
+        (x.conj(), rx.conj()),
+    ):
+        _agrees(z, rz)
+    if ry.is_zero():
+        with pytest.raises(DivisionByZero):
+            y.inv()
+        with pytest.raises(DivisionByZero):
+            x / y
+    else:
+        _agrees(y.inv(), ry.inv())
+        _agrees(x / y, rx / ry)
+    assert (x == y) == (rx == ry)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaussian_parts, gaussian_parts)
+def test_qqi_equal_values_have_one_triple_and_one_hash(p, q):
+    x, y = QQi(*p), QQi(*q)
+    routes = [(x * y, y * x), ((x + y) - y, x), (x.conj().conj(), x), (-(-x), x)]
+    routes.append((x - x, QQi()))
+    if not y.is_zero():
+        routes.append(((x / y) * y, x))
+    if not x.is_zero():
+        routes.append((x.inv().inv(), x))
+    for u, v in routes:
+        assert (u.a, u.b, u.d) == (v.a, v.b, v.d)
+        assert u == v and hash(u) == hash(v)
+    if RefQQi(*p) == RefQQi(*q):
+        assert x == y and hash(x) == hash(y)
+
+
+def test_qqi_zero_and_signs_are_canonical():
+    assert (QQi().a, QQi().b, QQi().d) == (0, 0, 1)
+    half = QQi(Fraction(1, -2), Fraction(3, 4))
+    assert (half.a, half.b, half.d) == (-2, 3, 4)
+    minus_half = QQi(-2).inv()
+    assert (minus_half.a, minus_half.b, minus_half.d) == (-1, 0, 2)
+    assert QQi(0, 2).inv() == QQi(0, Fraction(-1, 2))
+
+
+coeffs = st.one_of(
+    rationals,
+    st.builds(
+        Fraction,
+        st.integers(-(10**12), 10**12),
+        st.integers(1, 10**12),
+    ),
+)
+pi_coeff_parts = st.tuples(coeffs, st.one_of(st.just(Fraction(0)), coeffs))
+
+
+@st.composite
+def pi_fractions(draw):
+    """A Scalar with pi-polynomial numerator and denominator, and the same
+    fraction as RefQQi polynomials (not reduced)."""
+    num = draw(st.lists(pi_coeff_parts, max_size=3))
+    den = draw(
+        st.lists(pi_coeff_parts, min_size=1, max_size=3).filter(
+            lambda cs: any(re or im for re, im in cs)
+        )
+    )
+    value = Scalar(pnorm(QQi(*c) for c in num), pnorm(QQi(*c) for c in den))
+    return value, ref_poly(RefQQi(*c) for c in num), ref_poly(RefQQi(*c) for c in den)
+
+
+def _ref_conj(p):
+    return tuple(c.conj() for c in p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pi_fractions(), pi_fractions())
+def test_scalar_arithmetic_and_text_match_the_reference(first, second):
+    (x, xn, xd), (y, yn, yd) = first, second
+    checks = [
+        (x, xn, xd),
+        (x + y, ref_padd(ref_pmul(xn, yd), ref_pmul(yn, xd)), ref_pmul(xd, yd)),
+        (x * y, ref_pmul(xn, yn), ref_pmul(xd, yd)),
+        (x.conj(), _ref_conj(xn), _ref_conj(xd)),
+    ]
+    if y.is_zero():
+        with pytest.raises(DivisionByZero):
+            x / y
+    else:
+        checks.append((x / y, ref_pmul(xn, yd), ref_pmul(xd, yn)))
+    for value, num, den in checks:
+        assert is_canonical_form_of(value.num, value.den, num, den)
+        assert format_scalar(value) == ref_format(to_ref(value.num), to_ref(value.den))

@@ -1,13 +1,17 @@
-"""Shared test helpers: compact word/form builders, span comparison, and
-dense and all-degree oracles for the operator and Laplacian code."""
+"""Shared test helpers: compact word/form builders, span comparison, the
+linear-algebra and promotion checks only tests need, dense and all-degree
+oracles for the operator and Laplacian code, and the Fraction-pair
+reference for the scalar arithmetic."""
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from ahodge import linalg
 from ahodge.algebra import Form, conj_word, word_bidegree, words_of_degree
 from ahodge.fourier import ModeForm, ModeMatrix
 from ahodge.hermitian import _OPERATOR_PARTS, _bidegrees, _shift, laplacian_blocks
 from ahodge.manifold import D2_RELATIONS
+from ahodge.pdesolve import _remainder_annihilated
 from ahodge.scalars import ZERO, parse_scalar
 
 
@@ -35,6 +39,59 @@ def S(expr, spec=None):
     return parse_scalar(expr, spec.params if spec is not None else None)
 
 
+# -- linear algebra and certificates only tests need ---------------------
+
+
+def mat_vec(a, v):
+    return [
+        sum((c * x for c, x in zip(row, v) if not c.is_zero()), ZERO) for row in a
+    ]
+
+
+def rank(a) -> int:
+    if not a or not a[0]:
+        return 0
+    return len(linalg.rref(a)[1])
+
+
+def row_space_equal(a, b) -> bool:
+    """Whether two row sets span the same subspace (exact)."""
+    ra = rank(a) if a else 0
+    rb = rank(b) if b else 0
+    if ra != rb:
+        return False
+    stacked = [row[:] for row in a] + [row[:] for row in b]
+    return (rank(stacked) if stacked else 0) == ra
+
+
+def recheck_promotion(sys, promo, spec) -> bool:
+    """Re-verify a recorded promotion certificate against the final statuses.
+
+    The status lattice only tightens, so a certificate valid at promotion
+    time stays valid at the fixpoint.
+    """
+    frames = (
+        spec.fibration.fiber_span
+        if promo.rule == "fiber_maximum_principle"
+        else tuple(range(1, spec.n + 1))
+    )
+    if len(promo.equations) != len(frames):
+        return False
+    for frame, idx in zip(frames, promo.equations):
+        eq = sys.equations[idx]
+        if len(eq.derivs) != 1:
+            return False
+        t = eq.derivs[0]
+        if t.frame != frame or t.unknown != promo.unknown or t.coeff.is_zero():
+            return False
+        if not _remainder_annihilated(sys, eq, frame, spec):
+            return False
+    return True
+
+
+# -- mode-form spans ------------------------------------------------------
+
+
 def _mode_basis_matrix(basis, keys):
     key_index = {k: i for i, k in enumerate(keys)}
     rows = []
@@ -57,7 +114,7 @@ def spans_equal(basis_a, basis_b) -> bool:
     keys = sorted(keys)
     if not keys:
         return len(basis_a) == len(basis_b) == 0 or (not basis_a and not basis_b)
-    return linalg.row_space_equal(
+    return row_space_equal(
         _mode_basis_matrix(basis_a, keys), _mode_basis_matrix(basis_b, keys)
     )
 
@@ -73,7 +130,7 @@ def basis_independent(basis) -> bool:
     if not basis:
         return True
     rows = _mode_basis_matrix(basis, keys)
-    return linalg.rank(rows) == len(basis)
+    return rank(rows) == len(basis)
 
 
 def exhaustive_mode_scan(matrix: ModeMatrix, bound: int):
@@ -225,3 +282,159 @@ def d2_relations_all_degrees(spec):
         report.append((name, witness is None, witness))
     return report
 
+
+
+# -- reference scalar arithmetic ------------------------------------------
+
+
+class RefQQi:
+    """Gaussian rational a + b*i with Fraction components: the layout that
+    ``scalars.QQi`` had before it held one integer triple, kept as the
+    oracle for it."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re = Fraction(re)
+        self.im = Fraction(im)
+
+    def __add__(self, other):
+        return RefQQi(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return RefQQi(self.re - other.re, self.im - other.im)
+
+    def __neg__(self):
+        return RefQQi(-self.re, -self.im)
+
+    def __mul__(self, other):
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return RefQQi(a * c - b * d, a * d + b * c)
+
+    def inv(self):
+        n = self.re * self.re + self.im * self.im
+        if n == 0:
+            raise ZeroDivisionError("1/0 in RefQQi")
+        return RefQQi(self.re / n, -self.im / n)
+
+    def __truediv__(self, other):
+        return self * other.inv()
+
+    def conj(self):
+        return RefQQi(self.re, -self.im)
+
+    def is_zero(self):
+        return not self.re and not self.im
+
+    def __eq__(self, other):
+        return isinstance(other, RefQQi) and self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
+
+
+def to_ref(poly) -> tuple:
+    """A polynomial of ``QQi`` coefficients with each one read straight off
+    its integer triple, not through the ``re``/``im`` properties."""
+    return tuple(RefQQi(Fraction(c.a, c.d), Fraction(c.b, c.d)) for c in poly)
+
+
+def ref_poly(coeffs) -> tuple:
+    """A RefQQi polynomial with trailing zeros dropped."""
+    cs = list(coeffs)
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_padd(p, q) -> tuple:
+    zero = RefQQi()
+    return ref_poly(
+        (p[k] if k < len(p) else zero) + (q[k] if k < len(q) else zero)
+        for k in range(max(len(p), len(q)))
+    )
+
+
+def ref_pmul(p, q) -> tuple:
+    if not p or not q:
+        return ()
+    out = [RefQQi()] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return ref_poly(out)
+
+
+def ref_gcd_degree(p, q) -> int:
+    """Degree of gcd(p, q) by Euclid's algorithm on remainders."""
+    while q:
+        r = list(p)
+        lead_inv = q[-1].inv()
+        while len(r) >= len(q):
+            c = r[-1] * lead_inv
+            k = len(r) - len(q)
+            for j, b in enumerate(q):
+                r[k + j] = r[k + j] - c * b
+            r = list(ref_poly(r))
+        p, q = q, tuple(r)
+    return len(p) - 1
+
+
+def is_canonical_form_of(num, den, ref_num, ref_den) -> bool:
+    """Whether the QQi polynomials num/den are the canonical form of the
+    RefQQi fraction ref_num/ref_den: equal by cross-multiplication, den
+    monic, and num and den coprime (zero is 0/1)."""
+    n, d = to_ref(num), to_ref(den)
+    if not d or d[-1] != RefQQi(1):
+        return False
+    if not n:
+        return d == (RefQQi(1),) and not ref_num
+    return ref_pmul(n, ref_den) == ref_pmul(ref_num, d) and ref_gcd_degree(n, d) == 0
+
+
+def _ref_frac_str(f: Fraction) -> str:
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def _ref_coeff_str(c: RefQQi) -> str:
+    if c.im == 0:
+        return _ref_frac_str(c.re)
+    if c.re == 0:
+        if c.im in (1, -1):
+            return "i" if c.im == 1 else "-i"
+        if c.im < 0:
+            return f"-({_ref_frac_str(-c.im)})*i"
+        return f"({_ref_frac_str(c.im)})*i"
+    return f"({_ref_frac_str(c.re)} + ({_ref_frac_str(c.im)})*i)"
+
+
+def _ref_poly_str(p) -> str:
+    if not p:
+        return "0"
+    parts = []
+    for k in range(len(p) - 1, -1, -1):
+        c = p[k]
+        if c.is_zero():
+            continue
+        if k == 0:
+            parts.append(_ref_coeff_str(c))
+            continue
+        pi_part = "pi" if k == 1 else f"pi^{k}"
+        if c in (RefQQi(1), RefQQi(-1)):
+            parts.append(pi_part if c == RefQQi(1) else f"-{pi_part}")
+            continue
+        cs = _ref_coeff_str(c)
+        if "+" in cs or "/" in cs or "*" in cs.lstrip("-"):
+            cs = cs if cs.startswith("(") else f"({cs})"
+        parts.append(f"{cs}*{pi_part}")
+    out = parts[0]
+    for term in parts[1:]:
+        out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
+    return out
+
+
+def ref_format(num, den) -> str:
+    """The text ``format_scalar`` gave for num/den in RefQQi polynomials."""
+    if den == (RefQQi(1),):
+        return _ref_poly_str(num)
+    return f"({_ref_poly_str(num)})/({_ref_poly_str(den)})"

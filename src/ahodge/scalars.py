@@ -9,17 +9,17 @@ tests are exact; in particular expressions like ``-4*pi*k + 1`` with integer
 ``k`` are provably nonzero without any floating point.
 
 Sign queries (needed only for inequalities, e.g. metric positivity) evaluate
-the two polynomials at a certified interval enclosure of pi via mpmath,
-doubling the precision until the sign is resolved.  Transcendence of pi
-guarantees termination for nonzero inputs.
+the two polynomials exactly in integers on an interval enclosure of pi from
+Machin's formula, doubling the precision until zero is excluded.
+Transcendence of pi guarantees termination for nonzero inputs, and the
+package uses no approximate arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
-
-import mpmath
 
 
 class DivisionByZero(ZeroDivisionError):
@@ -617,39 +617,78 @@ def parse_scalar(text: str, params: dict | None = None, lineno: int | None = Non
 _MAX_SIGN_BITS = 1 << 16
 
 
-def _real_coeffs(p, what: str):
-    out = []
+def _atan_inv_bounds(x: int, n: int) -> tuple[int, int]:
+    """Integers lo < 2^n atan(1/x) < hi for an integer x > 1.
+
+    The series sum_k (-1)^k / ((2k+1) x^(2k+1)) alternates with falling
+    terms, so a partial sum that ends on a positive term lies above the
+    limit and one that ends on a negative term lies below it.  Each term
+    is rounded toward the side its bound needs: floor and ceil of
+    2^n / x^(2k+1) are carried down by exact nested integer division.
+    """
+    x2 = x * x
+    # floor and ceil of 2^n / x^(2k+1) for term k
+    fl, cl = (1 << n) // x, -(-(1 << n) // x)
+    lo = hi = 0
+    k = 0
+    while True:
+        down, up = fl // (2 * k + 1), -(-cl // (2 * k + 1))
+        if k % 2 == 0:
+            lo, hi = lo + down, hi + up
+        elif up <= 1:
+            # the lower sum ends on this negative term, the upper one before it
+            return lo - up, hi
+        else:
+            lo, hi = lo - up, hi - down
+        fl, cl = fl // x2, -(-cl // x2)
+        k += 1
+
+
+@cache
+def _pi_enclosure(bits: int) -> tuple[int, int]:
+    """Integers lo < hi with lo / 2^bits < pi < hi / 2^bits and
+    hi - lo <= 2, from Machin's pi = 16 atan(1/5) - 4 atan(1/239)."""
+    # 2^guard > 128 * bits exceeds the width before the shift: one unit of
+    # rounding per term plus the last term, 16 and 4 times over
+    guard = bits.bit_length() + 8
+    n = bits + guard
+    lo5, hi5 = _atan_inv_bounds(5, n)
+    lo239, hi239 = _atan_inv_bounds(239, n)
+    lo, hi = 16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239
+    return lo >> guard, -(-hi >> guard)
+
+
+def _integer_coeffs(p) -> list[int]:
+    """The real coefficients of p times the lcm of their denominators,
+    which is positive and so keeps the sign of p at every point."""
+    den = 1
     for c in p:
-        if c.im != 0:
-            raise ValueError(f"{what} has a non-real coefficient; sign undefined")
-        out.append(c.re)
-    return out
-
-
-def _interval_eval(coeffs, prec: int):
-    iv = mpmath.iv
-    old = iv.prec
-    try:
-        iv.prec = prec
-        x = iv.pi
-        acc = iv.mpf(0)
-        for c in reversed(coeffs):
-            acc = acc * x + iv.mpf(c.numerator) / iv.mpf(c.denominator)
-        return acc
-    finally:
-        iv.prec = old
+        if c.b:
+            raise ValueError("polynomial has a non-real coefficient; sign undefined")
+        den = lcm(den, c.d)
+    return [c.a * (den // c.d) for c in p]
 
 
 def _poly_sign_at_pi(p, prec: int) -> int:
     if not p:
         return 0
-    coeffs = _real_coeffs(p, "polynomial")
+    coeffs = _integer_coeffs(p)
+    if len(coeffs) == 1:
+        return 1 if coeffs[0] > 0 else -1
     bits = prec
     while bits <= _MAX_SIGN_BITS:
-        box = _interval_eval(coeffs, bits)
-        if box.a > 0:
+        # interval Horner: after j steps [low, high] bounds the value
+        # times 2^(bits*j); pi > 0, so the sign of each end picks its product
+        x_lo, x_hi = _pi_enclosure(bits)
+        low = high = coeffs[-1]
+        shift = 0
+        for c in reversed(coeffs[:-1]):
+            shift += bits
+            low = (low * x_lo if low >= 0 else low * x_hi) + (c << shift)
+            high = (high * x_hi if high >= 0 else high * x_lo) + (c << shift)
+        if low > 0:
             return 1
-        if box.b < 0:
+        if high < 0:
             return -1
         bits *= 2
     raise RuntimeError("interval sign determination did not converge")
@@ -658,9 +697,12 @@ def _poly_sign_at_pi(p, prec: int) -> int:
 def sign_at_pi(s: Scalar, prec: int = 128) -> int:
     """Certified sign of a real scalar evaluated at tau = pi.
 
-    Exact zero short-circuits; otherwise interval evaluation refines until
-    zero is excluded, which transcendence of pi guarantees.
+    Exact zero short-circuits; otherwise interval evaluation starts at
+    ``prec`` bits and doubles them until zero is excluded, which
+    transcendence of pi guarantees.
     """
+    if prec < 1:
+        raise ValueError(f"starting precision must be a positive number of bits, got {prec}")
     if s.is_zero():
         return 0
     if not s.is_real():
@@ -668,5 +710,5 @@ def sign_at_pi(s: Scalar, prec: int = 128) -> int:
     return _poly_sign_at_pi(s.num, prec) * _poly_sign_at_pi(s.den, prec)
 
 
-def is_positive(s: Scalar, prec: int = 128) -> bool:
-    return sign_at_pi(s, prec) > 0
+def is_positive(s: Scalar) -> bool:
+    return sign_at_pi(s) > 0

@@ -249,3 +249,25 @@ def test_bad_input_and_internal_faults_exit_apart(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr("ahodge.cli.compute_report", broken)
     assert main(["run", "builtin:fls"]) == 3
     assert capsys.readouterr().err == "internal error: KeyError: 'e7'\n"
+
+
+def test_a_negative_expression_needs_the_equals_form(capsys):
+    # argparse takes "-1/pi" for an option unless it is joined to its flag
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "builtin:fls", "--b", "-1/pi"])
+    assert exc.value.code == 1
+    assert "argument --b: expected one argument" in capsys.readouterr().err
+    assert main(["run", "builtin:fls", "--b=-1/pi", "--p", "1"]) == 0
+    assert "b = (-1)/(pi)" in capsys.readouterr().out
+
+
+def test_a_run_never_imports_mpmath():
+    import subprocess
+    import sys
+
+    script = (
+        "import sys, ahodge.cli; "
+        "ahodge.cli.run(ahodge.cli.RunConfig('builtin:fls')); "
+        "assert 'mpmath' not in sys.modules, 'mpmath was imported'"
+    )
+    subprocess.run([sys.executable, "-c", script], check=True)

@@ -1,11 +1,13 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ahodge import hermitian, linalg
 from ahodge.algebra import Form, NotPositive, word_bidegree, words_of_degree
-from ahodge.builtins import builtin_names, get_builtin
-from ahodge.cli import RunConfig, compute_report
+from ahodge.builtins import BUILTINS, builtin_names, get_builtin
+from ahodge.cli import RunConfig, compute_report, report_to_dict
 from ahodge.hermitian import (
     NotAlmostKahler,
     NotCompatible,
@@ -14,6 +16,7 @@ from ahodge.hermitian import (
     metric_for,
     metric_from_pair,
 )
+from ahodge.manifold import load_spec
 from ahodge.scalars import ONE, Scalar, ZERO
 from util import (
     adjoint_matrix,
@@ -365,8 +368,6 @@ def test_star_commutes_with_conjugation(fls_metric):
 
 
 def test_metric_required_for_run():
-    from ahodge.manifold import load_spec
-
     text = """
 [manifold]
 name = bare
@@ -394,3 +395,45 @@ def test_laplacians_refuse_a_gram_matrix_with_a_cross_block(fls, fls_metric):
     h = replace(fls_metric, gram=gram, _lap_cache={}, _adj_cache={})
     with pytest.raises(NotCompatible):
         delta_laplacians_equal(h, fls)
+
+
+def _report_summary(config):
+    data = report_to_dict(compute_report(config))
+    return data["tables"], data["flags"], data["obstruction"]["verdict"]
+
+
+@pytest.mark.parametrize("a", ["-1", "-2*pi"])
+def test_negative_a_reverses_the_orientation_and_keeps_the_report(a):
+    # at a = -2*pi the orientation ratio is a polynomial in pi, not a constant
+    assert metric_for(get_builtin("fls", {"a": "1"})).gram.orientation == 1
+    assert metric_for(get_builtin("fls", {"a": a})).gram.orientation == -1
+    assert _report_summary(RunConfig("builtin:fls", {"a": a})) == _report_summary(
+        RunConfig("builtin:fls", {"a": "1"})
+    )
+
+
+def _scaled_metric(text, factor):
+    """The manifest with its declared omega, or each gram entry, times factor."""
+    text = re.sub(
+        r"^omega = (.*)$", lambda m: f"omega = ({factor})*({m[1]})", text, flags=re.M
+    )
+    return re.sub(
+        r"^gram = .*$",
+        lambda m: re.sub(r"-?\d+", lambda k: f"({factor})*{k[0]}", m[0]),
+        text,
+        flags=re.M,
+    )
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_scaling_the_metric_keeps_the_tables(name, tmp_path):
+    # a pi factor puts pi into every principal minor that positivity certifies
+    text = BUILTINS[name]
+    block = metric_for(load_spec(text)).gram.hermitian_block
+    tables = report_to_dict(compute_report(RunConfig(f"builtin:{name}")))["tables"]
+    for factor in ("3/7", "pi"):
+        path = tmp_path / f"{name}.am"
+        path.write_text(_scaled_metric(text, factor))
+        assert metric_for(load_spec(path.read_text())).gram.hermitian_block != block
+        scaled = report_to_dict(compute_report(RunConfig(str(path))))["tables"]
+        assert scaled == tables

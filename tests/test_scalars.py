@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ahodge.scalars import (
@@ -15,6 +15,8 @@ from ahodge.scalars import (
     QQi,
     Scalar,
     ZERO,
+    _atan_inv_bounds,
+    _pi_enclosure,
     format_scalar,
     parse_scalar,
     pconj,
@@ -142,12 +144,93 @@ def test_certified_signs():
     assert sign_at_pi((PI - Scalar.integer(3)) * (PI - Scalar.integer(4))) == -1
     with pytest.raises(ValueError):
         sign_at_pi(I)
+    # doubling from 0 bits would never leave 0
+    with pytest.raises(ValueError):
+        sign_at_pi(PI - Scalar.integer(3), prec=0)
 
 
 def test_sign_resolves_tight_values():
     # 113 pi - 355 is about -3e-5: needs a finer enclosure than a few bits
     tight = Scalar.pi_power(1, 113) - Scalar.integer(355)
     assert sign_at_pi(tight, prec=8) == -1
+
+
+# pi truncated to 60 and to 40 decimals; pi - PI_40 < 10^-40 < 2^-100
+PI_60 = Fraction("3.141592653589793238462643383279502884197169399375105820974944")
+PI_60_UP = PI_60 + Fraction(1, 10**60)
+PI_40 = Fraction("3.1415926535897932384626433832795028841971")
+
+
+@pytest.mark.parametrize("x", [5, 239])
+def test_atan_series_bounds_bracket_the_fraction_sum(x):
+    # 200 terms are within x^-401 < 2^-900 of atan(1/x)
+    atan = sum(Fraction((-1) ** k, (2 * k + 1) * x ** (2 * k + 1)) for k in range(200))
+    for n in range(400):
+        lo, hi = _atan_inv_bounds(x, n)
+        assert lo < atan * 2**n < hi
+        assert hi - lo <= n + 2
+
+
+@pytest.mark.parametrize("bits", [8, 64, 128, 1024])
+def test_machin_enclosure_brackets_pi(bits):
+    lo, hi = _pi_enclosure(bits)
+    assert lo < hi <= lo + 2
+    low, high = Fraction(lo, 2**bits), Fraction(hi, 2**bits)
+    if high - low > PI_60_UP - PI_60:
+        assert low < PI_60 < PI_60_UP < high
+    else:
+        assert PI_60 < low < high < PI_60_UP
+
+
+# continued-fraction convergents of pi, alternately below and above it
+CONVERGENTS = [
+    (3, 1),
+    (22, 7),
+    (333, 106),
+    (355, 113),
+    (103993, 33102),
+    (104348, 33215),
+    (208341, 66317),
+    (312689, 99532),
+    (833719, 265381),
+    (1146408, 364913),
+]
+
+
+@pytest.mark.parametrize("k", range(len(CONVERGENTS)))
+def test_convergents_alternate_around_pi(k):
+    p, q = CONVERGENTS[k]
+    expected = 1 if k % 2 == 0 else -1
+    assert sign_at_pi(PI - Scalar.rational(p, q), prec=8) == expected
+
+
+def test_a_root_within_2_to_the_minus_100_of_pi(monkeypatch):
+    requested = []
+
+    def recording(bits):
+        requested.append(bits)
+        return _pi_enclosure(bits)
+
+    monkeypatch.setattr("ahodge.scalars._pi_enclosure", recording)
+    near = PI - Scalar.rational(PI_40.numerator, PI_40.denominator)
+    assert sign_at_pi(near) == 1
+    assert sign_at_pi(near * (PI - Scalar.integer(4))) == -1
+    assert sign_at_pi(near * near) == 1
+    assert max(requested) > 128
+
+
+def _fraction_sign(coeffs, x):
+    value = sum(c * x**j for j, c in enumerate(coeffs))
+    return (value > 0) - (value < 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=6))
+def test_sign_matches_the_decimal_bounds_on_pi(coeffs):
+    below, above = _fraction_sign(coeffs, PI_60), _fraction_sign(coeffs, PI_60_UP)
+    assume(below == above)
+    value = Scalar(pnorm(QQi(c) for c in coeffs))
+    assert sign_at_pi(value) == below
 
 
 def test_parser_grammar():

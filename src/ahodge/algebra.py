@@ -263,24 +263,21 @@ def _coeff_prefix(c: Scalar) -> str:
 class GramData:
     """Inner products and Hodge star data for one metric.
 
-    ``g1`` is the 2n x 2n Hermitian matrix of coframe inner products in the
-    basis (phi^1..phi^n, conj phi^1..conj phi^n); ``vol`` is the metric
-    volume form, a scalar multiple of the full wedge word.  Positivity of
-    the (1,0) block is certified by interval evaluation at tau = pi.
-
-    ``cross_block_zero`` records whether the (1,0)/(0,1) block of ``g1``
-    vanishes, as it does for every metric compatible with the almost-complex
-    structure.  Then words of different bidegree are orthogonal, and the
-    Gram determinant of two words of one bidegree factors into a (1,0) and
-    a (0,1) determinant.
+    ``hermitian_block`` is the n x n Hermitian matrix H of inner products of
+    the (1,0)-coframe phi^1..phi^n; the conjugate coframe has Gram matrix
+    conj(H) and is orthogonal to it, as for every metric compatible with the
+    almost-complex structure.  So words of different bidegree are orthogonal,
+    and the Gram determinant of two words of one bidegree is a determinant
+    of H times the conjugate of another.  ``vol`` is the metric volume form,
+    a scalar multiple of the full wedge word.  Positivity is certified on
+    the n leading principal minors of H by exact sign evaluation at pi.
     """
 
     __slots__ = (
         "n",
-        "g1",
+        "hermitian_block",
         "vol_coeff",
         "orientation",
-        "cross_block_zero",
         "_inner_cache",
         "_det_cache",
         "_star_cache",
@@ -288,9 +285,9 @@ class GramData:
         "_inverse_cache",
     )
 
-    def __init__(self, n: int, g1, vol_coeff: Scalar, orientation: int):
+    def __init__(self, n: int, h, vol_coeff: Scalar, orientation: int):
         self.n = n
-        self.g1 = g1
+        self.hermitian_block = h
         self.vol_coeff = vol_coeff
         self.orientation = orientation
         self._inner_cache: dict = {}
@@ -299,29 +296,19 @@ class GramData:
         self._gram_cache: dict = {}
         self._inverse_cache: dict = {}
         self._validate()
-        self.cross_block_zero = all(
-            g1[a][b].is_zero() and g1[b][a].is_zero()
-            for a in range(n)
-            for b in range(n, 2 * n)
-        )
 
     def _validate(self):
-        size = 2 * self.n
-        for a in range(size):
-            for b in range(size):
-                if not (self.g1[a][b] - self.g1[b][a].conj()).is_zero():
-                    raise ValueError("coframe Gram matrix is not Hermitian")
-        h = [row[: self.n] for row in self.g1[: self.n]]
+        h = self.hermitian_block
+        if len(h) != self.n or any(len(row) != self.n for row in h):
+            raise ValueError(f"Gram block must be {self.n}x{self.n}")
+        for a in range(self.n):
+            for b in range(self.n):
+                if not (h[a][b] - h[b][a].conj()).is_zero():
+                    raise ValueError("Gram block is not Hermitian")
+        # minors of a Hermitian matrix are real
         for k in range(1, self.n + 1):
-            minor = linalg.det([row[:k] for row in h[:k]])
-            if not minor.is_real():
-                raise ValueError("principal minor of the Gram matrix not real")
-            if not is_positive(minor):
-                raise NotPositive(f"leading principal minor {k} is not positive")
-
-    @property
-    def hermitian_block(self):
-        return [row[: self.n] for row in self.g1[: self.n]]
+            if not is_positive(linalg.det([row[:k] for row in h[:k]])):
+                raise NotPositive(f"Gram block: leading principal minor {k} is not positive")
 
     def word_inner(self, w1, w2) -> Scalar:
         """<m_w1, m_w2> as a Gram determinant of coframe inner products."""
@@ -331,23 +318,23 @@ class GramData:
         cached = self._inner_cache.get(key)
         if cached is not None:
             return cached
-        if self.cross_block_zero:
-            n = self.n
-            p1 = sum(1 for a in w1 if a <= n)
-            if p1 != sum(1 for b in w2 if b <= n):
-                value = ZERO
-            else:
-                value = self._sub_det(w1[:p1], w2[:p1]) * self._sub_det(w1[p1:], w2[p1:])
+        n = self.n
+        p = sum(1 for a in w1 if a <= n)
+        if p != sum(1 for b in w2 if b <= n):
+            value = ZERO
         else:
-            value = self._sub_det(w1, w2)
+            bar1, bar2 = tuple(a - n for a in w1[p:]), tuple(b - n for b in w2[p:])
+            value = self._sub_det(w1[:p], w2[:p]) * self._sub_det(bar1, bar2).conj()
         self._inner_cache[key] = value
         return value
 
     def _sub_det(self, rows, cols) -> Scalar:
+        """det of H on (1,0) indices rows x cols."""
         key = (rows, cols)
         cached = self._det_cache.get(key)
         if cached is None:
-            cached = linalg.det([[self.g1[a - 1][b - 1] for b in cols] for a in rows])
+            h = self.hermitian_block
+            cached = linalg.det([[h[a - 1][b - 1] for b in cols] for a in rows])
             self._det_cache[key] = cached
         return cached
 

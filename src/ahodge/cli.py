@@ -194,8 +194,11 @@ def run(config: RunConfig) -> tuple[str, int]:
 
 
 def check(source: str) -> tuple[str, int]:
-    """Load, validate, and evaluate the seven bidegree relations."""
+    """Load, validate, build the declared metric, and evaluate the seven
+    bidegree relations."""
     spec = _load_source(source, {})
+    if spec.metric_source is not None:
+        hermitian.metric_for(spec)
     lines = [f"manifold: {spec.name}", "d^2 = 0: ok"]
     ok_all = True
     for name, ok, witness in spec.check_d2_relations():

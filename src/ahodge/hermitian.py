@@ -2,6 +2,12 @@
 invariant-form Laplacians, and the almost-Kahler comparison of the two
 mixed Laplacians.
 
+A metric is held as the n x n Hermitian Gram block H of the (1,0)-coframe.
+A compatible fundamental form omega = sum W_jk phi^j ^ conj phi^k has
+H = i (W^T)^-1, and the same map sends H back to W, so either manifest
+route ([metric] omega or gram) gives both.  Positivity is certified on the
+leading principal minors of H.
+
 Adjoints are pure Gram-matrix linear algebra: A = conj(G_src)^-1 M^H conj(G_tgt)
 satisfies <Mx, y> = <x, Ay> exactly on invariant forms.  No star-conjugation
 sign conventions enter; the star-based kernel criterion is validated against
@@ -23,11 +29,12 @@ which holds for the unimodular groups behind every built-in manifest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import factorial
 
 from . import linalg
 from .algebra import Form, GramData, NotPositive, conj_word, words_of_degree
 from .manifold import BIDEGREE_SHIFTS, ManifoldSpec
-from .scalars import ONE, ZERO, I as IMAG, Scalar, is_positive
+from .scalars import ONE, I as IMAG, Scalar, is_positive
 
 
 class NotCompatible(ValueError):
@@ -42,147 +49,41 @@ class NotAlmostKahler(ValueError):
 class HermitianData:
     gram: GramData
     omega: Form
-    is_compatible: bool
     is_almost_kahler: bool
     _lap_cache: dict = field(default_factory=dict, repr=False)
     _adj_cache: dict = field(default_factory=dict, repr=False)
 
 
-def _j_on_coframe_vectors(spec: ManifoldSpec):
-    """Matrix of J on the dual vectors of the real coframe: J e_l = sum_k J[k][l] e_k."""
+def _dual(m, what: str):
+    """i (m^T)^-1, which maps the (1,1) coefficients W of omega to the Gram
+    block H and, being an involution, H back to W."""
+    try:
+        inv = linalg.inverse(linalg.transpose(m))
+    except ValueError as exc:
+        raise NotPositive(f"[metric]: {what} is degenerate ({exc})") from exc
+    return [[IMAG * x for x in row] for row in inv]
+
+
+def _metric(spec: ManifoldSpec, h, omega: Form) -> HermitianData:
+    """The metric with Gram block h and fundamental form omega; its volume
+    is omega^n / n!, signed to be a positive multiple of e^1...e^2n."""
     n = spec.n
-    size = 2 * n
-    jmat = linalg.zeros(size, size)
-    for l in range(size):
-        for k in range(size):
-            total = ZERO
-            for a in range(size):
-                c = spec.P[a][l]
-                if c.is_zero():
-                    continue
-                e = spec.E[k][a]
-                if e.is_zero():
-                    continue
-                term = c * e
-                total = total + (IMAG * term if a < n else -(IMAG * term))
-            jmat[k][l] = total
-    for row in jmat:
-        for x in row:
-            if not x.is_real():
-                raise ValueError("J is not real on the coframe vectors")
-    return jmat
-
-
-def _two_form_on_frame(omega: Form, spec: ManifoldSpec):
-    """Evaluate a 2-form on pairs of phi-frame vectors."""
-    size = 2 * spec.n
-    w = linalg.zeros(size, size)
-    for word, c in omega.coeffs.items():
-        r, s = word[0] - 1, word[1] - 1
-        w[r][s] = w[r][s] + c
-        w[s][r] = w[s][r] - c
-    return w
-
-
-def _omega_on_coframe_vectors(omega: Form, spec: ManifoldSpec):
-    size = 2 * spec.n
-    wf = _two_form_on_frame(omega, spec)
-    out = linalg.zeros(size, size)
-    for k in range(size):
-        for l in range(size):
-            total = ZERO
-            for a in range(size):
-                pa = spec.P[a][k]
-                if pa.is_zero():
-                    continue
-                for b in range(size):
-                    if wf[a][b].is_zero():
-                        continue
-                    pb = spec.P[b][l]
-                    if not pb.is_zero():
-                        total = total + pa * pb * wf[a][b]
-            out[k][l] = total
-    return out
-
-
-def _certify_positive(matrix, what: str):
-    for k in range(1, len(matrix) + 1):
-        minor = linalg.det([row[:k] for row in matrix[:k]])
-        if not minor.is_real():
-            raise NotPositive(f"{what}: principal minor {k} not real")
-        if not is_positive(minor):
-            raise NotPositive(f"{what}: principal minor {k} not positive")
-
-
-def _build_from_vector_metric(
-    spec: ManifoldSpec, g_vec, declared_omega: Form | None
-) -> HermitianData:
-    n = spec.n
-    size = 2 * n
-    for k in range(size):
-        for l in range(size):
-            if not g_vec[k][l].is_real():
-                raise NotCompatible("induced metric has non-real components")
-            if not (g_vec[k][l] - g_vec[l][k]).is_zero():
-                raise NotCompatible("induced metric is not symmetric")
-    _certify_positive(g_vec, "vector metric")
-
-    jmat = _j_on_coframe_vectors(spec)
-    # fundamental form omega(u, v) = g(Ju, v) rebuilt on the coframe
-    wmat = linalg.mat_mul(linalg.transpose(jmat), g_vec)
-    omega = Form.zero(n)
-    for k in range(size):
-        for l in range(k + 1, size):
-            c = wmat[k][l]
-            if not c.is_zero():
-                omega = omega + spec.e_form(k + 1).wedge(spec.e_form(l + 1)).scale(c)
-    if declared_omega is not None and not (omega - declared_omega).is_zero():
-        raise NotCompatible("fundamental form reconstruction mismatch")
-
-    ge_cov = linalg.inverse(g_vec)
-    g1 = linalg.zeros(size, size)
-    for a in range(size):
-        for b in range(size):
-            total = ZERO
-            for k in range(size):
-                pa = spec.P[a][k]
-                if pa.is_zero():
-                    continue
-                for l in range(size):
-                    if ge_cov[k][l].is_zero():
-                        continue
-                    pb = spec.P[b][l]
-                    if not pb.is_zero():
-                        total = total + pa * pb.conj() * ge_cov[k][l]
-            g1[a][b] = total
-    for i in range(n):
-        for j in range(n, size):
-            if not g1[i][j].is_zero():
-                raise NotCompatible("(1,0) and (0,1) coframes are not orthogonal")
-
-    # volume: omega^n / n!, signed to be a positive multiple of e^1...e^2n
     vol_raw = Form.scalar(n, ONE)
-    fact = 1
-    for k in range(1, n + 1):
+    for _ in range(n):
         vol_raw = vol_raw.wedge(omega)
-        fact *= k
-    vol_raw = vol_raw.scale(Scalar.rational(1, fact))
-    full_word = tuple(range(1, size + 1))
-    v_raw = vol_raw.coefficient(full_word)
-    det_e = linalg.det(spec.E)
-    ratio = v_raw / det_e
-    sign = 1 if is_positive(ratio) else -1
-    vol_coeff = v_raw if sign > 0 else -v_raw
-
-    gram = GramData(n, g1, vol_coeff, orientation=sign)
+    v_raw = vol_raw.coefficient(range(1, 2 * n + 1)) * Scalar.rational(1, factorial(n))
+    ratio = v_raw / linalg.det(spec.E)
+    # a real omega gives a real ratio, so a non-real one comes from a
+    # non-Hermitian h, which GramData rejects
+    sign = 1 if ratio.is_real() and is_positive(ratio) else -1
+    gram = GramData(n, h, v_raw if sign > 0 else -v_raw, orientation=sign)
     closed = spec.exterior_d(omega).is_zero()
-    return HermitianData(
-        gram=gram, omega=omega, is_compatible=True, is_almost_kahler=closed
-    )
+    return HermitianData(gram=gram, omega=omega, is_almost_kahler=closed)
 
 
 def metric_from_pair(omega: Form, spec: ManifoldSpec) -> HermitianData:
-    """Metric g(u, v) = omega(u, Jv) from a compatible fundamental 2-form."""
+    """Metric g(u, v) = omega(u, Jv) from a compatible fundamental 2-form
+    omega = sum W_jk phi^j ^ conj phi^k; its Gram block is H = i (W^T)^-1."""
     if omega.degree() != 2:
         raise NotCompatible("fundamental form must be a 2-form")
     if not (omega - omega.conj()).is_zero():
@@ -190,38 +91,21 @@ def metric_from_pair(omega: Form, spec: ManifoldSpec) -> HermitianData:
     parts = omega.bidegree_split()
     if set(parts) != {(1, 1)}:
         raise NotCompatible("fundamental form has a component outside type (1,1)")
-    jmat = _j_on_coframe_vectors(spec)
-    we = _omega_on_coframe_vectors(omega, spec)
-    g_vec = linalg.mat_mul(we, jmat)
-    return _build_from_vector_metric(spec, g_vec, omega)
+    n = spec.n
+    idx = range(1, n + 1)
+    w = [[omega.coefficient((j, n + k)) for k in idx] for j in idx]
+    return _metric(spec, _dual(w, "omega"), omega)
 
 
 def metric_from_gram(h, spec: ManifoldSpec) -> HermitianData:
-    """Metric from an explicit Hermitian Gram matrix on the (1,0)-coframe."""
+    """Metric from an explicit Hermitian Gram matrix H on the (1,0)-coframe;
+    its fundamental form has (1,1) coefficients W = i (H^T)^-1."""
     n = spec.n
-    size = 2 * n
-    g1 = linalg.zeros(size, size)
-    for i in range(n):
-        for j in range(n):
-            g1[i][j] = h[i][j]
-            g1[i + n][j + n] = h[i][j].conj()
-    ge_cov = linalg.zeros(size, size)
-    for k in range(size):
-        for l in range(size):
-            total = ZERO
-            for a in range(size):
-                ea = spec.E[k][a]
-                if ea.is_zero():
-                    continue
-                for b in range(size):
-                    if g1[a][b].is_zero():
-                        continue
-                    eb = spec.E[l][b]
-                    if not eb.is_zero():
-                        total = total + ea * eb.conj() * g1[a][b]
-            ge_cov[k][l] = total
-    g_vec = linalg.inverse(ge_cov)
-    return _build_from_vector_metric(spec, g_vec, None)
+    omega = Form.zero(n)
+    for j, row in enumerate(_dual(h, "gram"), start=1):
+        for k, c in enumerate(row, start=n + 1):
+            omega = omega + Form.monomial(n, (j, k), c)
+    return _metric(spec, h, omega)
 
 
 def metric_for(spec: ManifoldSpec) -> HermitianData:
@@ -304,8 +188,6 @@ def laplacian_blocks(which: str, h: HermitianData, spec: ManifoldSpec, k: int) -
     With O the sum of its pieces X, the Laplacian is the sum over pairs of
     pieces of X Y* + X* Y, and each such term maps one bidegree block into
     one other."""
-    if not h.gram.cross_block_zero:
-        raise NotCompatible("(1,0) and (0,1) coframes are not orthogonal")
     key = (which, k)
     cached = h._lap_cache.get(key)
     if cached is not None:

@@ -470,6 +470,8 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
         k = int(m.group(1))
         if not 1 <= k <= 2 * n:
             raise ParseError(f"coframe index {k} out of range", lineno)
+        if k in de:
+            raise ParseError(f"d e{k} is given twice", lineno)
         de[k] = _parse_form_expr(m.group(2), params, n, "e", lineno)
     if de and len(de) != 2 * n:
         raise ParseError("[coframe] must give d e for every coframe index")
@@ -482,6 +484,8 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
         j = int(m.group(1))
         if not 1 <= j <= n:
             raise ParseError(f"phi index {j} out of range", lineno)
+        if j in acs_rows:
+            raise ParseError(f"phi{j} is given twice", lineno)
         acs_rows[j] = _parse_form_expr(m.group(2), params, n, "e", lineno)
     if acs_rows and len(acs_rows) != n:
         raise ParseError("[acs] must define phi1..phin")
@@ -494,6 +498,8 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
         j = int(m.group(1))
         if not 1 <= j <= n:
             raise ParseError(f"phi index {j} out of range", lineno)
+        if j in declared_dphi:
+            raise ParseError(f"d phi{j} is given twice", lineno)
         declared_dphi[j] = _parse_form_expr(m.group(2), params, n, "phi", lineno)
     if declared_dphi and len(declared_dphi) != n:
         raise ParseError("[complex_coframe] must give d phi for every index")
@@ -539,6 +545,8 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
         if not m:
             raise ParseError(f"bad [metric] line: {line!r}", lineno)
         key, value = m.group(1), m.group(2)
+        if metric_source is not None and key in ("omega", "gram"):
+            raise ParseError("[metric] declares a second metric", lineno)
         if key == "omega":
             omega = _parse_form_expr(value, params, n, "e", lineno)
             metric_source = ("omega", _e_to_phi(e_forms, omega))

@@ -184,14 +184,16 @@ def test_inner_product_degree_mismatch(fls_metric):
 
 def test_gram_validation_rejects_bad_matrices(fls_metric):
     good = fls_metric.gram
-    bad = [row[:] for row in good.g1]
+    bad = [row[:] for row in good.hermitian_block]
     bad[0][1] = ONE  # breaks Hermitian symmetry
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not Hermitian"):
         GramData(N, bad, good.vol_coeff, good.orientation)
-    indef = [row[:] for row in good.g1]
+    indef = [row[:] for row in good.hermitian_block]
     indef[0][0] = -indef[0][0]
     with pytest.raises(NotPositive):
         GramData(N, indef, good.vol_coeff, good.orientation)
+    with pytest.raises(ValueError, match="must be 3x3"):
+        GramData(N, [row[:2] for row in good.hermitian_block[:2]], ONE, 1)
 
 
 def test_word_helper():
@@ -205,44 +207,26 @@ quarter = st.sampled_from(
 
 
 @st.composite
-def coframe_grams(draw):
-    """Hermitian 2N x 2N coframe Gram matrices with a diagonally dominant
-    (1,0) block; the (1,0)/(0,1) cross block is zero or random."""
-    size = 2 * N
-    g1 = [[ZERO] * size for _ in range(size)]
-    cross = draw(st.booleans())
+def hermitian_blocks(draw):
+    """Diagonally dominant Hermitian N x N Gram blocks of the (1,0)-coframe."""
+    h = [[ZERO] * N for _ in range(N)]
     for i in range(N):
-        g1[i][i] = g1[i + N][i + N] = Scalar.integer(draw(st.integers(1, 3)))
-        for j in range(N):
-            if j > i:
-                x = draw(quarter)
-                g1[i][j], g1[j][i] = x, x.conj()
-                g1[i + N][j + N], g1[j + N][i + N] = x.conj(), x
-            if cross:
-                y = draw(quarter)
-                g1[i][j + N], g1[j + N][i] = y, y.conj()
-    return g1
+        h[i][i] = Scalar.integer(draw(st.integers(1, 3)))
+        for j in range(i + 1, N):
+            x = draw(quarter)
+            h[i][j], h[j][i] = x, x.conj()
+    return h
 
 
 @settings(max_examples=40, deadline=None)
-@given(coframe_grams(), st.integers(0, 2 * N), st.data())
-def test_word_inner_is_the_gram_determinant(g1, k, data):
+@given(hermitian_blocks(), st.integers(0, 2 * N), st.data())
+def test_word_inner_is_the_gram_determinant(h, k, data):
     from ahodge import linalg
 
-    gram = GramData(N, g1, ONE, 1)
-    cross_zero = all(g1[a][b].is_zero() for a in range(N) for b in range(N, 2 * N))
-    assert gram.cross_block_zero == cross_zero
+    gram = GramData(N, h, ONE, 1)
+    # coframe Gram matrix of (phi^1..phi^N, conj phi^1..conj phi^N)
+    g1 = [row + [ZERO] * N for row in h] + [[ZERO] * N + [x.conj() for x in row] for row in h]
     words = words_of_degree(N, k)
     w1, w2 = data.draw(st.sampled_from(words)), data.draw(st.sampled_from(words))
     direct = linalg.det([[g1[a - 1][b - 1] for b in w2] for a in w1])
     assert gram.word_inner(w1, w2) == direct
-
-
-def test_word_inner_across_bidegrees_with_nonzero_cross_block(fls_metric):
-    g1 = [row[:] for row in fls_metric.gram.g1]
-    half = Scalar.rational(1, 2)
-    g1[0][N], g1[N][0] = half, half
-    gram = GramData(N, g1, fls_metric.gram.vol_coeff, fls_metric.gram.orientation)
-    assert not gram.cross_block_zero and fls_metric.gram.cross_block_zero
-    assert gram.word_inner((1,), (N + 1,)) == half
-    assert fls_metric.gram.word_inner((1,), (N + 1,)) == ZERO

@@ -123,6 +123,58 @@ def test_check_subcommand(tmp_path):
     assert main(["check", str(bad)]) == 1
 
 
+CHECK_TORUS6 = """\
+manifold: torus6
+d^2 = 0: ok
+relation mu mu: ok
+relation mu del + del mu: ok
+relation del del + mu dbar + dbar mu: ok
+relation del dbar + dbar del + mu mubar + mubar mu: ok
+relation dbar dbar + mubar del + del mubar: ok
+relation mubar dbar + dbar mubar: ok
+relation mubar mubar: ok
+result: pass
+"""
+
+
+def _torus6_with_metric(tmp_path, metric):
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "manifests" / "torus6.am").read_text()
+    path = tmp_path / "torus6.am"
+    path.write_text(text.replace("omega = e12 + e34 + e56", metric))
+    return str(path)
+
+
+def test_check_builds_the_declared_metric(tmp_path, capsys):
+    good = _torus6_with_metric(tmp_path, "omega = e12 + e34 + e56")
+    assert main(["check", good]) == 0
+    assert capsys.readouterr().out == CHECK_TORUS6
+    bare = _torus6_with_metric(tmp_path, "")
+    assert main(["check", bare]) == 0
+    capsys.readouterr()
+    bad = _torus6_with_metric(tmp_path, "gram = [[-2, 0, 0], [0, 2, 0], [0, 0, 2]]")
+    assert main(["run", bad]) == 1
+    message = capsys.readouterr().err
+    assert "not positive" in message
+    assert main(["check", bad]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
+
+
+@pytest.mark.parametrize(
+    "metric, what",
+    [("omega = e12", "omega"), ("gram = [[1, 0, 0], [0, 0, 0], [0, 0, 1]]", "gram")],
+)
+def test_a_singular_metric_names_the_section(tmp_path, capsys, metric, what):
+    source = _torus6_with_metric(tmp_path, metric)
+    for command in ("run", "check"):
+        assert main([command, source]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [metric]: {what} is degenerate (matrix is singular)\n"
+
+
 def test_modes_bound_flag_threads_through(capsys):
     code = main(
         ["run", "builtin:fls", "--c", "4*pi", "--p", "2", "--modes-bound", "0"]

@@ -14,11 +14,13 @@ from ahodge.hermitian import (
     check_ak_identity,
     delta_laplacians_equal,
     metric_for,
+    metric_from_gram,
     metric_from_pair,
 )
 from ahodge.manifold import load_spec
-from ahodge.scalars import ONE, Scalar, ZERO
+from ahodge.scalars import I, ONE, Scalar, ZERO, format_scalar
 from util import (
+    S,
     adjoint_matrix,
     conjugated,
     delta_laplacian,
@@ -40,7 +42,6 @@ def test_family_metric_is_unitary_in_the_chosen_coframe():
         h = metric_for(spec)
         expected = [[Scalar.integer(2 if i == j else 0) for j in range(N)] for i in range(N)]
         assert linalg.mat_eq(h.gram.hermitian_block, expected)
-        assert h.is_compatible
 
 
 def test_iwasawa_metric_diagonal(iwasawa_ak_metric):
@@ -55,8 +56,108 @@ def test_gram_and_omega_routes_agree(iwasawa_std):
     # must give back the same Gram data
     h = metric_for(iwasawa_std)
     h2 = metric_from_pair(h.omega, iwasawa_std)
-    assert linalg.mat_eq(h.gram.g1, h2.gram.g1)
+    assert linalg.mat_eq(h.gram.hermitian_block, h2.gram.hermitian_block)
     assert h.gram.vol_coeff == h2.gram.vol_coeff
+
+
+def _other_route(name):
+    """The built-in manifest with its metric declared through the other
+    [metric] key (omega becomes gram, gram becomes omega), and its metric."""
+    text = BUILTINS[name]
+    spec = load_spec(text)
+    h = metric_for(spec)
+    if spec.metric_source[0] == "omega":
+        rows = (", ".join(format_scalar(x) for x in row) for row in h.gram.hermitian_block)
+        line = "gram = [" + ", ".join(f"[{row}]" for row in rows) + "]"
+    else:
+        # phi^a = sum_k P[a][k] e^k, so omega has e^{kl} coefficient
+        # sum over its words (a, b) of c (P[a][k] P[b][l] - P[a][l] P[b][k])
+        terms = []
+        for k in range(2 * N):
+            for l in range(k + 1, 2 * N):
+                c = ZERO
+                for (a, b), w in h.omega.coeffs.items():
+                    pa, pb = spec.P[a - 1], spec.P[b - 1]
+                    c = c + w * (pa[k] * pb[l] - pa[l] * pb[k])
+                if not c.is_zero():
+                    assert c.is_real()
+                    terms.append(f"({format_scalar(c)})*e{k + 1}{l + 1}")
+        line = "omega = " + " + ".join(terms)
+    return re.sub(r"^(omega|gram) = .*$", lambda m: line, text, flags=re.M), h
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_every_builtin_gives_the_same_report_through_the_other_metric_route(
+    name, tmp_path
+):
+    text, h = _other_route(name)
+    path = tmp_path / f"{name}.am"
+    path.write_text(text)
+    other = load_spec(text)
+    assert other.metric_source[0] != load_spec(BUILTINS[name]).metric_source[0]
+    h2 = metric_for(other)
+    assert linalg.mat_eq(h.gram.hermitian_block, h2.gram.hermitian_block)
+    assert h.omega == h2.omega and h.is_almost_kahler == h2.is_almost_kahler
+    assert (h.gram.vol_coeff, h.gram.orientation) == (h2.gram.vol_coeff, h2.gram.orientation)
+    assert _report_summary(RunConfig(str(path))) == _report_summary(
+        RunConfig(f"builtin:{name}")
+    )
+
+
+def test_gram_route_known_fundamental_form(iwasawa_std):
+    # W = i (H^T)^-1, pinned from the earlier vector-metric construction
+    two, third = Scalar.integer(2), Scalar.rational(1, 3)
+    h = metric_from_gram([[two, I, ZERO], [-I, two, ZERO], [ZERO, ZERO, ONE]], iwasawa_std)
+    assert h.omega.terms() == [
+        ((1, 4), two * third * I),
+        ((1, 5), -third),
+        ((2, 4), third),
+        ((2, 5), two * third * I),
+        ((3, 6), I),
+    ]
+
+
+@pytest.mark.parametrize("corner", [I * Scalar.integer(2), ONE])
+def test_a_non_hermitian_gram_matrix_is_named(iwasawa_std, corner):
+    # with a non-real determinant the volume ratio is not real either
+    two = Scalar.integer(2)
+    hm = [[corner, I, ZERO], [I, two, ZERO], [ZERO, ZERO, two]]
+    with pytest.raises(ValueError, match="Gram block is not Hermitian"):
+        metric_from_gram(hm, iwasawa_std)
+
+
+# (spec, its orientation): fls at a = -1 reverses it
+ROUND_TRIP_SPECS = [
+    (get_builtin("fls"), 1),
+    (get_builtin("fls", {"a": "-1"}), -1),
+    (get_builtin("iwasawa_std"), 1),
+]
+
+
+off_diagonal = st.sampled_from(
+    [ZERO, Scalar.rational(1, 4), I * Scalar.rational(-1, 3), S("pi/8"), S("i/(5*pi)")]
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(ROUND_TRIP_SPECS),
+    st.lists(st.sampled_from([S("2"), S("5/2"), S("3*pi")]), min_size=N, max_size=N),
+    st.lists(off_diagonal, min_size=3, max_size=3),
+)
+def test_gram_to_omega_to_gram_round_trip(spec_and_orientation, diagonal, upper):
+    # diagonally dominant, so positive definite; pi enters H, omega and vol
+    spec, orientation = spec_and_orientation
+    hm = [[ZERO] * N for _ in range(N)]
+    for i in range(N):
+        hm[i][i] = diagonal[i]
+    for (i, j), x in zip(((0, 1), (0, 2), (1, 2)), upper):
+        hm[i][j], hm[j][i] = x, x.conj()
+    h = metric_from_gram(hm, spec)
+    back = metric_from_pair(h.omega, spec)
+    assert linalg.mat_eq(back.gram.hermitian_block, hm)
+    assert back.gram.vol_coeff == h.gram.vol_coeff
+    assert back.gram.orientation == h.gram.orientation == orientation
 
 
 def test_almost_kahler_flags(fls_metric, fls_nonak_metric, iwasawa_ak_metric):
@@ -332,13 +433,10 @@ def test_reported_kernel_bases_are_killed_by_the_laplacian(fls_4pi, fls_4pi_metr
 
 
 def test_non_diagonal_hermitian_gram(iwasawa_std):
-    from ahodge.hermitian import metric_from_gram
-    from ahodge.scalars import I as IMAG
-
     two = Scalar.integer(2)
     h_matrix = [
-        [two, IMAG, ZERO],
-        [-IMAG, two, ZERO],
+        [two, I, ZERO],
+        [-I, two, ZERO],
         [ZERO, ZERO, ONE],
     ]
     h = metric_from_gram(h_matrix, iwasawa_std)
@@ -381,20 +479,6 @@ d phi3 = 0
     spec = load_spec(text)
     with pytest.raises(ValueError):
         metric_for(spec)
-
-
-def test_laplacians_refuse_a_gram_matrix_with_a_cross_block(fls, fls_metric):
-    from dataclasses import replace
-
-    from ahodge.algebra import GramData
-
-    g1 = [row[:] for row in fls_metric.gram.g1]
-    half = Scalar.rational(1, 2)
-    g1[0][N], g1[N][0] = half, half
-    gram = GramData(N, g1, fls_metric.gram.vol_coeff, fls_metric.gram.orientation)
-    h = replace(fls_metric, gram=gram, _lap_cache={}, _adj_cache={})
-    with pytest.raises(NotCompatible):
-        delta_laplacians_equal(h, fls)
 
 
 def _report_summary(config):

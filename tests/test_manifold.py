@@ -385,6 +385,26 @@ def test_malformed_line_is_rejected_with_its_line_number(name, old, new):
     assert err.value.lineno == lineno
 
 
+REPEATED_LINES = [
+    ("fls", "d e3 = -e13 - e25", "d e3 = 0"),
+    ("fls", "phi1 = a*e1 + i*e2", "phi1 = e1 + i*e2"),
+    ("iwasawa_std", "d phi3 = -phi[1b 2b]", "d phi3 = 0"),
+    ("fls", "omega = a*e12 + b*e56 + c*(e36 + e45)", "gram = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]"),
+    ("iwasawa_std", "gram = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]", "omega = e13"),
+    ("iwasawa_std", "gram = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]", "gram = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]"),
+]
+
+
+@pytest.mark.parametrize("name, line, repeat", REPEATED_LINES)
+def test_a_repeated_entry_is_rejected_with_its_line_number(name, line, repeat):
+    # the repeat would otherwise replace the first entry unseen
+    document = BUILTINS[name].replace(line, f"{line}\n{repeat}")
+    lineno = next(k for k, text in enumerate(document.splitlines(), 1) if text == repeat)
+    with pytest.raises(ParseError, match="given twice|second metric") as err:
+        load_spec(document)
+    assert err.value.lineno == lineno
+
+
 def test_one_change_of_basis_per_load(monkeypatch):
     from ahodge import linalg
 

@@ -5,10 +5,9 @@ conjugates), so the fixed index order 1 < ... < n < 1bar < ... < nbar is just
 integer order.  A Form is a finitely supported map from strictly increasing
 index words to scalars in Q(pi)(i); no zero coefficients are ever stored.
 
-GramData carries the Hermitian inner products of the coframe and the volume
-form, and from those alone computes inner products on every exterior degree
-(Gram determinants) and the complex-linear Hodge star, defined against the
-volume by  alpha ^ star(conj(beta)) = <alpha, beta> vol  on each degree.
+GramData carries the Hermitian inner products of the coframe, and from those
+alone computes inner products of words on every exterior degree (Gram
+determinants) and the Gram matrices that operator adjoints are built from.
 No hand-coded sign tables.
 """
 
@@ -88,12 +87,6 @@ def conj_word(word, n: int):
     """Bar-swap every index and resort; returns (sign, word)."""
     swapped = [j + n if j <= n else j - n for j in word]
     return sort_word(swapped)
-
-
-def complement_word(word, n: int):
-    full = range(1, 2 * n + 1)
-    inside = set(word)
-    return tuple(j for j in full if j not in inside)
 
 
 class Form:
@@ -261,38 +254,31 @@ def _coeff_prefix(c: Scalar) -> str:
 
 
 class GramData:
-    """Inner products and Hodge star data for one metric.
+    """Inner products of invariant forms for one metric.
 
     ``hermitian_block`` is the n x n Hermitian matrix H of inner products of
     the (1,0)-coframe phi^1..phi^n; the conjugate coframe has Gram matrix
     conj(H) and is orthogonal to it, as for every metric compatible with the
     almost-complex structure.  So words of different bidegree are orthogonal,
     and the Gram determinant of two words of one bidegree is a determinant
-    of H times the conjugate of another.  ``vol`` is the metric volume form,
-    a scalar multiple of the full wedge word.  Positivity is certified on
-    the n leading principal minors of H by exact sign evaluation at pi.
+    of H times the conjugate of another.  Positivity is certified on the n
+    leading principal minors of H by exact sign evaluation at pi.
     """
 
     __slots__ = (
         "n",
         "hermitian_block",
-        "vol_coeff",
-        "orientation",
         "_inner_cache",
         "_det_cache",
-        "_star_cache",
         "_gram_cache",
         "_inverse_cache",
     )
 
-    def __init__(self, n: int, h, vol_coeff: Scalar, orientation: int):
+    def __init__(self, n: int, h):
         self.n = n
         self.hermitian_block = h
-        self.vol_coeff = vol_coeff
-        self.orientation = orientation
         self._inner_cache: dict = {}
         self._det_cache: dict = {}
-        self._star_cache: dict = {}
         self._gram_cache: dict = {}
         self._inverse_cache: dict = {}
         self._validate()
@@ -337,52 +323,6 @@ class GramData:
             cached = linalg.det([[h[a - 1][b - 1] for b in cols] for a in rows])
             self._det_cache[key] = cached
         return cached
-
-    def inner_product(self, alpha: Form, beta: Form) -> Scalar:
-        da, db = alpha.degree(), beta.degree()
-        if alpha.is_zero() or beta.is_zero():
-            return ZERO
-        if da is None or db is None or da != db:
-            raise DegreeMismatch("inner product requires equal homogeneous degree")
-        total = ZERO
-        for w1, c1 in alpha.coeffs.items():
-            for w2, c2 in beta.coeffs.items():
-                g = self.word_inner(w1, w2)
-                if not g.is_zero():
-                    total = total + c1 * c2.conj() * g
-        return total
-
-    @property
-    def vol(self) -> Form:
-        return Form.monomial(self.n, tuple(range(1, 2 * self.n + 1)), self.vol_coeff)
-
-    def _star_word(self, word) -> Form:
-        cached = self._star_cache.get(word)
-        if cached is not None:
-            return cached
-        n = self.n
-        k = len(word)
-        conj_mono = Form.monomial(n, word).conj()
-        out = Form.zero(n)
-        for other in words_of_degree(n, k):
-            comp = complement_word(other, n)
-            merged = merge_words(other, comp)
-            sign, _full = merged
-            value = self.inner_product(Form.monomial(n, other), conj_mono)
-            if value.is_zero():
-                continue
-            coeff = value * self.vol_coeff
-            if sign < 0:
-                coeff = -coeff
-            out = out + Form.monomial(n, comp, coeff)
-        self._star_cache[word] = out
-        return out
-
-    def hodge_star(self, alpha: Form) -> Form:
-        out = Form.zero(self.n)
-        for w, c in alpha.coeffs.items():
-            out = out + self._star_word(w).scale(c)
-        return out
 
     def gram_matrix(self, degree: int):
         """Gram matrix of the sorted monomial basis of one exterior degree."""

@@ -12,6 +12,11 @@ elimination and exact integer root isolation (bisection between the integer
 breaks where a polynomial is monotone).  Minors and resultants are both
 polynomials of one sparse type (see "Symbolic minors" below).
 
+The other two spaces cut the dbar space by the kernel of one operator on
+the (p,0) block: mubar for the Dolbeault-type space, and the Gram adjoint of
+mu (built in ``hermitian``, as for the Laplacians) for the (dbar+mu)-harmonic
+one.  Both are function-linear, so each acts on every mode separately.
+
 "No certified answer" is ``None`` throughout: the mode search returns it when
 elimination degenerates or a root bound has more bits than the configured
 cap (``MODES_BOUND`` by default), and a HarmonicSpace holds ``basis=None``,
@@ -25,7 +30,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
-from . import linalg, pdesolve
+from . import hermitian, linalg, pdesolve
 from .algebra import Form
 from .manifold import ManifoldSpec
 from .scalars import ONE, P_ONE, Scalar, ZERO, pdivmod, pgcd, pmul
@@ -176,18 +181,6 @@ def d_mode(mf: ModeForm, spec: ManifoldSpec) -> ModeForm:
         if not total.is_zero():
             out[m] = total
     return ModeForm(n, mf.rank, out)
-
-
-def mubar_mode(mf: ModeForm, spec: ManifoldSpec) -> ModeForm:
-    """mubar is linear over functions, so it passes through every mode."""
-    out = {m: spec.op_apply("mubar", alpha) for m, alpha in mf.modes.items()}
-    return ModeForm(mf.n, mf.rank, out)
-
-
-def star_mode(mf: ModeForm, gram) -> ModeForm:
-    """The complex-linear star passes through base characters unchanged."""
-    out = {m: gram.hodge_star(alpha) for m, alpha in mf.modes.items()}
-    return ModeForm(mf.n, mf.rank, out)
 
 
 # ---------------------------------------------------------------------------
@@ -639,20 +632,28 @@ def harmonic_basis_dbar(p: int, spec: ManifoldSpec, cap: int = MODES_BOUND) -> H
     return HarmonicSpace(p, "dbar", basis)
 
 
-def _filter_span(dbar: HarmonicSpace, condition, theory: str, spec: ManifoldSpec):
-    """Cut the span of the dbar space by a function-linear condition,
-    mode-wise; an undetermined or zero dbar space is passed through."""
-    if not dbar.basis:
+def _filter_span(dbar: HarmonicSpace, matrix, theory: str, spec: ManifoldSpec):
+    """Cut the span of the dbar space by the kernel of ``matrix``, an operator
+    on the (p,0) block whose columns follow ``spec.block_words(p, 0)``.  The
+    operator is function-linear, so it acts on the coefficients of each mode
+    separately.  ``None`` cuts nothing; an undetermined or zero dbar space is
+    passed through."""
+    if not dbar.basis or matrix is None:
         return HarmonicSpace(dbar.p, theory, dbar.basis)
     basis = dbar.basis
+    col = {w: k for k, w in enumerate(spec.block_words(dbar.p, 0))}
     rows: dict = {}
     for j, mf in enumerate(basis):
-        for m, form in condition(mf).modes.items():
+        for m, form in mf.modes.items():
             for w, c in form.coeffs.items():
-                rows.setdefault((m, w), [ZERO] * len(basis))[j] = c
-    matrix = [rows[key] for key in sorted(rows)]
+                for r, row in enumerate(matrix):
+                    x = row[col[w]]
+                    if not x.is_zero():
+                        entry = rows.setdefault((m, r), [ZERO] * len(basis))
+                        entry[j] = entry[j] + x * c
+    kernel = linalg.nullspace([rows[key] for key in sorted(rows)], cols=len(basis))
     out = []
-    for vec in linalg.nullspace(matrix, cols=len(basis)):
+    for vec in kernel:
         total = ModeForm(spec.n, spec.fibration.rank)
         for c, mf in zip(vec, basis):
             if not c.is_zero():
@@ -663,17 +664,16 @@ def _filter_span(dbar: HarmonicSpace, condition, theory: str, spec: ManifoldSpec
 
 def harmonic_basis_deltabar(dbar: HarmonicSpace, spec: ManifoldSpec, h) -> HarmonicSpace:
     """(dbar+mu)-harmonic (p,0)-forms: the dbar space ``dbar`` of degree p
-    cut by the kernel of the mu adjoint, computed through the star-based
-    criterion mubar(star psi) = 0, which is function-linear and hence
-    mode-wise."""
-
-    def condition(mf):
-        return mubar_mode(star_mode(mf, h.gram), spec)
-
-    return _filter_span(dbar, condition, "deltabar", spec)
+    cut by the kernel of mu*, the Gram adjoint of mu on block (p-2, 1).  On
+    (p,0)-forms mu and dbar* vanish by bidegree, so deltabar = dbar and
+    deltabar* = mu*; mu is zero-order, so the pointwise adjoint acts mode by
+    mode."""
+    adjoint = hermitian.piece_adjoint("mu", (dbar.p - 2, 1), h, spec)
+    return _filter_span(dbar, adjoint, "deltabar", spec)
 
 
 def dolbeault_basis(dbar: HarmonicSpace, spec: ManifoldSpec) -> HarmonicSpace:
     """Dolbeault-type (p,0) space: the forms of the dbar space ``dbar``
     killed by mubar."""
-    return _filter_span(dbar, lambda mf: mubar_mode(mf, spec), "dol", spec)
+    mubar = spec.piece_matrices((dbar.p, 0)).get("mubar")
+    return _filter_span(dbar, mubar, "dol", spec)

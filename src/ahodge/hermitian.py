@@ -9,9 +9,10 @@ route ([metric] omega or gram) gives both.  Positivity is certified on the
 leading principal minors of H.
 
 Adjoints are pure Gram-matrix linear algebra: A = conj(G_src)^-1 M^H conj(G_tgt)
-satisfies <Mx, y> = <x, Ay> exactly on invariant forms.  No star-conjugation
-sign conventions enter; the star-based kernel criterion is validated against
-these adjoints in the test suite rather than assumed.
+satisfies <Mx, y> = <x, Ay> exactly on invariant forms, with no Hodge star
+and no sign conventions.  The (dbar+mu)-harmonic filter in ``fourier`` takes
+the adjoint of mu from here; the test suite checks it against the star
+criterion mubar(star psi) = 0.
 
 A compatible metric makes forms of different bidegree orthogonal, so the
 Gram matrices are block-diagonal by bidegree and every Laplacian is
@@ -23,18 +24,19 @@ through that conjugation.
 
 The restriction of the L2 adjoint to invariant forms is the Gram adjoint;
 this uses that averaging over the compact quotient preserves invariant forms,
-which holds for the unimodular groups behind every built-in manifest.
+which holds for the unimodular groups behind every built-in manifest.  The
+zero-order pieces mu and mubar need no such argument: their Gram adjoints are
+their pointwise adjoints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import factorial
 
 from . import linalg
 from .algebra import Form, GramData, NotPositive, conj_word, words_of_degree
 from .manifold import BIDEGREE_SHIFTS, ManifoldSpec
-from .scalars import ONE, I as IMAG, Scalar, is_positive
+from .scalars import I as IMAG
 
 
 class NotCompatible(ValueError):
@@ -65,20 +67,9 @@ def _dual(m, what: str):
 
 
 def _metric(spec: ManifoldSpec, h, omega: Form) -> HermitianData:
-    """The metric with Gram block h and fundamental form omega; its volume
-    is omega^n / n!, signed to be a positive multiple of e^1...e^2n."""
-    n = spec.n
-    vol_raw = Form.scalar(n, ONE)
-    for _ in range(n):
-        vol_raw = vol_raw.wedge(omega)
-    v_raw = vol_raw.coefficient(range(1, 2 * n + 1)) * Scalar.rational(1, factorial(n))
-    ratio = v_raw / linalg.det(spec.E)
-    # a real omega gives a real ratio, so a non-real one comes from a
-    # non-Hermitian h, which GramData rejects
-    sign = 1 if ratio.is_real() and is_positive(ratio) else -1
-    gram = GramData(n, h, v_raw if sign > 0 else -v_raw, orientation=sign)
+    """The metric with Gram block h and fundamental form omega."""
     closed = spec.exterior_d(omega).is_zero()
-    return HermitianData(gram=gram, omega=omega, is_almost_kahler=closed)
+    return HermitianData(gram=GramData(spec.n, h), omega=omega, is_almost_kahler=closed)
 
 
 def metric_from_pair(omega: Form, spec: ManifoldSpec) -> HermitianData:
@@ -156,7 +147,7 @@ def _gram_block(matrix, words, index):
     return [[matrix[index[a]][index[b]] for b in words] for a in words]
 
 
-def _piece_adjoint(which: str, pq, h: HermitianData, spec: ManifoldSpec):
+def piece_adjoint(which: str, pq, h: HermitianData, spec: ManifoldSpec):
     """Gram adjoint of one piece of d on block pq: a map from block
     pq + shift back to pq, or None when the piece is absent."""
     key = (which, pq)
@@ -200,13 +191,13 @@ def laplacian_blocks(which: str, h: HermitianData, spec: ManifoldSpec, k: int) -
                 # X Y*: src -> mid = src - shift(Y) -> mid + shift(X)
                 mid = _shift(src, y, -1)
                 x_mat = spec.piece_matrices(mid).get(x)
-                y_adj = _piece_adjoint(y, mid, h, spec)
+                y_adj = piece_adjoint(y, mid, h, spec)
                 if x_mat is not None and y_adj is not None:
                     _add_block(blocks, (_shift(mid, x), src), linalg.mat_mul(x_mat, y_adj))
                 # X* Y: src -> src + shift(Y) -> back by shift(X)
                 y_mat = spec.piece_matrices(src).get(y)
                 back = _shift(_shift(src, y), x, -1)
-                x_adj = _piece_adjoint(x, back, h, spec)
+                x_adj = piece_adjoint(x, back, h, spec)
                 if y_mat is not None and x_adj is not None:
                     _add_block(blocks, (back, src), linalg.mat_mul(x_adj, y_mat))
     h._lap_cache[key] = blocks

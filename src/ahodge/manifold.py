@@ -127,8 +127,8 @@ class FibrationData:
 
 class ManifoldSpec:
     """Validated manifold data: structure equations, coframe, metric source,
-    fibration.  ``basis`` is the change of basis (P, E, e-forms) that
-    ``_coframe_basis`` computes once per load."""
+    fibration.  ``e_forms`` are the real coframe elements in the phi-basis,
+    which ``_coframe_basis`` computes once per load."""
 
     def __init__(
         self,
@@ -136,7 +136,7 @@ class ManifoldSpec:
         n: int,
         params: dict,
         dphi: list,
-        basis: tuple,
+        e_forms: list,
         metric_source,
         fibration: FibrationData,
         symbol: str = "phi",
@@ -145,7 +145,7 @@ class ManifoldSpec:
         self.n = n
         self.params = params
         self.dphi = dphi
-        self.P, self.E, self._e_forms = basis
+        self._e_forms = e_forms
         self.metric_source = metric_source
         self.fibration = fibration
         self.symbol = symbol
@@ -424,22 +424,18 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
     if "manifold" not in sections:
         raise ParseError("missing [manifold] section")
 
-    name = None
-    dim = None
-    symbol = "phi"
+    given: dict = {}
     for lineno, line in sections["manifold"]:
         m = _ASSIGN_RE.match(line)
         if not m:
             raise ParseError(f"bad [manifold] line: {line!r}", lineno)
         key, value = m.group(1), m.group(2).strip()
-        if key == "name":
-            name = value
-        elif key == "dim":
-            dim = _integer(key, value, lineno)
-        elif key == "symbol":
-            symbol = value
-        else:
+        if key not in ("name", "dim", "symbol"):
             raise ParseError(f"unknown [manifold] key {key!r}", lineno)
+        if key in given:
+            raise ParseError(f"[manifold] {key} is given twice", lineno)
+        given[key] = _integer(key, value, lineno) if key == "dim" else value
+    name, dim, symbol = given.get("name"), given.get("dim"), given.get("symbol", "phi")
     if name is None or dim is None:
         raise ParseError("[manifold] must set name and dim")
     if dim % 2 != 0 or not 2 <= dim <= 8:
@@ -451,6 +447,8 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
         m = _ASSIGN_RE.match(line)
         if not m:
             raise ParseError(f"bad [params] line: {line!r}", lineno)
+        if m.group(1) in params:
+            raise ParseError(f"parameter {m.group(1)} is given twice", lineno)
         params[m.group(1)] = parse_scalar(m.group(2), params, lineno)
     for key, value in (overrides or {}).items():
         if key not in params:
@@ -521,14 +519,13 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
             cmatrix[j - 1][2 * j - 2] = ONE
             cmatrix[j - 1][2 * j - 1] = I
     try:
-        basis = _coframe_basis(cmatrix)
+        e_forms = _coframe_basis(cmatrix)
     except ValueError as exc:
         at = ", ".join(f"{k} = {format_scalar(v)}" for k, v in sorted(params.items()))
         raise NonInvertibleCoframe(
             f"[acs]: phi1..phi{n} and their conjugates do not span the "
             f"complexified coframe ({exc})" + (f" at {at}" if at else "")
         ) from exc
-    e_forms = basis[2]
     if real_route:
         dphi = _derive_complex_equations(de, cmatrix, e_forms)
         for j in sorted(declared_dphi):
@@ -563,7 +560,7 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
         n=n,
         params=params,
         dphi=dphi,
-        basis=basis,
+        e_forms=e_forms,
         metric_source=metric_source,
         fibration=_parse_fibration(sections.get("fibration", []), params, n),
         symbol=symbol,
@@ -571,16 +568,15 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
 
 
 def _coframe_basis(cmatrix):
-    """The change of basis of a (1,0)-coframe given by its rows over
-    e^1..e^2n: P (the phi^j, then their conjugates), E = P^-1, and the e^k
-    as forms in the phi-basis."""
+    """The e^k as forms in the phi-basis, for a (1,0)-coframe given by its
+    rows over e^1..e^2n: the rows of the inverse of the matrix of the phi^j
+    and their conjugates."""
     n = len(cmatrix)
-    P = [list(row) for row in cmatrix] + [[c.conj() for c in row] for row in cmatrix]
-    E = linalg.inverse(P)
-    e_forms = [
-        Form(n, {(a + 1,): c for a, c in enumerate(row) if not c.is_zero()}) for row in E
+    phi = [list(row) for row in cmatrix] + [[c.conj() for c in row] for row in cmatrix]
+    return [
+        Form(n, {(a + 1,): c for a, c in enumerate(row) if not c.is_zero()})
+        for row in linalg.inverse(phi)
     ]
-    return P, E, e_forms
 
 
 def _derive_complex_equations(de: dict, cmatrix, e_forms):
@@ -621,12 +617,15 @@ def _parse_fibration(lines, params, n) -> FibrationData:
     pure_fiber = {i: False for i in range(1, n + 1)}
     symbols: dict = {i: None for i in range(1, n + 1)}
     fiber_span: tuple = ()
+    seen = set()
     for lineno, line in lines:
         vm = _VECTOR_RE.match(line)
         if vm:
             i = int(vm.group(1))
             if not 1 <= i <= n:
                 raise ParseError(f"frame index V{i} out of range", lineno)
+            if symbols[i] is not None:
+                raise ParseError(f"V{i} is given twice", lineno)
             body = vm.group(2).strip()
             if body == "fiber":
                 pure_fiber[i] = True
@@ -647,6 +646,9 @@ def _parse_fibration(lines, params, n) -> FibrationData:
         if not m:
             raise ParseError(f"bad [fibration] line: {line!r}", lineno)
         key, value = m.group(1), m.group(2).strip()
+        if key in seen:
+            raise ParseError(f"[fibration] {key} is given twice", lineno)
+        seen.add(key)
         if key == "rank":
             rank = _integer(key, value, lineno)
         elif key == "coords":

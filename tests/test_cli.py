@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from ahodge import fourier
+from ahodge.builtins import BUILTINS
 from ahodge.cli import RunConfig, check, compute_report, main, report_to_dict, run
 
 
@@ -115,8 +116,6 @@ def test_check_subcommand(tmp_path):
     assert code == 0
     assert out.count("relation") == 7
     bad = tmp_path / "bad.am"
-    from ahodge.builtins import BUILTINS
-
     bad.write_text(BUILTINS["fls"].replace("d e5 = -e15", "d e5 = e15"))
     with pytest.raises(Exception):
         check(str(bad))
@@ -301,6 +300,14 @@ def test_bad_input_and_internal_faults_exit_apart(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr("ahodge.cli.compute_report", broken)
     assert main(["run", "builtin:fls"]) == 3
     assert capsys.readouterr().err == "internal error: KeyError: 'e7'\n"
+
+
+def test_a_repeated_parameter_is_bad_input(tmp_path, capsys):
+    # the repeat would otherwise load fls at a = 5
+    path = tmp_path / "fls.am"
+    path.write_text(BUILTINS["fls"].replace("a = 1\n", "a = 1\na = 5\n"))
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == "error: line 8: parameter a is given twice\n"
 
 
 def test_a_negative_expression_needs_the_equals_form(capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ahodge import linalg
 from ahodge.algebra import Form
-from ahodge.builtins import get_builtin
+from ahodge.builtins import builtin_names, get_builtin
 from ahodge.fourier import (
     EXACT,
     ModeForm,
@@ -24,9 +24,8 @@ from ahodge.fourier import (
     harmonic_basis_dbar,
     harmonic_basis_deltabar,
     mode_matrix,
-    mubar_mode,
-    star_mode,
 )
+from ahodge.hermitian import metric_for, metric_from_gram
 from ahodge.pdesolve import (
     DerivTerm,
     Equation,
@@ -44,7 +43,10 @@ from util import (
     form,
     invariant,
     laplacian_invariant,
+    mubar_mode,
     spans_equal,
+    star_criterion_filter,
+    star_mode,
     word,
 )
 
@@ -400,7 +402,7 @@ def test_basis_certificates_and_independence(fls_4pi, fls_4pi_metric, iwasawa_ak
                 assert dbar_mode(psi, spec).is_zero()
             for psi in harmonic_basis_deltabar(dbar_space, spec, h).basis:
                 assert dbar_mode(psi, spec).is_zero()
-                assert mubar_mode(star_mode(psi, h.gram), spec).is_zero()
+                assert mubar_mode(star_mode(psi, h), spec).is_zero()
             for psi in dolbeault_basis(dbar_space, spec).basis:
                 assert dbar_mode(psi, spec).is_zero()
                 assert mubar_mode(psi, spec).is_zero()
@@ -420,8 +422,8 @@ def test_mode_zero_part_matches_invariant_laplacian(fls_4pi, fls_4pi_metric):
 def test_deltabar_mode_zero_part_matches_invariant_laplacian(
     fls_4pi, fls_4pi_metric, iwasawa_ak, iwasawa_ak_metric
 ):
-    # dual route: the invariant part of the star-criterion filter must agree
-    # with the Gram-adjoint Laplacian kernel on each (p,0) block
+    # the invariant part of the filter by the adjoint of mu must agree with
+    # the kernel of the whole Laplacian on each (p,0) block
     for spec, h in ((fls_4pi, fls_4pi_metric), (iwasawa_ak, iwasawa_ak_metric)):
         blocks = laplacian_invariant("deltabar", h, spec)
         rank = spec.fibration.rank
@@ -432,6 +434,47 @@ def test_deltabar_mode_zero_part_matches_invariant_laplacian(
                 1 for mf in space.basis if set(mf.modes) == {zero_mode}
             )
             assert invariant_count == blocks[(p, 0)].dimension, (spec.name, p)
+
+
+STAR_CRITERION_CASES = [(name, {}) for name in builtin_names()] + [
+    ("fls", {"c": "4*pi"}),
+    ("fls", {"a": "2*pi", "b": "pi/3", "c": "7/2"}),
+]
+
+
+@pytest.mark.parametrize("name, overrides", STAR_CRITERION_CASES)
+def test_deltabar_space_is_the_star_criterion_filter(name, overrides):
+    # the Gram adjoint of mu and the star criterion mubar(star psi) = 0 cut
+    # the same kernel, and both bases are reduced echelon forms of it
+    spec = get_builtin(name, overrides)
+    h = metric_for(spec)
+    for p in range(spec.n + 1):
+        dbar = harmonic_basis_dbar(p, spec)
+        assert harmonic_basis_deltabar(dbar, spec, h).basis == star_criterion_filter(
+            dbar, spec, h
+        ), (name, p)
+
+
+# the second block couples all three coframe vectors; there the Gram
+# factors of the adjoint change its kernel on the (2,0) block
+OFF_DIAGONAL_GRAMS = [
+    [["2", "i", "0"], ["-i", "2", "0"], ["0", "0", "1"]],
+    [["2", "1", "0"], ["1", "2", "i"], ["0", "-i", "2"]],
+]
+
+
+@pytest.mark.parametrize("name", ["iwasawa_std", "iwasawa_ak"])
+@pytest.mark.parametrize("gram", OFF_DIAGONAL_GRAMS)
+def test_deltabar_space_is_the_star_criterion_filter_off_the_diagonal(name, gram):
+    spec = get_builtin(name)
+    h = metric_from_gram([[S(x) for x in row] for row in gram], spec)
+    cut = 0
+    for p in range(spec.n + 1):
+        dbar = harmonic_basis_dbar(p, spec)
+        space = harmonic_basis_deltabar(dbar, spec, h)
+        assert space.basis == star_criterion_filter(dbar, spec, h), p
+        cut += len(dbar.basis) - len(space.basis)
+    assert cut > 0
 
 
 def test_undetermined_propagates_to_filters(fls_4pi, fls_4pi_metric):

@@ -1,9 +1,13 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from ahodge.algebra import Form, words_of_degree
 from ahodge.builtins import BUILTINS, get_builtin
+from ahodge.cli import RunConfig, compute_report, report_to_dict
+from ahodge.hermitian import metric_for
 from ahodge.manifold import (
     BIDEGREE_SHIFTS,
     JacobiViolation,
@@ -11,7 +15,7 @@ from ahodge.manifold import (
     NonInvertibleCoframe,
     load_spec,
 )
-from ahodge.scalars import ONE, ParseError, Scalar
+from ahodge.scalars import ONE, ParseError, Scalar, format_scalar
 from util import S, d2_relations_all_degrees, form, word
 
 ALL_BUILTINS = ["fls", "fls_nonak", "iwasawa_ak", "iwasawa_std", "iwasawa_complex"]
@@ -392,6 +396,15 @@ REPEATED_LINES = [
     ("fls", "omega = a*e12 + b*e56 + c*(e36 + e45)", "gram = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]"),
     ("iwasawa_std", "gram = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]", "omega = e13"),
     ("iwasawa_std", "gram = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]", "gram = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]"),
+    ("fls", "a = 1", "a = 5"),
+    ("fls", "name = fls", "name = other"),
+    ("fls", "dim = 6", "dim = 4"),
+    ("fls_nonak", "symbol = Phi", "symbol = Psi"),
+    ("fls", "V1: base, symbol = [-pi, i*pi/(a*a0)]", "V1: fiber"),
+    ("fls", "V2: fiber", "V2: base, symbol = [1, 0]"),
+    ("fls", "rank = 2", "rank = 1"),
+    ("fls", "coords = [x, t]", "coords = [u, v]"),
+    ("fls", "fiber_span = [V2, V3]", "fiber_span = [V2]"),
 ]
 
 
@@ -436,3 +449,51 @@ def test_bracketed_lists_use_the_scalar_grammar():
         "[[2, 0, 0], [0, 2, 0], [0, 0, 2]]", "[[2^1, 0, 0], [0, (4/2), 0], [0, 0, 1+1]]"
     )
     assert load_spec(gram).metric_source == load_spec(BUILTINS["iwasawa_std"]).metric_source
+
+
+TORUS6 = Path(__file__).resolve().parents[1] / "manifests" / "torus6.am"
+
+
+def _complex_route(text, overrides):
+    """The manifest rewritten as [complex_coframe] plus gram: each d phi
+    from the loaded spec in phi[1 2b] syntax, the Gram block of its metric,
+    the overrides baked into [params], [manifold] and [fibration] kept."""
+    spec = load_spec(text, overrides)
+    n = spec.n
+    lines = ["[manifold]", f"name = {spec.name}", f"dim = {2 * n}", f"symbol = {spec.symbol}"]
+    lines += ["[params]"] + [f"{k} = {format_scalar(v)}" for k, v in spec.params.items()]
+    lines.append("[complex_coframe]")
+    for j, dphi in enumerate(spec.dphi, start=1):
+        terms = [
+            f"({format_scalar(c)})*phi[{' '.join(str(a) if a <= n else f'{a - n}b' for a in w)}]"
+            for w, c in dphi.terms()
+        ]
+        lines.append(f"d phi{j} = " + (" + ".join(terms) or "0"))
+    rows = (", ".join(format_scalar(x) for x in row) for row in metric_for(spec).gram.hermitian_block)
+    lines += ["[metric]", "gram = [" + ", ".join(f"[{row}]" for row in rows) + "]"]
+    fibration = re.search(r"^\[fibration\]$.*?(?=^\[|\Z)", text, flags=re.M | re.S)
+    return "\n".join(lines) + "\n" + fibration[0]
+
+
+REAL_ROUTE_CASES = [
+    ("fls", {}),
+    ("fls_nonak", {}),
+    ("iwasawa_ak", {}),
+    ("torus6", {}),
+    ("fls", {"c": "4*pi"}),
+    ("fls", {"a": "2*pi", "b": "pi/3", "c": "7/2"}),
+]
+
+
+@pytest.mark.parametrize("name, overrides", REAL_ROUTE_CASES)
+def test_the_complex_route_gives_the_same_report(name, overrides, tmp_path):
+    text = TORUS6.read_text() if name == "torus6" else BUILTINS[name]
+    source = str(TORUS6) if name == "torus6" else f"builtin:{name}"
+    path = tmp_path / f"{name}.am"
+    path.write_text(_complex_route(text, overrides))
+    assert "[coframe]" in text and "[coframe]" not in path.read_text()
+    original = report_to_dict(compute_report(RunConfig(source, overrides)))
+    rewritten = report_to_dict(compute_report(RunConfig(str(path))))
+    for data in (original, rewritten):
+        del data["manifold"]["params"]
+    assert rewritten == original

@@ -1,18 +1,19 @@
 """Shared test helpers: compact word/form builders, span comparison, the
 linear-algebra and promotion checks only tests need, dense and all-degree
-oracles for the operator and Laplacian code, and the Fraction-pair
-reference for the scalar arithmetic."""
+oracles for the operator and Laplacian code, the Hodge star oracle for the
+Gram adjoints, and the Fraction-pair reference for the scalar arithmetic."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from ahodge import linalg
-from ahodge.algebra import Form, conj_word, word_bidegree, words_of_degree
+from ahodge.algebra import Form, conj_word, merge_words, word_bidegree, words_of_degree
 from ahodge.fourier import ModeForm, ModeMatrix
 from ahodge.hermitian import _OPERATOR_PARTS, _bidegrees, _shift, laplacian_blocks
 from ahodge.manifold import D2_RELATIONS
 from ahodge.pdesolve import _remainder_annihilated
-from ahodge.scalars import ZERO, parse_scalar
+from ahodge.scalars import ONE, ZERO, Scalar, parse_scalar
 
 
 def word(n, *tokens):
@@ -282,6 +283,78 @@ def d2_relations_all_degrees(spec):
         report.append((name, witness is None, witness))
     return report
 
+
+# -- the Hodge star oracle ------------------------------------------------
+# The complex-linear star, solved against the volume form omega^n / n! by
+# a ^ star(conj b) = <a, b> vol.  The harmonic filters use Gram adjoints
+# instead; the star criterion mubar(star psi) = 0 checks them.
+
+
+def inner_product(gram, alpha, beta):
+    """<alpha, beta> from the Gram determinants of words; words of different
+    degree raise DegreeMismatch."""
+    total = ZERO
+    for w1, c1 in alpha.coeffs.items():
+        for w2, c2 in beta.coeffs.items():
+            total = total + c1 * c2.conj() * gram.word_inner(w1, w2)
+    return total
+
+
+def volume(h):
+    """omega^n / n!, a multiple of the full word of unit norm."""
+    n = h.gram.n
+    vol = Form.scalar(n, ONE)
+    for _ in range(n):
+        vol = vol.wedge(h.omega)
+    return vol.scale(Scalar.rational(1, factorial(n)))
+
+
+def hodge_star(h, alpha):
+    """star(m_w) = sum over words u of the degree of w of <m_u, conj m_w>
+    times the volume coefficient on the complement of u, signed so that
+    m_u ^ m_complement is the full word."""
+    n = h.gram.n
+    full = tuple(range(1, 2 * n + 1))
+    vol = volume(h).coefficient(full)
+    out = Form.zero(n)
+    for w, c in alpha.coeffs.items():
+        conj_mono = Form.monomial(n, w).conj()
+        for u in words_of_degree(n, len(w)):
+            value = inner_product(h.gram, Form.monomial(n, u), conj_mono) * vol * c
+            comp = tuple(j for j in full if j not in u)
+            sign, _ = merge_words(u, comp)
+            out = out + Form.monomial(n, comp, value if sign > 0 else -value)
+    return out
+
+
+def mubar_mode(mf, spec):
+    """mubar is linear over functions, so it passes through every mode."""
+    return ModeForm(mf.n, mf.rank, {m: spec.op_apply("mubar", a) for m, a in mf.modes.items()})
+
+
+def star_mode(mf, h):
+    """The complex-linear star passes through base characters unchanged."""
+    return ModeForm(mf.n, mf.rank, {m: hodge_star(h, a) for m, a in mf.modes.items()})
+
+
+def star_criterion_filter(dbar, spec, h):
+    """Basis of the forms of the dbar space with mubar(star psi) = 0, cut
+    mode by mode in the same basis order as the (dbar+mu)-harmonic filter."""
+    if not dbar.basis:
+        return dbar.basis
+    rows: dict = {}
+    for j, mf in enumerate(dbar.basis):
+        for m, form in mubar_mode(star_mode(mf, h), spec).modes.items():
+            for w, c in form.coeffs.items():
+                rows.setdefault((m, w), [ZERO] * len(dbar.basis))[j] = c
+    out = []
+    for vec in linalg.nullspace([rows[k] for k in sorted(rows)], cols=len(dbar.basis)):
+        total = ModeForm(spec.n, spec.fibration.rank)
+        for c, mf in zip(vec, dbar.basis):
+            if not c.is_zero():
+                total = total + mf.scale(c)
+        out.append(total)
+    return out
 
 
 # -- reference scalar arithmetic ------------------------------------------

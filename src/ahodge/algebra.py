@@ -6,9 +6,11 @@ integer order.  A Form is a finitely supported map from strictly increasing
 index words to scalars in Q(pi)(i); no zero coefficients are ever stored.
 
 GramData carries the Hermitian inner products of the coframe, and from those
-alone computes inner products of words on every exterior degree (Gram
-determinants) and the Gram matrices that operator adjoints are built from.
-No hand-coded sign tables.
+alone computes inner products of words (Gram determinants) and, per
+bidegree block, the Gram matrix and the inverse of its conjugate that
+operator adjoints are built from, both from minors of H and of H^-1.
+``block_words`` fixes the word order of every bidegree block.  No
+hand-coded sign tables.
 """
 
 from __future__ import annotations
@@ -38,6 +40,18 @@ def word_bidegree(word, n: int):
 
 def words_of_degree(n: int, k: int):
     return [tuple(w) for w in combinations(range(1, 2 * n + 1), k)]
+
+
+def block_words(n: int, p: int, q: int):
+    """Sorted index words of bidegree (p, q); empty outside the range.  A
+    word is a p-subset I of 1..n followed by a q-subset J shifted by n, so
+    sorted order is (I, J) in lexicographic order: the row order of the
+    Kronecker product C_p (x) C_q of compound matrices."""
+    if not (0 <= p <= n and 0 <= q <= n):
+        return []
+    first = range(1, n + 1)
+    barred = range(n + 1, 2 * n + 1)
+    return [i + j for i in combinations(first, p) for j in combinations(barred, q)]
 
 
 def merge_words(w1, w2):
@@ -260,27 +274,23 @@ class GramData:
     the (1,0)-coframe phi^1..phi^n; the conjugate coframe has Gram matrix
     conj(H) and is orthogonal to it, as for every metric compatible with the
     almost-complex structure.  So words of different bidegree are orthogonal,
-    and the Gram determinant of two words of one bidegree is a determinant
-    of H times the conjugate of another.  Positivity is certified on the n
-    leading principal minors of H by exact sign evaluation at pi.
+    and the Gram determinant of two words of one bidegree is a minor of H
+    times the conjugate of another.  In ``block_words`` order the Gram block
+    of bidegree (p, q) is therefore the Kronecker product C_p(H) (x)
+    conj C_q(H) of compound matrices (the p x p minors of H), and as
+    C_p(H)^-1 = C_p(H^-1) its conjugate is inverted by minors of H^-1 alone.
+    Positivity is certified on the n leading principal minors of H by exact
+    sign evaluation at pi.
     """
 
-    __slots__ = (
-        "n",
-        "hermitian_block",
-        "_inner_cache",
-        "_det_cache",
-        "_gram_cache",
-        "_inverse_cache",
-    )
+    __slots__ = ("n", "hermitian_block", "_h_inverse", "_det_cache", "_block_cache")
 
     def __init__(self, n: int, h):
         self.n = n
         self.hermitian_block = h
-        self._inner_cache: dict = {}
+        self._h_inverse = None
         self._det_cache: dict = {}
-        self._gram_cache: dict = {}
-        self._inverse_cache: dict = {}
+        self._block_cache: dict = {}
         self._validate()
 
     def _validate(self):
@@ -300,46 +310,46 @@ class GramData:
         """<m_w1, m_w2> as a Gram determinant of coframe inner products."""
         if len(w1) != len(w2):
             raise DegreeMismatch("inner product of words of different degree")
-        key = (w1, w2)
-        cached = self._inner_cache.get(key)
-        if cached is not None:
-            return cached
-        n = self.n
-        p = sum(1 for a in w1 if a <= n)
-        if p != sum(1 for b in w2 if b <= n):
-            value = ZERO
-        else:
-            bar1, bar2 = tuple(a - n for a in w1[p:]), tuple(b - n for b in w2[p:])
-            value = self._sub_det(w1[:p], w2[:p]) * self._sub_det(bar1, bar2).conj()
-        self._inner_cache[key] = value
-        return value
+        p = sum(1 for a in w1 if a <= self.n)
+        if p != sum(1 for b in w2 if b <= self.n):
+            return ZERO
+        return self._pair(w1, w2, p, False)
 
-    def _sub_det(self, rows, cols) -> Scalar:
-        """det of H on (1,0) indices rows x cols."""
-        key = (rows, cols)
-        cached = self._det_cache.get(key)
+    def block(self, p: int, q: int):
+        """Gram matrix of the words of bidegree (p, q) in ``block_words``
+        order: C_p(H) (x) conj C_q(H)."""
+        return self._kron(p, q, False)
+
+    def conj_block_inverse(self, p: int, q: int):
+        """Inverse of the conjugate of ``block(p, q)``, the factor every Gram
+        adjoint out of that block starts with: conj C_p(H^-1) (x) C_q(H^-1)."""
+        return self._kron(p, q, True)
+
+    def _kron(self, p: int, q: int, inverse: bool):
+        key = (p, q, inverse)
+        cached = self._block_cache.get(key)
         if cached is None:
-            h = self.hermitian_block
-            cached = linalg.det([[h[a - 1][b - 1] for b in cols] for a in rows])
-            self._det_cache[key] = cached
+            words = block_words(self.n, p, q)
+            cached = [[self._pair(a, b, p, inverse) for b in words] for a in words]
+            if inverse:
+                cached = [[x.conj() for x in row] for row in cached]
+            self._block_cache[key] = cached
         return cached
 
-    def gram_matrix(self, degree: int):
-        """Gram matrix of the sorted monomial basis of one exterior degree."""
-        cached = self._gram_cache.get(degree)
-        if cached is not None:
-            return cached
-        words = words_of_degree(self.n, degree)
-        m = [[self.word_inner(w1, w2) for w2 in words] for w1 in words]
-        self._gram_cache[degree] = m
-        return m
+    def _pair(self, w1, w2, p: int, inverse: bool) -> Scalar:
+        """det M[I1, I2] * conj det M[J1, J2] for words I1 J1 and I2 J2 with
+        p unbarred letters each; M is H, or H^-1 with ``inverse``."""
+        n = self.n
+        bar1, bar2 = tuple(a - n for a in w1[p:]), tuple(b - n for b in w2[p:])
+        return self._minor(w1[:p], w2[:p], inverse) * self._minor(bar1, bar2, inverse).conj()
 
-    def conj_gram_inverse(self, degree: int):
-        """Inverse of the conjugated Gram matrix of one degree, the factor
-        every Gram adjoint out of that degree starts with."""
-        cached = self._inverse_cache.get(degree)
+    def _minor(self, rows, cols, inverse: bool) -> Scalar:
+        key = (rows, cols, inverse)
+        cached = self._det_cache.get(key)
         if cached is None:
-            conj = [[x.conj() for x in row] for row in self.gram_matrix(degree)]
-            cached = linalg.inverse(conj)
-            self._inverse_cache[degree] = cached
+            if inverse and self._h_inverse is None:
+                self._h_inverse = linalg.inverse(self.hermitian_block)
+            m = self._h_inverse if inverse else self.hermitian_block
+            cached = linalg.det([[m[a - 1][b - 1] for b in cols] for a in rows])
+            self._det_cache[key] = cached
         return cached

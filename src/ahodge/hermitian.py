@@ -14,27 +14,29 @@ and no sign conventions.  The (dbar+mu)-harmonic filter in ``fourier`` takes
 the adjoint of mu from here; the test suite checks it against the star
 criterion mubar(star psi) = 0.
 
-A compatible metric makes forms of different bidegree orthogonal, so the
-Gram matrices are block-diagonal by bidegree and every Laplacian is
-assembled from the four bidegree-homogeneous pieces of d and their
-adjoints, block by block.  Only the dbar+mu Laplacian is built for a
-report: d and the metric are real, so the del+mubar Laplacian is its
-conjugate under the signed conjugation of words, and the two are compared
-through that conjugation.
+A compatible metric makes forms of different bidegree orthogonal, so every
+Laplacian is assembled from the four bidegree-homogeneous pieces of d and
+their adjoints, block by block.  By Cauchy-Binet the Gram block of
+bidegree (p, q) is C_p(H) (x) conj C_q(H), with C_p the compound matrix of
+p x p minors, and its conjugate has inverse conj C_p(H^-1) (x) C_q(H^-1):
+one n x n inverse per metric serves every block.  Only the dbar+mu
+Laplacian is built for a report: d and the metric are real, so the
+del+mubar Laplacian is its conjugate under the signed conjugation of words,
+and the two are compared through that conjugation.
 
 The restriction of the L2 adjoint to invariant forms is the Gram adjoint;
 this uses that averaging over the compact quotient preserves invariant forms,
-which holds for the unimodular groups behind every built-in manifest.  The
-zero-order pieces mu and mubar need no such argument: their Gram adjoints are
-their pointwise adjoints.
+which holds on unimodular groups, the only ones with a lattice.  Loading a
+manifest enforces that premise (d vanishes on every invariant
+(2n-1)-form) rather than assuming it.  The zero-order pieces mu and mubar
+need no such argument: their Gram adjoints are their pointwise adjoints.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from . import linalg
-from .algebra import Form, GramData, NotPositive, conj_word, words_of_degree
+from .algebra import Form, GramData, NotPositive, conj_word
 from .manifold import BIDEGREE_SHIFTS, ManifoldSpec
 from .scalars import I as IMAG
 
@@ -52,7 +54,6 @@ class HermitianData:
     gram: GramData
     omega: Form
     is_almost_kahler: bool
-    _lap_cache: dict = field(default_factory=dict, repr=False)
     _adj_cache: dict = field(default_factory=dict, repr=False)
 
 
@@ -112,26 +113,12 @@ def metric_for(spec: ManifoldSpec) -> HermitianData:
 # -- adjoints and Laplacians on invariant forms -------------------------
 
 
-def _conj(m):
-    return [[x.conj() for x in row] for row in m]
-
-
-def _gram_adjoint(m, conj_src_inverse, g_tgt):
-    return linalg.mat_mul(
-        conj_src_inverse, linalg.mat_mul(linalg.conj_transpose(m), _conj(g_tgt))
-    )
-
-
 _OPERATOR_PARTS = {
     "dbar": ("dbar",),
     "deltabar": ("dbar", "mu"),
     "delta": ("del", "mubar"),
     "d": ("mu", "del", "dbar", "mubar"),
 }
-
-
-def _positions(n: int, k: int) -> dict:
-    return {w: i for i, w in enumerate(words_of_degree(n, k))}
 
 
 def _bidegrees(n: int, k: int):
@@ -143,10 +130,6 @@ def _shift(pq, which: str, sign: int = 1):
     return (pq[0] + sign * dp, pq[1] + sign * dq)
 
 
-def _gram_block(matrix, words, index):
-    return [[matrix[index[a]][index[b]] for b in words] for a in words]
-
-
 def piece_adjoint(which: str, pq, h: HermitianData, spec: ManifoldSpec):
     """Gram adjoint of one piece of d on block pq: a map from block
     pq + shift back to pq, or None when the piece is absent."""
@@ -156,13 +139,11 @@ def piece_adjoint(which: str, pq, h: HermitianData, spec: ManifoldSpec):
     m = spec.piece_matrices(pq).get(which)
     adj = None
     if m is not None:
-        k = sum(pq)
-        src_words = spec.block_words(*pq)
-        tgt_words = spec.block_words(*_shift(pq, which))
-        src, tgt = _positions(spec.n, k), _positions(spec.n, k + 1)
-        conj_src_inverse = _gram_block(h.gram.conj_gram_inverse(k), src_words, src)
-        g_tgt = _gram_block(h.gram.gram_matrix(k + 1), tgt_words, tgt)
-        adj = _gram_adjoint(m, conj_src_inverse, g_tgt)
+        conj_tgt = [[x.conj() for x in row] for row in h.gram.block(*_shift(pq, which))]
+        adj = linalg.mat_mul(
+            h.gram.conj_block_inverse(*pq),
+            linalg.mat_mul(linalg.conj_transpose(m), conj_tgt),
+        )
     h._adj_cache[key] = adj
     return adj
 
@@ -179,10 +160,6 @@ def laplacian_blocks(which: str, h: HermitianData, spec: ManifoldSpec, k: int) -
     With O the sum of its pieces X, the Laplacian is the sum over pairs of
     pieces of X Y* + X* Y, and each such term maps one bidegree block into
     one other."""
-    key = (which, k)
-    cached = h._lap_cache.get(key)
-    if cached is not None:
-        return cached
     parts = _OPERATOR_PARTS[which]
     blocks: dict = {}
     for src in _bidegrees(spec.n, k):
@@ -200,7 +177,6 @@ def laplacian_blocks(which: str, h: HermitianData, spec: ManifoldSpec, k: int) -
                 x_adj = piece_adjoint(x, back, h, spec)
                 if y_mat is not None and x_adj is not None:
                     _add_block(blocks, (back, src), linalg.mat_mul(x_adj, y_mat))
-    h._lap_cache[key] = blocks
     return blocks
 
 

@@ -1,10 +1,9 @@
 """Dense exact linear algebra over the Q(pi)(i) scalar field.
 
 Matrices are lists of row lists of Scalars.  Everything here is small: the
-Laplacian path works on bidegree blocks of at most 9 x 9, and the largest
-matrices (full degree-3 blocks and mode systems) are 20 x 20, so plain
-Gauss-Jordan with exact division is fine.  ``inverse`` splits a matrix
-that is block-diagonal up to a permutation into its blocks first.
+Laplacian path works on bidegree blocks of at most 9 x 9, and the only
+inverses are of the n x n Gram block, its dual and the 2n x 2n coframe
+change of basis, so plain Gauss-Jordan with exact division is fine.
 """
 
 from __future__ import annotations
@@ -162,51 +161,14 @@ def normalize_vector(v):
     return v
 
 
-def _gauss_jordan_inverse(a):
+def inverse(a):
+    """Exact inverse by Gauss-Jordan elimination."""
     n = len(a)
-    aug = [row[:] + identity(n)[i] for i, row in enumerate(a)]
+    aug = [row + unit for row, unit in zip(a, identity(n))]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
-
-
-def diagonal_blocks(a):
-    """Index sets of the finest block-diagonal structure of a square matrix
-    up to a simultaneous row and column permutation: the connected
-    components of its nonzero pattern, each sorted, ordered by first index."""
-    n = len(a)
-    root = list(range(n))
-
-    def find(i):
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for i, row in enumerate(a):
-        for j, x in enumerate(row):
-            if i != j and not x.is_zero():
-                root[find(i)] = find(j)
-    groups: dict = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values())
-
-
-def inverse(a):
-    """Exact inverse, block by block when the matrix is block-diagonal up
-    to a permutation (the inverse then has the same block pattern)."""
-    blocks = diagonal_blocks(a)
-    if len(blocks) <= 1:
-        return _gauss_jordan_inverse(a)
-    out = zeros(len(a), len(a))
-    for idx in blocks:
-        sub_inv = _gauss_jordan_inverse([[a[i][j] for j in idx] for i in idx])
-        for i, row in zip(idx, sub_inv):
-            for j, x in zip(idx, row):
-                out[i][j] = x
-    return out
 
 
 def det(a) -> Scalar:

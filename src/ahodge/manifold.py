@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import Form, sort_word, word_bidegree, words_of_degree
+from .algebra import Form, block_words, sort_word, word_bidegree, words_of_degree
 from .scalars import (
     I,
     ONE,
@@ -42,6 +42,11 @@ class JacobiViolation(ValueError):
         self.index = index
         self.residue = residue
         super().__init__(f"d^2 {index} = {residue.pretty()} != 0")
+
+
+class NotUnimodular(ValueError):
+    """d is nonzero on an invariant (2n-1)-form, so the group has no lattice
+    and Gram adjoints are not L2 adjoints."""
 
 
 class NonInvertibleCoframe(ValueError):
@@ -109,17 +114,9 @@ class FibrationData:
                 total = total - s.conj() * Scalar.integer(m)
         return total
 
-    def validate(self, n: int):
-        if self.rank < 0:
-            raise ParseError("fibration rank must be nonnegative")
+    def validate(self):
         if len(self.coords) != self.rank:
             raise ParseError("fibration coords must list one label per rank")
-        for i in range(1, n + 1):
-            syms = self.symbols[i]
-            if len(syms) != self.rank:
-                raise ParseError(f"V{i}: symbol must list {self.rank} scalars")
-            if self.pure_fiber[i] and any(not s.is_zero() for s in syms):
-                raise ParseError(f"V{i}: pure fiber vectors must have zero symbol")
         for i in self.fiber_span:
             if not self.pure_fiber.get(i, False):
                 raise ParseError(f"fiber_span lists V{i}, which is not pure fiber")
@@ -199,10 +196,7 @@ class ManifoldSpec:
 
     def block_words(self, p: int, q: int):
         """Sorted index words of bidegree (p, q); empty outside the range."""
-        n = self.n
-        if not (0 <= p <= n and 0 <= q <= n):
-            return []
-        return [w for w in words_of_degree(n, p + q) if word_bidegree(w, n) == (p, q)]
+        return block_words(self.n, p, q)
 
     def piece_matrices(self, pq) -> dict:
         """Matrices of the four pieces of d on the bidegree block pq, each
@@ -249,7 +243,15 @@ class ManifoldSpec:
             residue = self.exterior_d(self.exterior_d(self.e_form(k)))
             if not residue.is_zero():
                 raise JacobiViolation(f"e{k}", residue)
-        self.fibration.validate(n)
+        for w in words_of_degree(n, 2 * n - 1):
+            residue = self.d_word(w)
+            if not residue.is_zero():
+                raise NotUnimodular(
+                    f"the structure equations are not unimodular: "
+                    f"d {Form.monomial(n, w).pretty(self.symbol)} = "
+                    f"{residue.pretty(self.symbol)} != 0, so no compact quotient exists"
+                )
+        self.fibration.validate()
 
     def check_d2_relations(self):
         """Evaluate the seven bidegree components of d^2 = 0 on degree-1
@@ -555,16 +557,12 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
         else:
             raise ParseError(f"unknown [metric] key {key!r}", lineno)
 
-    return ManifoldSpec(
-        name=name,
-        n=n,
-        params=params,
-        dphi=dphi,
-        e_forms=e_forms,
-        metric_source=metric_source,
-        fibration=_parse_fibration(sections.get("fibration", []), params, n),
-        symbol=symbol,
-    )
+    fibration = _parse_fibration(sections.get("fibration", []), params, n)
+    try:
+        return ManifoldSpec(name, n, params, dphi, e_forms, metric_source, fibration, symbol)
+    except NotUnimodular as exc:
+        section = "coframe" if real_route else "complex_coframe"
+        raise NotUnimodular(f"[{section}]: {exc}") from None
 
 
 def _coframe_basis(cmatrix):
@@ -615,21 +613,23 @@ def _parse_fibration(lines, params, n) -> FibrationData:
     rank = 0
     coords: tuple = ()
     pure_fiber = {i: False for i in range(1, n + 1)}
-    symbols: dict = {i: None for i in range(1, n + 1)}
+    symbols: dict = {}
+    symbol_lines: dict = {}
     fiber_span: tuple = ()
     seen = set()
+    vectors = set()
     for lineno, line in lines:
         vm = _VECTOR_RE.match(line)
         if vm:
             i = int(vm.group(1))
             if not 1 <= i <= n:
                 raise ParseError(f"frame index V{i} out of range", lineno)
-            if symbols[i] is not None:
+            if i in vectors:
                 raise ParseError(f"V{i} is given twice", lineno)
+            vectors.add(i)
             body = vm.group(2).strip()
             if body == "fiber":
                 pure_fiber[i] = True
-                symbols[i] = tuple(ZERO for _ in range(rank))
             elif body.startswith("base"):
                 rest = body[len("base") :].strip()
                 if rest.startswith(","):
@@ -637,8 +637,8 @@ def _parse_fibration(lines, params, n) -> FibrationData:
                 m = _ASSIGN_RE.match(rest)
                 if not m or m.group(1) != "symbol":
                     raise ParseError(f"expected 'symbol = [...]' in {line!r}", lineno)
-                entries = _parse_list(m.group(2), params, lineno, _ScalarParser.expr)
-                symbols[i] = tuple(entries)
+                symbols[i] = tuple(_parse_list(m.group(2), params, lineno, _ScalarParser.expr))
+                symbol_lines[i] = lineno
             else:
                 raise ParseError(f"bad vector kind in {line!r}", lineno)
             continue
@@ -651,6 +651,8 @@ def _parse_fibration(lines, params, n) -> FibrationData:
         seen.add(key)
         if key == "rank":
             rank = _integer(key, value, lineno)
+            if rank < 0:
+                raise ParseError("fibration rank must be nonnegative", lineno)
         elif key == "coords":
             coords = tuple(_parse_list(value, params, lineno, _ScalarParser.name))
         elif key == "fiber_span":
@@ -662,15 +664,13 @@ def _parse_fibration(lines, params, n) -> FibrationData:
             fiber_span = tuple(span)
         else:
             raise ParseError(f"unknown [fibration] key {key!r}", lineno)
-    for i in range(1, n + 1):
-        if symbols[i] is None:
-            symbols[i] = tuple(ZERO for _ in range(rank))
-    data = FibrationData(
+    for i, lineno in symbol_lines.items():
+        if len(symbols[i]) != rank:
+            raise ParseError(f"V{i}: symbol must list {rank} scalars", lineno)
+    return FibrationData(
         rank=rank,
         coords=coords,
         pure_fiber=pure_fiber,
-        symbols=symbols,
+        symbols={i: symbols.get(i, (ZERO,) * rank) for i in range(1, n + 1)},
         fiber_span=fiber_span,
     )
-    data.validate(n)
-    return data

@@ -24,6 +24,7 @@ from ahodge.pdesolve import build_dbar_system, reduce
 from util import (
     adjoint_matrix,
     exhaustive_mode_scan,
+    gram_matrix,
     hodge_star,
     invariant,
     mubar_mode,
@@ -181,7 +182,7 @@ def test_criterion_8_structural_suites():
         # adjoint involution on every degree
         for k in range(6):
             m = operator_matrix("dbar", spec, k)
-            gs, gt = h.gram.gram_matrix(k), h.gram.gram_matrix(k + 1)
+            gs, gt = gram_matrix(h.gram, k), gram_matrix(h.gram, k + 1)
             assert linalg.mat_eq(adjoint_matrix(adjoint_matrix(m, gs, gt), gt, gs), m)
         # mode oracle: exhaustive |m| <= 25 scan matches the Diophantine search
         for p in (0, 1, 2, 3):

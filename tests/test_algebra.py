@@ -8,6 +8,8 @@ from ahodge.algebra import (
     Form,
     GramData,
     NotPositive,
+    block_words,
+    word_bidegree,
     words_of_degree,
 )
 from ahodge.scalars import I, ONE, Scalar, ZERO, sign_at_pi
@@ -229,3 +231,12 @@ def test_word_inner_is_the_gram_determinant(h, k, data):
     w1, w2 = data.draw(st.sampled_from(words)), data.draw(st.sampled_from(words))
     direct = linalg.det([[g1[a - 1][b - 1] for b in w2] for a in w1])
     assert gram.word_inner(w1, w2) == direct
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_block_words_are_the_sorted_words_of_one_bidegree(n):
+    for p in range(n + 2):
+        for q in range(n + 2):
+            words = [w for w in words_of_degree(n, p + q) if word_bidegree(w, n) == (p, q)]
+            assert block_words(n, p, q) == words
+    assert block_words(n, -1, 1) == block_words(n, 1, -1) == []

@@ -330,3 +330,56 @@ def test_a_run_never_imports_mpmath():
         "assert 'mpmath' not in sys.modules, 'mpmath was imported'"
     )
     subprocess.run([sys.executable, "-c", script], check=True)
+
+
+NON_UNIMODULAR = """\
+[manifold]
+name = nonuni
+dim = 4
+
+[coframe]
+d e1 = 0
+d e2 = e12
+d e3 = 0
+d e4 = 0
+
+[acs]
+phi1 = e1 + i*e2
+phi2 = e3 + i*e4
+
+[metric]
+omega = e12 + e34
+"""
+
+NON_UNIMODULAR_COMPLEX = """\
+[manifold]
+name = nonuni
+dim = 4
+
+[complex_coframe]
+d phi1 = phi[1 1b]
+d phi2 = 0
+
+[metric]
+gram = [[2, 0], [0, 2]]
+"""
+
+
+@pytest.mark.parametrize(
+    "text, section, word",
+    [
+        (NON_UNIMODULAR, "coframe", "d phi^{12 2b}"),
+        (NON_UNIMODULAR_COMPLEX, "complex_coframe", "d phi^{12 2b}"),
+    ],
+    ids=["coframe", "complex_coframe"],
+)
+def test_a_non_unimodular_algebra_is_bad_input(tmp_path, capsys, text, section, word):
+    # no lattice, so Gram adjoints are not L2 adjoints: the report would
+    # claim almost_kahler = true with ak_identity = false
+    path = tmp_path / "nonuni.am"
+    path.write_text(text)
+    for command in ("run", "check"):
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: [{section}]: the structure equations are not unimodular: {word} = ")

@@ -5,10 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ahodge import hermitian, linalg
-from ahodge.algebra import Form, NotPositive, word_bidegree, words_of_degree
+from ahodge.algebra import (
+    Form,
+    GramData,
+    NotPositive,
+    block_words,
+    word_bidegree,
+    words_of_degree,
+)
 from ahodge.builtins import BUILTINS, builtin_names, get_builtin
 from ahodge.cli import RunConfig, compute_report, report_to_dict
 from ahodge.hermitian import (
+    _bidegrees,
     NotAlmostKahler,
     NotCompatible,
     check_ak_identity,
@@ -24,6 +32,7 @@ from util import (
     adjoint_matrix,
     conjugated,
     delta_laplacian,
+    gram_matrix,
     hodge_star,
     inner_product,
     laplacian_invariant,
@@ -192,7 +201,7 @@ def test_adjoint_defining_property(fls_metric, fls):
     h, spec = fls_metric, fls
     for k in (0, 1, 2):
         m = operator_matrix("dbar", spec, k)
-        gs, gt = h.gram.gram_matrix(k), h.gram.gram_matrix(k + 1)
+        gs, gt = gram_matrix(h.gram, k), gram_matrix(h.gram, k + 1)
         adj = adjoint_matrix(m, gs, gt)
         src = words_of_degree(N, k)
         tgt = words_of_degree(N, k + 1)
@@ -224,12 +233,12 @@ def test_adjoint_involution_and_zero(fls_metric, fls):
     h, spec = fls_metric, fls
     for k in (0, 1, 2, 3):
         m = operator_matrix("dbar", spec, k)
-        gs, gt = h.gram.gram_matrix(k), h.gram.gram_matrix(k + 1)
+        gs, gt = gram_matrix(h.gram, k), gram_matrix(h.gram, k + 1)
         adj = adjoint_matrix(m, gs, gt)
         back = adjoint_matrix(adj, gt, gs)
         assert linalg.mat_eq(back, m)
     zero = linalg.zeros(len(words_of_degree(N, 2)), len(words_of_degree(N, 1)))
-    adj0 = adjoint_matrix(zero, h.gram.gram_matrix(1), h.gram.gram_matrix(2))
+    adj0 = adjoint_matrix(zero, gram_matrix(h.gram, 1), gram_matrix(h.gram, 2))
     assert linalg.is_zero_matrix(adj0)
 
 
@@ -238,7 +247,7 @@ def test_laplacian_self_adjoint(fls_4pi_metric, fls_4pi):
     for which in ("dbar", "deltabar"):
         for k in (0, 1, 2):
             lap = laplacian_matrix(which, h, spec, k)
-            g = h.gram.gram_matrix(k)
+            g = gram_matrix(h.gram, k)
             size = len(g)
             for i in range(size):
                 x = [ZERO] * size
@@ -268,7 +277,7 @@ def test_laplacian_kernel_is_joint_kernel(fls_metric, fls):
             up = operator_matrix(which, spec, k)
             down = operator_matrix(which, spec, k - 1)
             down_adj = adjoint_matrix(
-                down, h.gram.gram_matrix(k - 1), h.gram.gram_matrix(k)
+                down, gram_matrix(h.gram, k - 1), gram_matrix(h.gram, k)
             )
             stacked = [row[:] for row in up] + [row[:] for row in down_adj]
             dim = len(words_of_degree(N, k))
@@ -298,7 +307,7 @@ def test_star_criterion_matches_gram_adjoint_kernel(fls_4pi_metric, fls_4pi):
     for k in range(1, 7):
         words = words_of_degree(N, k)
         mu_prev = operator_matrix_single("mu", spec, k - 1)
-        mu_adj = adjoint_matrix(mu_prev, h.gram.gram_matrix(k - 1), h.gram.gram_matrix(k))
+        mu_adj = adjoint_matrix(mu_prev, gram_matrix(h.gram, k - 1), gram_matrix(h.gram, k))
         crit_rows = []
         for w in words:
             image = spec.op_apply("mubar", hodge_star(h, Form.monomial(N, w)))
@@ -520,3 +529,42 @@ def test_scaling_the_metric_keeps_the_tables(name, tmp_path):
         assert metric_for(load_spec(path.read_text())).gram.hermitian_block != block
         scaled = report_to_dict(compute_report(RunConfig(str(path))))["tables"]
         assert scaled == tables
+
+
+BLOCK_METRICS = builtin_names() + [
+    [["2", "1", "0"], ["1", "2", "i"], ["0", "-i", "2"]],
+    [["3", "pi", "1/2"], ["pi", "5", "i"], ["1/2", "-i", "pi"]],
+]
+
+
+@pytest.mark.parametrize("source", BLOCK_METRICS)
+def test_gram_blocks_match_the_full_gram_matrix(source):
+    if isinstance(source, str):
+        gram = metric_for(get_builtin(source)).gram
+    else:
+        gram = GramData(N, [[S(x) for x in row] for row in source])
+    n = gram.n
+    for k in range(2 * n + 1):
+        full = gram_matrix(gram, k)
+        index = {w: i for i, w in enumerate(words_of_degree(n, k))}
+        for p, q in _bidegrees(n, k):
+            words = block_words(n, p, q)
+            block = gram.block(p, q)
+            assert linalg.mat_eq(block, [[full[index[a]][index[b]] for b in words] for a in words])
+            conj = [[x.conj() for x in row] for row in block]
+            product = linalg.mat_mul(conj, gram.conj_block_inverse(p, q))
+            assert linalg.mat_eq(product, linalg.identity(len(words))), (source, p, q)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_a_report_inverts_nothing_larger_than_the_coframe(name, monkeypatch):
+    sizes = []
+    original = linalg.inverse
+
+    def spy(m):
+        sizes.append(len(m))
+        return original(m)
+
+    monkeypatch.setattr(linalg, "inverse", spy)
+    spec = compute_report(RunConfig(f"builtin:{name}")).spec
+    assert sizes and max(sizes) <= 2 * spec.n

@@ -6,7 +6,7 @@ import pytest
 
 from ahodge.algebra import Form, words_of_degree
 from ahodge.builtins import BUILTINS, get_builtin
-from ahodge.cli import RunConfig, compute_report, report_to_dict
+from ahodge.cli import RunConfig, compute_report, report_to_dict, run
 from ahodge.hermitian import metric_for
 from ahodge.manifold import (
     BIDEGREE_SHIFTS,
@@ -341,6 +341,16 @@ def test_fibration_validation():
         load_spec(bad2)
 
 
+def test_fibration_entries_may_come_in_any_order(tmp_path):
+    text = BUILTINS["fls"].replace("rank = 2\n", "").replace(
+        "fiber_span = [V2, V3]\n", "fiber_span = [V2, V3]\nrank = 2\n"
+    )
+    assert text.index("rank = 2") > text.index("V3: fiber")
+    path = tmp_path / "fls.am"
+    path.write_text(text)
+    assert run(RunConfig(str(path))) == run(RunConfig("builtin:fls"))
+
+
 def test_parameter_override_validation():
     with pytest.raises(ParseError):
         get_builtin("fls", {"zz": "1"})
@@ -376,6 +386,8 @@ MALFORMED_LINES = [
     ("iwasawa_std", "gram = [[2, 0, 0]", "gram = [[0^-1, 0, 0]"),
     ("fls", "dim = 6", "dim = six"),
     ("fls", "rank = 2", "rank = two"),
+    ("fls", "rank = 2", "rank = -1"),
+    ("fls", "symbol = [-pi, i*pi/(a*a0)]", "symbol = [-pi]"),
 ]
 
 

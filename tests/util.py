@@ -165,6 +165,13 @@ def _conj(m):
     return [[x.conj() for x in row] for row in m]
 
 
+def gram_matrix(gram, k):
+    """Gram matrix of the sorted words of exterior degree k, all bidegrees
+    together."""
+    words = words_of_degree(gram.n, k)
+    return [[gram.word_inner(w1, w2) for w2 in words] for w1 in words]
+
+
 def adjoint_matrix(m, g_src, g_tgt):
     """Gram adjoint: <M x, y>_tgt = <x, A y>_src for all basis vectors."""
     if not m:

@@ -279,19 +279,23 @@ class GramData:
     of bidegree (p, q) is therefore the Kronecker product C_p(H) (x)
     conj C_q(H) of compound matrices (the p x p minors of H), and as
     C_p(H)^-1 = C_p(H^-1) its conjugate is inverted by minors of H^-1 alone.
-    Positivity is certified on the n leading principal minors of H by exact
-    sign evaluation at pi.
+
+    Each compound C_p(H) and C_p(H^-1) is built once with its conjugate (C_0
+    = [[1]] and C_1 = M take no determinant), and ``block``, ``conj_block``
+    and ``conj_block_inverse`` are each one Kronecker product of two cached
+    compounds.  Positivity is certified on the n leading principal minors
+    of H, corner entries of its compounds, by exact sign evaluation at pi.
     """
 
-    __slots__ = ("n", "hermitian_block", "_h_inverse", "_det_cache", "_block_cache")
+    __slots__ = ("n", "hermitian_block", "_h_inverse", "_compounds", "_block_cache")
 
     def __init__(self, n: int, h):
         self.n = n
         self.hermitian_block = h
-        self._h_inverse = None
-        self._det_cache: dict = {}
+        self._compounds: dict = {}
         self._block_cache: dict = {}
         self._validate()
+        self._h_inverse = linalg.inverse(h)
 
     def _validate(self):
         h = self.hermitian_block
@@ -303,53 +307,53 @@ class GramData:
                     raise ValueError("Gram block is not Hermitian")
         # minors of a Hermitian matrix are real
         for k in range(1, self.n + 1):
-            if not is_positive(linalg.det([row[:k] for row in h[:k]])):
+            if not is_positive(self._compound(k, False)[0][0][0]):
                 raise NotPositive(f"Gram block: leading principal minor {k} is not positive")
 
     def word_inner(self, w1, w2) -> Scalar:
-        """<m_w1, m_w2> as a Gram determinant of coframe inner products."""
+        """<m_w1, m_w2>, an entry of the Gram block of their bidegree."""
         if len(w1) != len(w2):
             raise DegreeMismatch("inner product of words of different degree")
-        p = sum(1 for a in w1 if a <= self.n)
-        if p != sum(1 for b in w2 if b <= self.n):
+        p, q = word_bidegree(w1, self.n)
+        if p != word_bidegree(w2, self.n)[0]:
             return ZERO
-        return self._pair(w1, w2, p, False)
+        words = block_words(self.n, p, q)
+        return self.block(p, q)[words.index(tuple(w1))][words.index(tuple(w2))]
 
     def block(self, p: int, q: int):
         """Gram matrix of the words of bidegree (p, q) in ``block_words``
         order: C_p(H) (x) conj C_q(H)."""
-        return self._kron(p, q, False)
+        return self._kron(p, q, False, False)
+
+    def conj_block(self, p: int, q: int):
+        """The conjugate of ``block(p, q)``: conj C_p(H) (x) C_q(H)."""
+        return self._kron(p, q, False, True)
 
     def conj_block_inverse(self, p: int, q: int):
-        """Inverse of the conjugate of ``block(p, q)``, the factor every Gram
-        adjoint out of that block starts with: conj C_p(H^-1) (x) C_q(H^-1)."""
-        return self._kron(p, q, True)
+        """Inverse of ``conj_block(p, q)``, the factor every Gram adjoint out
+        of that block starts with: conj C_p(H^-1) (x) C_q(H^-1)."""
+        return self._kron(p, q, True, True)
 
-    def _kron(self, p: int, q: int, inverse: bool):
-        key = (p, q, inverse)
-        cached = self._block_cache.get(key)
-        if cached is None:
-            words = block_words(self.n, p, q)
-            cached = [[self._pair(a, b, p, inverse) for b in words] for a in words]
-            if inverse:
-                cached = [[x.conj() for x in row] for row in cached]
-            self._block_cache[key] = cached
-        return cached
+    def _kron(self, p: int, q: int, inverse: bool, conj: bool):
+        key = (p, q, inverse, conj)
+        if key not in self._block_cache:
+            left, right = self._compound(p, inverse)[conj], self._compound(q, inverse)[not conj]
+            self._block_cache[key] = [[x * y for x in a for y in b] for a in left for b in right]
+        return self._block_cache[key]
 
-    def _pair(self, w1, w2, p: int, inverse: bool) -> Scalar:
-        """det M[I1, I2] * conj det M[J1, J2] for words I1 J1 and I2 J2 with
-        p unbarred letters each; M is H, or H^-1 with ``inverse``."""
-        n = self.n
-        bar1, bar2 = tuple(a - n for a in w1[p:]), tuple(b - n for b in w2[p:])
-        return self._minor(w1[:p], w2[:p], inverse) * self._minor(bar1, bar2, inverse).conj()
-
-    def _minor(self, rows, cols, inverse: bool) -> Scalar:
-        key = (rows, cols, inverse)
-        cached = self._det_cache.get(key)
-        if cached is None:
-            if inverse and self._h_inverse is None:
-                self._h_inverse = linalg.inverse(self.hermitian_block)
+    def _compound(self, p: int, inverse: bool):
+        """(C_p(M), conj C_p(M)) with rows and columns the p-subsets of
+        1..n in ``combinations`` order; M is H, or H^-1 with ``inverse``."""
+        key = (p, inverse)
+        if key not in self._compounds:
             m = self._h_inverse if inverse else self.hermitian_block
-            cached = linalg.det([[m[a - 1][b - 1] for b in cols] for a in rows])
-            self._det_cache[key] = cached
-        return cached
+            if p <= 1:
+                c = m if p else [[ONE]]
+            else:
+                subsets = list(combinations(range(self.n), p))
+                c = [
+                    [linalg.det([[m[a][b] for b in cols] for a in rows]) for cols in subsets]
+                    for rows in subsets
+                ]
+            self._compounds[key] = (c, linalg.transpose(c))  # C_p(M) is Hermitian as M is
+        return self._compounds[key]

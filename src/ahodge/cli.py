@@ -32,6 +32,8 @@ class RunConfig:
     modes_bound: int = fourier.MODES_BOUND  # bits of a root bound
 
     def __post_init__(self):
+        if self.degrees is not None and not self.degrees:
+            raise ValueError("degrees must name at least one degree")
         if self.modes_bound < 0:
             raise ValueError(
                 f"modes bound must be a nonnegative number of bits, got {self.modes_bound}"
@@ -210,7 +212,20 @@ def check(source: str) -> tuple[str, int]:
 
 
 def _parse_degrees(text: str):
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+    try:
+        degrees = [int(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        degrees = []
+    if not degrees:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return degrees
+
+
+def _parse_param(text: str):
+    name, eq, expr = text.partition("=")
+    if not (eq and name.strip().isidentifier() and expr.strip()):
+        raise argparse.ArgumentTypeError(f"expected NAME=EXPR, got {text!r}")
+    return name.strip(), expr
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -236,7 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--a", help="override parameter a (scalar expression)")
     runp.add_argument("--b", help="override parameter b")
     runp.add_argument("--c", help="override parameter c")
-    runp.add_argument("--p", help="comma-separated degrees, default 0..n")
+    runp.add_argument(
+        "--param",
+        action="append",
+        type=_parse_param,
+        default=[],
+        metavar="NAME=EXPR",
+        help="override any [params] entry; repeat the flag for several",
+    )
+    runp.add_argument("--p", type=_parse_degrees, help="comma-separated degrees, default 0..n")
     runp.add_argument("--report", choices=("text", "json"), default="text")
     runp.add_argument(
         "--modes-bound",
@@ -254,19 +277,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "run":
+        overrides = {key: getattr(args, key) for key in ("a", "b", "c")}
+        overrides = {key: value for key, value in overrides.items() if value is not None}
+        for name, expr in args.param:
+            if name in overrides:
+                parser.error(f"parameter {name} is overridden twice")
+            overrides[name] = expr
     try:
         if args.command == "check":
             out, code = check(args.source)
         else:
-            overrides = {}
-            for key in ("a", "b", "c"):
-                value = getattr(args, key)
-                if value is not None:
-                    overrides[key] = value
             config = RunConfig(
                 source=args.source,
                 overrides=overrides,
-                degrees=_parse_degrees(args.p) if args.p else None,
+                degrees=args.p,
                 report_format=args.report,
                 modes_bound=args.modes_bound,
             )

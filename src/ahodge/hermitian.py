@@ -22,14 +22,17 @@ p x p minors, and its conjugate has inverse conj C_p(H^-1) (x) C_q(H^-1):
 one n x n inverse per metric serves every block.  Only the dbar+mu
 Laplacian is built for a report: d and the metric are real, so the
 del+mubar Laplacian is its conjugate under the signed conjugation of words,
-and the two are compared through that conjugation.
+and the two are compared through that conjugation, once per pair of
+mirror blocks and on degrees 0..n only: the complex-linear star
+intertwines star L_deltabar = L_delta star from degree k to 2n - k.
 
 The restriction of the L2 adjoint to invariant forms is the Gram adjoint;
 this uses that averaging over the compact quotient preserves invariant forms,
-which holds on unimodular groups, the only ones with a lattice.  Loading a
-manifest enforces that premise (d vanishes on every invariant
-(2n-1)-form) rather than assuming it.  The zero-order pieces mu and mubar
-need no such argument: their Gram adjoints are their pointwise adjoints.
+which holds on unimodular groups, the only ones with a lattice (Milnor,
+Adv. Math. 21, 1976); so does the star duality.  Loading a manifest
+enforces that premise (d vanishes on every invariant (2n-1)-form) rather
+than assuming it.  The zero-order pieces mu and mubar need no such
+argument: their Gram adjoints are their pointwise adjoints.
 """
 from __future__ import annotations
 
@@ -139,10 +142,9 @@ def piece_adjoint(which: str, pq, h: HermitianData, spec: ManifoldSpec):
     m = spec.piece_matrices(pq).get(which)
     adj = None
     if m is not None:
-        conj_tgt = [[x.conj() for x in row] for row in h.gram.block(*_shift(pq, which))]
         adj = linalg.mat_mul(
             h.gram.conj_block_inverse(*pq),
-            linalg.mat_mul(linalg.conj_transpose(m), conj_tgt),
+            linalg.mat_mul(linalg.conj_transpose(m), h.gram.conj_block(*_shift(pq, which))),
         )
     h._adj_cache[key] = adj
     return adj
@@ -201,11 +203,19 @@ def delta_laplacians_equal(h: HermitianData, spec: ManifoldSpec) -> bool:
     Only L_deltabar is built.  d and the metric are real, so L_delta =
     C L_deltabar C with C the signed conjugation of words: block (t, s) of
     L_delta has entries s_u s_w conj(L_deltabar[(bar t, bar s)][c(u)][c(w)]),
-    where bar (p, q) = (q, p).  A block absent on one side must be zero."""
+    where bar (p, q) = (q, p).  A block absent on one side must be zero.
+    C is an involution, so block (t, s) decides (bar t, bar s) too.
+
+    Only degrees 0..n are compared.  The complex-linear star maps (p, q) to
+    (n-q, n-p), and on a unimodular group dbar* = -star del star and mu* =
+    -star mubar star, so star L_deltabar = L_delta star from degree k to
+    2n - k: the Laplacians agree at k exactly when they agree at 2n - k."""
     conj: dict = {}
-    for k in range(2 * spec.n + 1):
+    for k in range(spec.n + 1):
         blocks = laplacian_blocks("deltabar", h, spec, k)
         for tgt, src in sorted(blocks.keys() | {(_bar(t), _bar(s)) for t, s in blocks}):
+            if (tgt, src) > (_bar(tgt), _bar(src)):
+                continue
             mine = blocks.get((tgt, src))
             mirror = blocks.get((_bar(tgt), _bar(src)))
             if mine is None or mirror is None:

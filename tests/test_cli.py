@@ -291,8 +291,6 @@ def test_usage_errors_exit_like_bad_input(argv, capsys):
 def test_bad_input_and_internal_faults_exit_apart(tmp_path, monkeypatch, capsys):
     assert main(["run", str(tmp_path / "missing.am")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
-    assert main(["run", "builtin:fls", "--p", "one"]) == 1
-    assert capsys.readouterr().err.startswith("error: ")
 
     def broken(config):
         raise KeyError("e7")
@@ -300,6 +298,65 @@ def test_bad_input_and_internal_faults_exit_apart(tmp_path, monkeypatch, capsys)
     monkeypatch.setattr("ahodge.cli.compute_report", broken)
     assert main(["run", "builtin:fls"]) == 3
     assert capsys.readouterr().err == "internal error: KeyError: 'e7'\n"
+
+
+@pytest.mark.parametrize("degrees", ["one", ",", " ", "1,x"])
+def test_an_empty_or_malformed_degree_list_is_a_usage_error(degrees, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "builtin:fls", "--p", degrees])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --p: expected comma-separated integers, got {degrees!r}" in captured.err
+
+
+def test_run_config_rejects_an_empty_degree_list():
+    with pytest.raises(ValueError, match="at least one degree"):
+        RunConfig("builtin:fls", degrees=[])
+
+
+def test_param_overrides_a0_like_a_manifest_edit(tmp_path, capsys):
+    path = tmp_path / "fls.am"
+    path.write_text(BUILTINS["fls"].replace("a0 = 1\n", "a0 = 2\n"))
+    assert main(["run", str(path), "--report", "json"]) == 0
+    edited = capsys.readouterr().out
+    assert main(["run", "builtin:fls", "--param", "a0=2", "--report", "json"]) == 0
+    overridden = capsys.readouterr().out
+    assert overridden == edited
+    assert json.loads(overridden)["manifold"]["params"]["a0"] == "2"
+    # --param takes the --a/--b/--c names too
+    assert main(["run", "builtin:fls", "--param", "c=4*pi", "--p", "2"]) == 0
+    by_param = capsys.readouterr().out
+    assert main(["run", "builtin:fls", "--c", "4*pi", "--p", "2"]) == 0
+    assert capsys.readouterr().out == by_param
+
+
+def test_param_with_an_unknown_name_is_bad_input(capsys):
+    assert main(["run", "builtin:fls", "--param", "zz=1"]) == 1
+    assert capsys.readouterr().err == "error: override for unknown parameter 'zz'\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--param", "a0=2", "--param", "a0=3"],
+        ["--param", "a=2", "--a", "3"],
+    ],
+)
+def test_a_parameter_overridden_twice_is_bad_input(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "builtin:fls", *argv])
+    assert exc.value.code == 1
+    name = argv[1].split("=")[0]
+    assert f"error: parameter {name} is overridden twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("param", ["a0", "=2", "a0=", "2a=1"])
+def test_param_needs_a_name_and_an_expression(param, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "builtin:fls", "--param", param])
+    assert exc.value.code == 1
+    assert f"argument --param: expected NAME=EXPR, got {param!r}" in capsys.readouterr().err
 
 
 def test_a_repeated_parameter_is_bad_input(tmp_path, capsys):

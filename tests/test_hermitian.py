@@ -36,10 +36,12 @@ from util import (
     hodge_star,
     inner_product,
     laplacian_invariant,
+    laplacians_equal_all_degrees,
     laplacian_matrix,
     mat_vec,
     operator_matrix,
     row_space_equal,
+    star_matrix,
     volume,
 )
 
@@ -363,22 +365,61 @@ def _differing_blocks(a, b, spec, k):
     )
 
 
-def _check_conjugation(spec):
+def _check_conjugation(spec, h=None):
     """conj(L_deltabar) is the directly built L_delta on every block, and the
-    flag equals the direct comparison of the two Laplacians."""
-    h = metric_for(spec)
-    equal = True
+    flag, read from degrees 0..n, equals the all-degree comparison."""
+    h = h or metric_for(spec)
     for k in range(2 * spec.n + 1):
         deltabar = laplacian_matrix("deltabar", h, spec, k)
         delta = delta_laplacian(h, spec, k)
         assert _differing_blocks(conjugated(deltabar, spec, k), delta, spec, k) == [], k
-        equal = equal and linalg.mat_eq(deltabar, delta)
-    assert delta_laplacians_equal(h, spec) == equal
+    assert delta_laplacians_equal(h, spec) == laplacians_equal_all_degrees(h, spec)
 
 
 @pytest.mark.parametrize("name", builtin_names())
 def test_conjugated_deltabar_laplacian_is_the_delta_laplacian(name):
     _check_conjugation(get_builtin(name))
+
+
+NON_DIAGONAL_GRAMS = [
+    [["2", "1", "0"], ["1", "2", "i"], ["0", "-i", "2"]],
+    [["3", "pi", "1/2"], ["pi", "5", "i"], ["1/2", "-i", "pi"]],
+]
+
+# the rational Gram block on fls, fls_nonak and iwasawa_std, and the one
+# carrying pi on iwasawa_std only (on fls it costs seconds of pi arithmetic)
+NON_DIAGONAL_CASES = [
+    ("fls", NON_DIAGONAL_GRAMS[0]),
+    ("fls_nonak", NON_DIAGONAL_GRAMS[0]),
+    ("iwasawa_std", NON_DIAGONAL_GRAMS[0]),
+    ("iwasawa_std", NON_DIAGONAL_GRAMS[1]),
+]
+METRIC_CASES = [(name, None) for name in builtin_names()] + NON_DIAGONAL_CASES
+
+
+def _metric_case(name, gram):
+    spec = get_builtin(name)
+    if gram is None:
+        return spec, metric_for(spec)
+    return spec, metric_from_gram([[S(x) for x in row] for row in gram], spec)
+
+
+@pytest.mark.parametrize("name, gram", NON_DIAGONAL_CASES)
+def test_the_flag_equals_the_all_degree_comparison_off_the_diagonal(name, gram):
+    _check_conjugation(*_metric_case(name, gram))
+
+
+@pytest.mark.parametrize("name, gram", METRIC_CASES)
+def test_the_star_intertwines_the_two_laplacians(name, gram):
+    # star L_deltabar(k) = L_delta(2n - k) star, the duality that lets the
+    # flag stop at degree n
+    spec, h = _metric_case(name, gram)
+    n = spec.n
+    for k in range(2 * n + 1):
+        star = star_matrix(h, k)
+        lhs = linalg.mat_mul(star, laplacian_matrix("deltabar", h, spec, k))
+        rhs = linalg.mat_mul(delta_laplacian(h, spec, 2 * n - k), star)
+        assert linalg.mat_eq(lhs, rhs), k
 
 
 def _fls_parameter(nonzero=False):
@@ -410,15 +451,74 @@ def test_a_report_never_builds_the_delta_laplacian(monkeypatch):
     calls = []
     original = hermitian.laplacian_blocks
 
-    def spy(which, *args):
-        calls.append(which)
-        return original(which, *args)
+    def spy(which, h, spec, k):
+        calls.append((which, k))
+        return original(which, h, spec, k)
 
     monkeypatch.setattr(hermitian, "laplacian_blocks", spy)
     for name in builtin_names():
-        compute_report(RunConfig(f"builtin:{name}"))
-    assert "deltabar" in calls
-    assert "delta" not in calls
+        calls.clear()
+        flags = compute_report(RunConfig(f"builtin:{name}")).flags
+        # only L_deltabar, on degrees 0..n; a degree that differs ends the
+        # comparison early
+        last = N if flags["delta_laplacians_equal"] else calls[-1][1]
+        assert calls == [("deltabar", k) for k in range(last + 1)], name
+
+
+def test_a_difference_at_degree_n_alone_clears_the_flag(fls, fls_metric, monkeypatch):
+    # catches a loop that stops short of the middle degree
+    original = hermitian.laplacian_blocks
+
+    def perturbed(which, h, spec, k):
+        blocks = original(which, h, spec, k)
+        if k == spec.n:
+            blocks = dict(blocks)
+            key = min(blocks)
+            blocks[key] = [row[:] for row in blocks[key]]
+            blocks[key][0][0] = blocks[key][0][0] + ONE
+        return blocks
+
+    assert delta_laplacians_equal(fls_metric, fls)
+    monkeypatch.setattr(hermitian, "laplacian_blocks", perturbed)
+    assert not delta_laplacians_equal(fls_metric, fls)
+
+
+def _mirror_pair(key):
+    """A Laplacian block key (t, s) with its mirror (bar t, bar s)."""
+    return frozenset((key, tuple(pq[::-1] for pq in key)))
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_each_mirror_pair_of_blocks_is_compared_once(name, monkeypatch):
+    spec = get_builtin(name)
+    h = metric_for(spec)
+    equal = laplacians_equal_all_degrees(h, spec)
+    built, compared = [], []
+    original_blocks, original_eq = hermitian.laplacian_blocks, linalg.mat_eq
+
+    def blocks_spy(*args):
+        built.append(original_blocks(*args))
+        return built[-1]
+
+    def eq_spy(a, b):
+        compared.append(a)
+        return original_eq(a, b)
+
+    monkeypatch.setattr(hermitian, "laplacian_blocks", blocks_spy)
+    monkeypatch.setattr(linalg, "mat_eq", eq_spy)
+    assert delta_laplacians_equal(h, spec) == equal
+    keys = [
+        key
+        for blocks in built
+        for key, block in blocks.items()
+        if any(block is c for c in compared)
+    ]
+    assert len(keys) == len(compared)
+    assert len({_mirror_pair(key) for key in keys}) == len(keys)
+    if equal:
+        # every pair present on both sides was compared
+        both = {_mirror_pair(key) for blocks in built for key in blocks}
+        assert len(keys) == sum(1 for pair in both if any(pair <= b.keys() for b in built))
 
 
 def test_full_d_laplacian_on_functions(iwasawa_ak, iwasawa_ak_metric):
@@ -531,10 +631,7 @@ def test_scaling_the_metric_keeps_the_tables(name, tmp_path):
         assert scaled == tables
 
 
-BLOCK_METRICS = builtin_names() + [
-    [["2", "1", "0"], ["1", "2", "i"], ["0", "-i", "2"]],
-    [["3", "pi", "1/2"], ["pi", "5", "i"], ["1/2", "-i", "pi"]],
-]
+BLOCK_METRICS = builtin_names() + NON_DIAGONAL_GRAMS
 
 
 @pytest.mark.parametrize("source", BLOCK_METRICS)

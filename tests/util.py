@@ -1,7 +1,8 @@
 """Shared test helpers: compact word/form builders, span comparison, the
 linear-algebra and promotion checks only tests need, dense and all-degree
-oracles for the operator and Laplacian code, the Hodge star oracle for the
-Gram adjoints, and the Fraction-pair reference for the scalar arithmetic."""
+oracles for the Gram blocks, the operator and Laplacian code and the
+Laplacian flag, the Hodge star oracle for the Gram adjoints and the star
+duality of the Laplacians, and the Fraction-pair reference for the scalar arithmetic."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -165,11 +166,24 @@ def _conj(m):
     return [[x.conj() for x in row] for row in m]
 
 
+def gram_determinant(h_block, w1, w2):
+    """<m_w1, m_w2> as the determinant of coframe inner products: H on the
+    (1,0)-coframe, conj H on its conjugate, zero between the two."""
+    n = len(h_block)
+
+    def g(a, b):
+        if (a <= n) != (b <= n):
+            return ZERO
+        return h_block[a - 1][b - 1] if a <= n else h_block[a - n - 1][b - n - 1].conj()
+
+    return linalg.det([[g(a, b) for b in w2] for a in w1])
+
+
 def gram_matrix(gram, k):
     """Gram matrix of the sorted words of exterior degree k, all bidegrees
-    together."""
+    together, from Gram determinants (not from the compound blocks)."""
     words = words_of_degree(gram.n, k)
-    return [[gram.word_inner(w1, w2) for w2 in words] for w1 in words]
+    return [[gram_determinant(gram.hermitian_block, w1, w2) for w2 in words] for w1 in words]
 
 
 def adjoint_matrix(m, g_src, g_tgt):
@@ -216,6 +230,15 @@ def delta_laplacian(h, spec, k):
     """L_delta on invariant k-forms built directly from the del and mubar
     pieces, not by conjugating L_deltabar."""
     return laplacian_matrix("delta", h, spec, k)
+
+
+def laplacians_equal_all_degrees(h, spec):
+    """The Laplacian flag by its definition: L_deltabar against a directly
+    built L_delta, as whole matrices on every degree 0..2n."""
+    return all(
+        linalg.mat_eq(laplacian_matrix("deltabar", h, spec, k), delta_laplacian(h, spec, k))
+        for k in range(2 * spec.n + 1)
+    )
 
 
 def conjugated(mat, spec, k):
@@ -332,6 +355,19 @@ def hodge_star(h, alpha):
             sign, _ = merge_words(u, comp)
             out = out + Form.monomial(n, comp, value if sign > 0 else -value)
     return out
+
+
+def star_matrix(h, k):
+    """The oracle star from invariant k-forms to (2n-k)-forms as a matrix in
+    sorted word order."""
+    n = h.gram.n
+    rows = {w: i for i, w in enumerate(words_of_degree(n, 2 * n - k))}
+    src = words_of_degree(n, k)
+    mat = linalg.zeros(len(rows), len(src))
+    for col, w in enumerate(src):
+        for u, c in hodge_star(h, Form.monomial(n, w)).coeffs.items():
+            mat[rows[u]][col] = c
+    return mat
 
 
 def mubar_mode(mf, spec):

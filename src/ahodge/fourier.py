@@ -2,14 +2,15 @@
 enumeration of contributing modes, and assembly of the three harmonic
 (p,0) spaces with explicit bases.
 
-A reduced first-order system with only base-only and constant unknowns turns,
-mode by mode, into a matrix whose entries are affine in the integer mode
-vector m over Q(pi)(i).  The kernel is nontrivial exactly where all maximal
-minors vanish; each minor splits (clearing denominators, separating real and
-imaginary parts, grading by powers of pi, all exact by transcendence) into
-integer-coefficient polynomial conditions on m, which are solved by resultant
-elimination and exact integer root isolation (bisection between the integer
-breaks where a polynomial is monotone).  Minors and resultants are both
+A reduced dbar system (``pdesolve``) with only base-only and constant
+unknowns turns, mode by mode, into a matrix whose entries are polynomials of
+degree at most 1 in the integer mode vector m over Q(pi)(i).  The kernel is
+nontrivial exactly where all maximal minors vanish; each minor splits
+(clearing denominators, separating real and imaginary parts, grading by
+powers of pi, all exact by transcendence) into integer-coefficient
+polynomial conditions on m, which are solved by resultant elimination and
+exact integer root isolation (bisection between the integer breaks where a
+polynomial is monotone).  Matrix entries, minors and resultants are all
 polynomials of one sparse type (see "Symbolic minors" below).
 
 The other two spaces cut the dbar space by the kernel of one operator on
@@ -188,41 +189,17 @@ def d_mode(mf: ModeForm, spec: ManifoldSpec) -> ModeForm:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ModeAffine:
-    const: Scalar
-    lin: tuple
-
-    def eval(self, m) -> Scalar:
-        total = self.const
-        for s, mk in zip(self.lin, m):
-            if mk and not s.is_zero():
-                total = total + s * Scalar.integer(mk)
-        return total
-
-    def is_zero(self) -> bool:
-        return self.const.is_zero() and all(s.is_zero() for s in self.lin)
-
-    def poly(self) -> dict:
-        """This entry as a polynomial in the mode vector."""
-        rank = len(self.lin)
-        out = {(0,) * rank: self.const} if self.const else {}
-        for j, s in enumerate(self.lin):
-            if s:
-                out[tuple(int(t == j) for t in range(rank))] = s
-        return out
-
-
 @dataclass
 class ModeMatrix:
-    """Rows are residual equations, columns unknowns; entries are affine in
-    the mode vector.  Constant-status unknowns only own a column in the
-    mode-zero system."""
+    """Rows are the equations of a reduced dbar system that survive at some
+    mode, columns unknowns; each entry is a polynomial of degree at most 1
+    in the mode vector (see "Symbolic minors" below).  Constant-status
+    unknowns only own a column in the mode-zero system."""
 
     rank: int
     base_cols: list
     const_cols: list
-    rows: list  # list of dicts: unknown word -> ModeAffine
+    rows: list  # list of dicts: unknown word -> nonzero polynomial
     row_monomials: list  # output monomial labelling each row
 
     def columns(self, m) -> list:
@@ -231,41 +208,41 @@ class ModeMatrix:
 
     def eval(self, m) -> list:
         cols = self.columns(m)
-        return [[row[u].eval(m) if u in row else ZERO for u in cols] for row in self.rows]
+        return [[_poly_eval(row[u], m) if u in row else ZERO for u in cols] for row in self.rows]
 
 
-def mode_matrix(reduced: pdesolve.ReducedSystem, spec: ManifoldSpec) -> ModeMatrix:
+def mode_matrix(reduced: pdesolve.PDESystem, spec: ManifoldSpec) -> ModeMatrix:
+    """The reduced system mode by mode.  Derivative terms that vanish
+    identically are dropped: any derivative of a constant, and fiber
+    derivatives of base-only unknowns.  A base derivative
+    c * Vbar_i(f) becomes c * sigma_i(m) * f, linear in m."""
+    statuses = reduced.statuses
     if reduced.has_free:
-        free = [u for u, s in reduced.statuses.items() if s == pdesolve.Status.FREE]
+        free = [u for u, s in statuses.items() if s == pdesolve.Status.FREE]
         raise UndeterminedUnknowns(f"free unknowns remain: {free}")
     fib = spec.fibration
     rank = fib.rank
-    statuses = reduced.statuses
+    const = (0,) * rank
+    units = [tuple(int(t == j) for t in range(rank)) for j in range(rank)]
     base_cols = sorted(u for u, s in statuses.items() if s == pdesolve.Status.BASE_ONLY)
     const_cols = sorted(u for u, s in statuses.items() if s == pdesolve.Status.CONSTANT)
     rows = []
     monomials = []
-    for rrow in reduced.residual_rows:
+    for eq in reduced.equations:
         entries: dict = {}
-        for frame, unknown, coeff in rrow.sym_terms:
-            lin = tuple(coeff * s for s in fib.symbols[frame])
-            cur = entries.get(unknown)
-            if cur is None:
-                entries[unknown] = ModeAffine(ZERO, lin)
-            else:
-                entries[unknown] = ModeAffine(
-                    cur.const, tuple(a + b for a, b in zip(cur.lin, lin))
-                )
-        for unknown, coeff in rrow.zero_terms:
-            cur = entries.get(unknown)
-            if cur is None:
-                entries[unknown] = ModeAffine(coeff, (ZERO,) * rank)
-            else:
-                entries[unknown] = ModeAffine(cur.const + coeff, cur.lin)
-        entries = {u: a for u, a in entries.items() if not a.is_zero()}
+        for t in eq.zeros:
+            _poly_add(entries.setdefault(t.unknown, {}), const, t.coeff)
+        for t in eq.derivs:
+            st = statuses[t.unknown]
+            if st >= pdesolve.Status.CONSTANT or fib.pure_fiber.get(t.frame, False):
+                continue
+            for e, s in zip(units, fib.symbols[t.frame]):
+                if not s.is_zero():
+                    _poly_add(entries.setdefault(t.unknown, {}), e, t.coeff * s)
+        entries = {u: poly for u, poly in entries.items() if poly}
         if entries:
             rows.append(entries)
-            monomials.append(rrow.monomial)
+            monomials.append(eq.monomial)
     return ModeMatrix(rank, base_cols, const_cols, rows, monomials)
 
 
@@ -273,9 +250,10 @@ def mode_matrix(reduced: pdesolve.ReducedSystem, spec: ManifoldSpec) -> ModeMatr
 # Symbolic minors and integer solving
 # ---------------------------------------------------------------------------
 # A polynomial in the mode vector is a dict mapping exponent tuples (one slot
-# per mode coordinate) to nonzero coefficients: Scalars in the maximal minors,
-# Fractions in the split conditions and their resultants.  The empty dict is
-# the zero polynomial.  Every routine below serves both coefficient types.
+# per mode coordinate) to nonzero coefficients: Scalars in the mode-matrix
+# entries and their maximal minors, Fractions in the split conditions and
+# their resultants.  The empty dict is the zero polynomial.  Every routine
+# below serves both coefficient types.
 
 
 def _poly_add(poly: dict, e: tuple, c) -> None:
@@ -285,6 +263,18 @@ def _poly_add(poly: dict, e: tuple, c) -> None:
         poly[e] = total
     else:
         poly.pop(e, None)
+
+
+def _poly_eval(poly: dict, m) -> Scalar:
+    """A Scalar-coefficient polynomial at the integer mode ``m``."""
+    total = ZERO
+    for e, c in poly.items():
+        x = 1
+        for mk, k in zip(m, e):
+            x *= mk**k
+        if x:
+            total = total + (c if x == 1 else c * Scalar.integer(x))
+    return total
 
 
 def _poly_mul(a: dict, b: dict) -> dict:
@@ -549,7 +539,7 @@ def contributing_modes(matrix: ModeMatrix, cap: int = MODES_BOUND):
     ncols = len(matrix.base_cols)
     rows = []
     for row in matrix.rows:
-        polys = [row[u].poly() if u in row else {} for u in matrix.base_cols]
+        polys = [row.get(u, {}) for u in matrix.base_cols]
         if any(polys):
             rows.append(polys)
     if len(rows) < ncols or comb(len(rows), ncols) > _MINOR_BUDGET:

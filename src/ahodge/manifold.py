@@ -237,7 +237,7 @@ class ManifoldSpec:
     def validate(self):
         n = self.n
         for j in range(1, n + 1):
-            if self.dphi[j - 1].degree() not in (None, 2):
+            if any(len(w) != 2 for w in self.dphi[j - 1].coeffs):
                 raise ParseError(f"d phi{j} is not a 2-form")
         for k in range(1, 2 * n + 1):
             residue = self.exterior_d(self.exterior_d(self.e_form(k)))

@@ -350,12 +350,6 @@ class Scalar:
     def is_real(self) -> bool:
         return self == self.conj()
 
-    def re(self) -> "Scalar":
-        return (self + self.conj()) * HALF
-
-    def im(self) -> "Scalar":
-        return (self - self.conj()) * HALF * MINUS_I
-
     def __eq__(self, other):
         return (
             isinstance(other, Scalar)
@@ -377,9 +371,7 @@ _INT_CACHE: dict = {}
 
 ZERO = Scalar(P_ZERO, P_ONE, _canonical=True)
 ONE = Scalar(P_ONE, P_ONE, _canonical=True)
-HALF = Scalar((QQi(Fraction(1, 2)),), P_ONE, _canonical=True)
 I = Scalar((QQI_I,), P_ONE, _canonical=True)
-MINUS_I = Scalar((QQi(0, -1),), P_ONE, _canonical=True)
 PI = Scalar((QQI_ZERO, QQI_ONE), P_ONE, _canonical=True)
 
 

@@ -440,3 +440,59 @@ def test_a_non_unimodular_algebra_is_bad_input(tmp_path, capsys, text, section, 
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: [{section}]: the structure equations are not unimodular: {word} = ")
+
+
+MIXED_DEGREE_COMPLEX = """
+[manifold]
+name = mixed
+dim = 6
+
+[complex_coframe]
+d phi1 = 0
+d phi2 = 0
+d phi3 = -phi12 + phi123
+"""
+
+
+def _mixed_degree_real():
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parents[1] / "manifests" / "torus6.am").read_text()
+    return text.replace("d e6 = 0", "d e6 = e1 + e12")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [MIXED_DEGREE_COMPLEX, _mixed_degree_real()],
+    ids=["complex_coframe", "coframe"],
+)
+def test_a_structure_equation_of_mixed_degree_is_bad_input(tmp_path, capsys, text):
+    # Form.degree() is None for a mix of degrees as for the zero form; a
+    # mixed d phi3 once loaded and ended as an internal error
+    path = tmp_path / "mixed.am"
+    path.write_text(text)
+    for command in ("run", "check"):
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: d phi3 is not a 2-form\n"
+
+
+def test_without_a_fiber_span_the_fiber_rule_certifies_nothing(tmp_path, capsys):
+    # with no frames the fiber rule's premise holds vacuously; promoting on
+    # it would report dbar h^{1,0} = 1 and h^{2,0} = 0 as EXACT
+    from ahodge.manifold import load_spec
+    from ahodge.pdesolve import build_dbar_system, reduce
+
+    text = BUILTINS["fls"].replace("fiber_span = [V2, V3]\n", "")
+    assert text != BUILTINS["fls"]
+    spec = load_spec(text)
+    for p in (1, 2):
+        rules = {promo.rule for promo in reduce(build_dbar_system(p, spec), spec).promotions}
+        assert "fiber_maximum_principle" not in rules, p
+    path = tmp_path / "fls.am"
+    path.write_text(text)
+    assert main(["run", str(path), "--p", "1,2", "--report", "json"]) == 2
+    data = json.loads(capsys.readouterr().out)
+    assert data["space_status"]["dbar"] == {"1": "UNDETERMINED", "2": "UNDETERMINED"}
+    assert data["tables"]["dbar"] == {"1": None, "2": None}

@@ -2,13 +2,14 @@ from ahodge.pdesolve import (
     DerivTerm,
     Equation,
     PDESystem,
+    RULES,
     Status,
     ZeroTerm,
+    apply_rule,
     build_dbar_system,
-    infer_fiber_constancy,
-    infer_global_constancy,
     reduce,
 )
+from ahodge.fourier import mode_matrix
 from ahodge.scalars import ONE
 from util import S, recheck_promotion
 
@@ -122,42 +123,57 @@ def test_reduction_statuses_match_expected_classifications(
         assert rs.statuses == expected, (spec.name, p)
 
 
+def _one_pass(sys, spec):
+    for rule in RULES:
+        apply_rule(sys, rule, spec)
+    return sys
+
+
 def test_nonak_constancy_order(fls_nonak):
     # f{2} (the coefficient of Phi^2) is promoted straight to constant from
     # its three pure equations, before anything else resolves
-    sys = build_dbar_system(1, fls_nonak)
-    once = infer_global_constancy(infer_fiber_constancy(sys, fls_nonak), fls_nonak)
-    assert once.status[(2,)] == Status.CONSTANT
+    once = _one_pass(build_dbar_system(1, fls_nonak), fls_nonak)
+    assert once.statuses[(2,)] == Status.CONSTANT
 
 
 def test_family_reduction_residual(fls):
     rs = reduce(build_dbar_system(1, fls), fls)
-    assert len(rs.residual_rows) == 4
-    # the four residual equations: two algebraic, two first order along V1
-    with_sym = [r for r in rs.residual_rows if r.sym_terms]
-    without = [r for r in rs.residual_rows if not r.sym_terms]
-    assert len(with_sym) == 2 and len(without) == 2
-    for row in with_sym:
-        assert all(frame == 1 for frame, _u, _c in row.sym_terms)
     assert not rs.has_free
+    rows = mode_matrix(rs, fls).rows
+    assert len(rows) == 4
+    # the four residual equations: two algebraic, two first order along V1,
+    # whose linear part in the mode is a multiple of the V1 symbol
+    units = [(1, 0), (0, 1)]
+    with_sym = [r for r in rows if any(any(e) for poly in r.values() for e in poly)]
+    assert len(with_sym) == 2
+    for row in with_sym:
+        for poly in row.values():
+            lin = [poly.get(e) for e in units]
+            if any(lin):
+                ratio = lin[0] / fls.fibration.symbols[1][0]
+                assert lin == [ratio * s for s in fls.fibration.symbols[1]]
 
 
 def test_reduce_is_idempotent(fls, fls_nonak, iwasawa_ak):
     for spec in (fls, fls_nonak, iwasawa_ak):
         for p in (1, 2, 3):
-            first = reduce(build_dbar_system(p, spec), spec)
-            second = reduce(first.system, spec)
+            sys = build_dbar_system(p, spec)
+            first = reduce(sys, spec)
+            # reduce leaves its argument as it was
+            assert set(sys.statuses.values()) == {Status.FREE} and not sys.promotions
+            second = reduce(first, spec)
             assert first.statuses == second.statuses
-            assert first.residual_rows == second.residual_rows
+            assert first.promotions == second.promotions
+            assert mode_matrix(first, spec) == mode_matrix(second, spec)
 
 
 def test_promotions_carry_recheckable_certificates(fls, fls_nonak, iwasawa_ak):
     for spec in (fls, fls_nonak, iwasawa_ak):
         for p in (1, 2, 3):
             rs = reduce(build_dbar_system(p, spec), spec)
-            assert rs.system.promotions, (spec.name, p)
-            for promo in rs.system.promotions:
-                assert recheck_promotion(rs.system, promo, spec), (spec.name, p, promo)
+            assert rs.promotions, (spec.name, p)
+            for promo in rs.promotions:
+                assert recheck_promotion(rs, promo, spec), (spec.name, p, promo)
 
 
 def test_fiber_rule_needs_annihilated_remainder(fls):
@@ -167,11 +183,11 @@ def test_fiber_rule_needs_annihilated_remainder(fls):
         Equation((9,), (DerivTerm(2, u1, ONE),), (ZeroTerm(u2, ONE),)),
         Equation((10,), (DerivTerm(2, u2, ONE),), (ZeroTerm(u1, ONE),)),
     ]
-    sys = PDESystem(1, [u1, u2], eqs, {u1: Status.FREE, u2: Status.FREE})
-    out = infer_fiber_constancy(sys, fls)
-    assert out.status == {u1: Status.FREE, u2: Status.FREE}
-    out = infer_global_constancy(sys, fls)
-    assert out.status == {u1: Status.FREE, u2: Status.FREE}
+    for rule in RULES:
+        sys = PDESystem([u1, u2], eqs, {u1: Status.FREE, u2: Status.FREE})
+        apply_rule(sys, rule, fls)
+        assert sys.statuses == {u1: Status.FREE, u2: Status.FREE}
+        assert not sys.promotions
     rs = reduce(sys, fls)
     assert rs.has_free
 
@@ -182,23 +198,18 @@ def test_fiber_rule_accepts_constant_remainder(fls):
         Equation((9,), (DerivTerm(2, u1, ONE),), (ZeroTerm(u2, ONE),)),
         Equation((10,), (DerivTerm(3, u1, ONE),), ()),
     ]
-    sys = PDESystem(
-        1, [u1, u2], eqs, {u1: Status.FREE, u2: Status.CONSTANT}
-    )
-    out = infer_fiber_constancy(sys, fls)
-    assert out.status[u1] == Status.BASE_ONLY
+    sys = PDESystem([u1, u2], eqs, {u1: Status.FREE, u2: Status.CONSTANT})
+    apply_rule(sys, "fiber_maximum_principle", fls)
+    assert sys.statuses[u1] == Status.BASE_ONLY
 
 
 def test_status_lattice_only_tightens(fls):
     for p in (1, 2):
         sys = build_dbar_system(p, fls)
-        seen = {u: [sys.status[u]] for u in sys.unknowns}
-        current = sys
+        seen = {u: [sys.statuses[u]] for u in sys.unknowns}
         for _ in range(4):
-            current = infer_global_constancy(
-                infer_fiber_constancy(current, fls), fls
-            )
-            for u in current.unknowns:
-                seen[u].append(current.status[u])
+            _one_pass(sys, fls)
+            for u in sys.unknowns:
+                seen[u].append(sys.statuses[u])
         for u, history in seen.items():
             assert all(b >= a for a, b in zip(history, history[1:]))

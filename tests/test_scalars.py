@@ -94,13 +94,6 @@ def test_conj_is_involutive_automorphism(a, b):
 
 @settings(max_examples=60, deadline=None)
 @given(scalars())
-def test_re_im_decomposition(a):
-    assert a.re() + I * a.im() == a
-    assert a.re().is_real() and a.im().is_real()
-
-
-@settings(max_examples=60, deadline=None)
-@given(scalars())
 def test_format_parse_roundtrip(a):
     assert parse_scalar(format_scalar(a)) == a
 

@@ -116,14 +116,6 @@ def metric_for(spec: ManifoldSpec) -> HermitianData:
 # -- adjoints and Laplacians on invariant forms -------------------------
 
 
-_OPERATOR_PARTS = {
-    "dbar": ("dbar",),
-    "deltabar": ("dbar", "mu"),
-    "delta": ("del", "mubar"),
-    "d": ("mu", "del", "dbar", "mubar"),
-}
-
-
 def _bidegrees(n: int, k: int):
     return [(p, k - p) for p in range(max(0, k - n), min(k, n) + 1)]
 
@@ -155,14 +147,13 @@ def _add_block(blocks: dict, key, term):
     blocks[key] = term if prev is None else linalg.mat_add(prev, term)
 
 
-def laplacian_blocks(which: str, h: HermitianData, spec: ManifoldSpec, k: int) -> dict:
-    """O O* + O* O on invariant k-forms as {(target bidegree, source
-    bidegree): matrix}; blocks that no term reaches are absent (zero).
+def laplacian_blocks(parts, h: HermitianData, spec: ManifoldSpec, k: int) -> dict:
+    """O O* + O* O on invariant k-forms, for O the sum of the pieces of d
+    named in ``parts``, as {(target bidegree, source bidegree): matrix};
+    blocks that no term reaches are absent (zero).
 
-    With O the sum of its pieces X, the Laplacian is the sum over pairs of
-    pieces of X Y* + X* Y, and each such term maps one bidegree block into
-    one other."""
-    parts = _OPERATOR_PARTS[which]
+    The Laplacian is the sum over pairs of pieces X, Y of X Y* + X* Y, and
+    each such term maps one bidegree block into one other."""
     blocks: dict = {}
     for src in _bidegrees(spec.n, k):
         for x in parts:
@@ -212,7 +203,7 @@ def delta_laplacians_equal(h: HermitianData, spec: ManifoldSpec) -> bool:
     2n - k: the Laplacians agree at k exactly when they agree at 2n - k."""
     conj: dict = {}
     for k in range(spec.n + 1):
-        blocks = laplacian_blocks("deltabar", h, spec, k)
+        blocks = laplacian_blocks(("dbar", "mu"), h, spec, k)
         for tgt, src in sorted(blocks.keys() | {(_bar(t), _bar(s)) for t, s in blocks}):
             if (tgt, src) > (_bar(tgt), _bar(src)):
                 continue

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import Form, block_words, sort_word, word_bidegree, words_of_degree
+from .algebra import Form, block_words, merge_words, sort_word, word_bidegree, words_of_degree
 from .scalars import (
     I,
     ONE,
@@ -38,10 +38,10 @@ from .scalars import (
 class JacobiViolation(ValueError):
     """d of d is nonzero on a coframe element."""
 
-    def __init__(self, index: str, residue: Form):
+    def __init__(self, index: str, residue: Form, prefix: str = ""):
         self.index = index
         self.residue = residue
-        super().__init__(f"d^2 {index} = {residue.pretty()} != 0")
+        super().__init__(f"{prefix}d^2 {index} = {residue.pretty()} != 0")
 
 
 class NotUnimodular(ValueError):
@@ -125,7 +125,8 @@ class FibrationData:
 class ManifoldSpec:
     """Validated manifold data: structure equations, coframe, metric source,
     fibration.  ``e_forms`` are the real coframe elements in the phi-basis,
-    which ``_coframe_basis`` computes once per load."""
+    which ``_coframe_basis`` computes once per load.  Validation errors name
+    ``section``, where the manifest wrote the structure equations."""
 
     def __init__(
         self,
@@ -136,6 +137,7 @@ class ManifoldSpec:
         e_forms: list,
         metric_source,
         fibration: FibrationData,
+        section: str,
         symbol: str = "phi",
     ):
         self.name = name
@@ -146,8 +148,10 @@ class ManifoldSpec:
         self.metric_source = metric_source
         self.fibration = fibration
         self.symbol = symbol
+        self.section = section
         self._dword_cache: dict = {}
         self._piece_cache: dict = {}
+        self._d2 = None  # d^2 of the generators, evaluated once
         self._dgen = {}
         for j in range(1, n + 1):
             self._dgen[j] = dphi[j - 1]
@@ -167,17 +171,27 @@ class ManifoldSpec:
         return self._dgen[a]
 
     def d_word(self, word) -> Form:
+        """d of one index word by the Leibniz rule, d(w) = sum_t (-1)^t
+        d phi_{w_t} ^ (w without w_t): a 2-form moves to the front without
+        a sign.  Each term merges a word of d phi_{w_t} with the rest of w,
+        so its coefficient is one of d phi_{w_t} up to sign and no scalar
+        is multiplied.  Cached per word."""
         cached = self._dword_cache.get(word)
         if cached is not None:
             return cached
-        out = Form.zero(self.n)
+        out: dict = {}
         for t, j in enumerate(word):
-            term = Form.monomial(self.n, word[:t]).wedge(self._dgen[j]).wedge(
-                Form.monomial(self.n, word[t + 1 :])
-            )
-            out = out + (term if t % 2 == 0 else -term)
-        self._dword_cache[word] = out
-        return out
+            rest = word[:t] + word[t + 1 :]
+            for head, c in self._dgen[j].coeffs.items():
+                merged = merge_words(head, rest)
+                if merged is None:
+                    continue
+                sign, w = merged
+                s = out.pop(w, ZERO) + (c if sign == (-1) ** t else -c)
+                if not s.is_zero():
+                    out[w] = s
+        self._dword_cache[word] = Form(self.n, out)
+        return self._dword_cache[word]
 
     def exterior_d(self, alpha: Form) -> Form:
         out = Form.zero(self.n)
@@ -235,59 +249,53 @@ class ManifoldSpec:
     # -- validation -------------------------------------------------------
 
     def validate(self):
+        """Each d phi^j is a 2-form, d^2 vanishes on the generators, d on
+        every (2n-1)-form, and the fibration data is consistent.  A nonzero
+        d^2 is named by the first e^k on [coframe], else the first phi^a."""
         n = self.n
         for j in range(1, n + 1):
             if any(len(w) != 2 for w in self.dphi[j - 1].coeffs):
                 raise ParseError(f"d phi{j} is not a 2-form")
-        for k in range(1, 2 * n + 1):
-            residue = self.exterior_d(self.exterior_d(self.e_form(k)))
-            if not residue.is_zero():
-                raise JacobiViolation(f"e{k}", residue)
+        if not all(ok for _name, ok, _w in self.check_d2_relations()):
+            if self.section == "coframe":
+                for k in range(1, 2 * n + 1):
+                    residue = self.exterior_d(self.exterior_d(self.e_form(k)))
+                    if not residue.is_zero():
+                        raise JacobiViolation(f"e{k}", residue)
+            a, residue = next((a, r) for a, r in enumerate(self._d2, 1) if not r.is_zero())
+            raise JacobiViolation(f"phi{a}", residue, f"[{self.section}]: ")
         for w in words_of_degree(n, 2 * n - 1):
             residue = self.d_word(w)
             if not residue.is_zero():
                 raise NotUnimodular(
-                    f"the structure equations are not unimodular: "
+                    f"[{self.section}]: the structure equations are not unimodular: "
                     f"d {Form.monomial(n, w).pretty(self.symbol)} = "
                     f"{residue.pretty(self.symbol)} != 0, so no compact quotient exists"
                 )
         self.fibration.validate()
 
     def check_d2_relations(self):
-        """Evaluate the seven bidegree components of d^2 = 0 on degree-1
-        words; returns (name, holds, witness word or None).  Each component
-        is a derivation, as d is one, so it vanishes on every invariant form
-        once it vanishes on the degree-1 words, which generate them."""
+        """The seven bidegree components of d^2 = 0 as (name, holds, witness
+        word or None), from d^2 of the generators, evaluated once per spec:
+        its component in bidegree bideg(a) + s is the relation shifting by s
+        applied to phi^a; the witness is the smallest failing degree-1 word.
+        Each component is a derivation, as d is one, so it vanishes on every
+        invariant form once it vanishes on the degree-1 words."""
+        n = self.n
+        if self._d2 is None:
+            self._d2 = [self.exterior_d(self._dgen[a]) for a in range(1, 2 * n + 1)]
+        first: dict = {}  # bidegree shift -> smallest failing word
+        for a, residue in enumerate(self._d2, 1):
+            p, q = word_bidegree((a,), n)
+            for w in residue.coeffs:
+                r, s = word_bidegree(w, n)
+                first.setdefault((r - p, s - q), (a,))
         report = []
-        for name, pairs in D2_RELATIONS:
-            failing = []
-            for p, q in ((1, 0), (0, 1)):
-                total = self._composite(p, q, pairs)
-                if total is None:
-                    continue
-                src = self.block_words(p, q)
-                failing += [
-                    w for c, w in enumerate(src) if any(not row[c].is_zero() for row in total)
-                ]
-            witness = min(failing, default=None)
+        for name, ((outer, inner), *_rest) in D2_RELATIONS:
+            (dp, dq), (ep, eq) = BIDEGREE_SHIFTS[outer], BIDEGREE_SHIFTS[inner]
+            witness = first.get((dp + ep, dq + eq))
             report.append((name, witness is None, witness))
         return report
-
-    def _composite(self, p: int, q: int, pairs):
-        """Matrix of sum(outer o inner) on block (p, q), or None when every
-        term vanishes for want of a source or target block."""
-        total = None
-        for outer, inner in pairs:
-            first = self.piece_matrices((p, q)).get(inner)
-            if first is None:
-                continue
-            dp, dq = BIDEGREE_SHIFTS[inner]
-            second = self.piece_matrices((p + dp, q + dq)).get(outer)
-            if second is None:
-                continue
-            term = linalg.mat_mul(second, first)
-            total = term if total is None else linalg.mat_add(total, term)
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -558,11 +566,8 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
             raise ParseError(f"unknown [metric] key {key!r}", lineno)
 
     fibration = _parse_fibration(sections.get("fibration", []), params, n)
-    try:
-        return ManifoldSpec(name, n, params, dphi, e_forms, metric_source, fibration, symbol)
-    except NotUnimodular as exc:
-        section = "coframe" if real_route else "complex_coframe"
-        raise NotUnimodular(f"[{section}]: {exc}") from None
+    section = "coframe" if real_route else "complex_coframe"
+    return ManifoldSpec(name, n, params, dphi, e_forms, metric_source, fibration, section, symbol)
 
 
 def _coframe_basis(cmatrix):

@@ -32,7 +32,6 @@ class Status(enum.IntEnum):
     FREE = 0
     BASE_ONLY = 1
     CONSTANT = 2
-    ZERO = 3
 
 
 # rule name -> the status its certificate proves

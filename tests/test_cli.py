@@ -6,6 +6,7 @@ import pytest
 from ahodge import fourier
 from ahodge.builtins import BUILTINS
 from ahodge.cli import RunConfig, check, compute_report, main, report_to_dict, run
+from util import TOY
 
 
 def _table(report_dict, theory):
@@ -440,6 +441,48 @@ def test_a_non_unimodular_algebra_is_bad_input(tmp_path, capsys, text, section, 
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: [{section}]: the structure equations are not unimodular: {word} = ")
+
+
+D2_FAILS_COMPLEX = """\
+[manifold]
+name = d2fails
+dim = 6
+
+[complex_coframe]
+d phi1 = 0
+d phi2 = phi[2 3b]
+d phi3 = phi[1 2]
+
+[metric]
+gram = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+"""
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (
+            TOY.replace("{DE4}", "e34"),
+            "d^2 e4 = -(1/4)*phi^{12 1b} - (1/4)*phi^{1 1b2b} != 0",
+        ),
+        (
+            BUILTINS["fls"].replace("d e5 = -e15", "d e5 = e15"),
+            "d^2 e3 = (1/2)*phi^{13 1b} + (1/2)*phi^{1 1b3b} != 0",
+        ),
+        # the residue of the first generator the manifest declares, not of
+        # the implicit real coframe element e3 = Re phi2
+        (D2_FAILS_COMPLEX, "[complex_coframe]: d^2 phi2 = -phi^{2 1b2b} != 0"),
+    ],
+    ids=["toy", "fls", "complex_coframe"],
+)
+def test_a_nonzero_d_squared_names_a_declared_coframe_element(tmp_path, capsys, text, message):
+    path = tmp_path / "d2.am"
+    path.write_text(text)
+    for command in ("run", "check"):
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 MIXED_DEGREE_COMPLEX = """

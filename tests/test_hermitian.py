@@ -451,9 +451,9 @@ def test_a_report_never_builds_the_delta_laplacian(monkeypatch):
     calls = []
     original = hermitian.laplacian_blocks
 
-    def spy(which, h, spec, k):
-        calls.append((which, k))
-        return original(which, h, spec, k)
+    def spy(parts, h, spec, k):
+        calls.append((parts, k))
+        return original(parts, h, spec, k)
 
     monkeypatch.setattr(hermitian, "laplacian_blocks", spy)
     for name in builtin_names():
@@ -462,15 +462,15 @@ def test_a_report_never_builds_the_delta_laplacian(monkeypatch):
         # only L_deltabar, on degrees 0..n; a degree that differs ends the
         # comparison early
         last = N if flags["delta_laplacians_equal"] else calls[-1][1]
-        assert calls == [("deltabar", k) for k in range(last + 1)], name
+        assert calls == [(("dbar", "mu"), k) for k in range(last + 1)], name
 
 
 def test_a_difference_at_degree_n_alone_clears_the_flag(fls, fls_metric, monkeypatch):
     # catches a loop that stops short of the middle degree
     original = hermitian.laplacian_blocks
 
-    def perturbed(which, h, spec, k):
-        blocks = original(which, h, spec, k)
+    def perturbed(parts, h, spec, k):
+        blocks = original(parts, h, spec, k)
         if k == spec.n:
             blocks = dict(blocks)
             key = min(blocks)

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from ahodge.algebra import Form, words_of_degree
-from ahodge.builtins import BUILTINS, get_builtin
+from ahodge.builtins import BUILTINS, builtin_names, get_builtin
 from ahodge.cli import RunConfig, compute_report, report_to_dict, run
 from ahodge.hermitian import metric_for
 from ahodge.manifold import (
@@ -16,7 +17,7 @@ from ahodge.manifold import (
     load_spec,
 )
 from ahodge.scalars import ONE, ParseError, Scalar, format_scalar
-from util import S, d2_relations_all_degrees, form, word
+from util import TOY, S, d2_relations_all_degrees, form, word
 
 ALL_BUILTINS = ["fls", "fls_nonak", "iwasawa_ak", "iwasawa_std", "iwasawa_complex"]
 
@@ -144,6 +145,20 @@ def test_exterior_d_matches_bruteforce_oracle(any_builtin):
         assert spec.exterior_d(alpha) == brute_force_d(spec, alpha)
 
 
+D_ORACLE_CASES = [(name, {}) for name in builtin_names()] + [
+    ("torus6", {}),
+    ("fls", {"a": "2*pi", "b": "pi", "c": "1/(2*pi)"}),
+]
+
+
+@pytest.mark.parametrize("name, overrides", D_ORACLE_CASES)
+def test_d_word_matches_the_wedge_oracle_on_every_word(name, overrides):
+    spec = load_spec(TORUS6.read_text()) if name == "torus6" else get_builtin(name, overrides)
+    for k in range(2 * spec.n + 1):
+        for w in words_of_degree(spec.n, k):
+            assert spec.d_word(w) == brute_force_d(spec, Form.monomial(spec.n, w)), w
+
+
 def test_d_squared_vanishes_on_random_forms(any_builtin):
     spec = any_builtin
     rng = random.Random(3)
@@ -249,30 +264,38 @@ def test_degree_one_d2_witnesses_match_the_oracle_where_d2_fails(monkeypatch):
     assert report == d2_relations_all_degrees(spec)
 
 
+def test_a_run_evaluates_d_squared_on_the_generators_once(monkeypatch):
+    # validation and the d2_relations_hold flag share one evaluation, and
+    # loading takes no matrix product
+    from ahodge import linalg
+
+    evaluated, products = [], []
+    original_d, original_mul = ManifoldSpec.exterior_d, linalg.mat_mul
+
+    def d_spy(self, alpha):
+        evaluated.extend(a for a in range(1, 2 * self.n + 1) if alpha is self.d_generator(a))
+        return original_d(self, alpha)
+
+    def mul_spy(a, b):
+        products.append(len(a))
+        return original_mul(a, b)
+
+    monkeypatch.setattr(ManifoldSpec, "exterior_d", d_spy)
+    monkeypatch.setattr(linalg, "mat_mul", mul_spy)
+    get_builtin("fls")
+    assert evaluated == list(range(1, 7))
+    assert products == []
+    evaluated.clear()
+    out, code = run(RunConfig("builtin:fls", report_format="json"))
+    assert code == 0
+    assert json.loads(out)["flags"]["d2_relations_hold"] is True
+    assert evaluated == list(range(1, 7))
+
+
 def test_integrability_flags(fls, iwasawa_std, iwasawa_complex):
     assert not fls.is_integrable()
     assert not iwasawa_std.is_integrable()
     assert iwasawa_complex.is_integrable()
-
-
-TOY = """
-[manifold]
-name = toy
-dim = 6
-
-[coframe]
-d e1 = 0
-d e2 = 0
-d e3 = e12
-d e4 = {DE4}
-d e5 = 0
-d e6 = 0
-
-[acs]
-phi1 = e1 + i*e2
-phi2 = e3 + i*e4
-phi3 = e5 + i*e6
-"""
 
 
 def test_two_step_example_has_vanishing_d_squared():

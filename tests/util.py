@@ -11,7 +11,7 @@ from math import factorial
 from ahodge import linalg
 from ahodge.algebra import Form, conj_word, merge_words, word_bidegree, words_of_degree
 from ahodge.fourier import ModeForm, ModeMatrix
-from ahodge.hermitian import _OPERATOR_PARTS, _bidegrees, _shift, laplacian_blocks
+from ahodge.hermitian import _bidegrees, _shift, laplacian_blocks
 from ahodge.manifold import D2_RELATIONS
 from ahodge.pdesolve import _remainder_annihilated
 from ahodge.scalars import ONE, ZERO, Scalar, parse_scalar
@@ -39,6 +39,27 @@ def form(spec, terms):
 
 def S(expr, spec=None):
     return parse_scalar(expr, spec.params if spec is not None else None)
+
+
+# A real-route manifest of dimension 6; {DE4} is the right side of d e4.
+TOY = """
+[manifold]
+name = toy
+dim = 6
+
+[coframe]
+d e1 = 0
+d e2 = 0
+d e3 = e12
+d e4 = {DE4}
+d e5 = 0
+d e6 = 0
+
+[acs]
+phi1 = e1 + i*e2
+phi2 = e3 + i*e4
+phi3 = e5 + i*e6
+"""
 
 
 # -- linear algebra and certificates only tests need ---------------------
@@ -162,6 +183,15 @@ def exhaustive_mode_scan(matrix: ModeMatrix, bound: int):
 # -- operator and Laplacian oracles --------------------------------------
 
 
+# each first-order operator as the pieces of d it sums
+OPERATOR_PARTS = {
+    "dbar": ("dbar",),
+    "deltabar": ("dbar", "mu"),
+    "delta": ("del", "mubar"),
+    "d": ("mu", "del", "dbar", "mubar"),
+}
+
+
 def _conj(m):
     return [[x.conj() for x in row] for row in m]
 
@@ -215,7 +245,7 @@ def operator_matrix(which, spec, k):
     blocks = {
         (_shift(pq, part), pq): spec.piece_matrices(pq)[part]
         for pq in _bidegrees(spec.n, k)
-        for part in _OPERATOR_PARTS[which]
+        for part in OPERATOR_PARTS[which]
         if part in spec.piece_matrices(pq)
     }
     return _dense(blocks, spec, k + 1, k)
@@ -223,7 +253,7 @@ def operator_matrix(which, spec, k):
 
 def laplacian_matrix(which, h, spec, k):
     """Matrix of O O* + O* O on invariant k-forms."""
-    return _dense(laplacian_blocks(which, h, spec, k), spec, k, k)
+    return _dense(laplacian_blocks(OPERATOR_PARTS[which], h, spec, k), spec, k, k)
 
 
 def delta_laplacian(h, spec, k):

@@ -215,11 +215,8 @@ class Form:
         return sorted(self.coeffs.items())
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Form)
-            and self.n == other.n
-            and (self - other).is_zero()
-        )
+        # no coefficient is stored as zero, so equal forms have equal dicts
+        return isinstance(other, Form) and self.n == other.n and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.n, tuple(sorted(self.coeffs.items(), key=lambda t: t[0]))))
@@ -271,7 +268,9 @@ class GramData:
     """Inner products of invariant forms for one metric.
 
     ``hermitian_block`` is the n x n Hermitian matrix H of inner products of
-    the (1,0)-coframe phi^1..phi^n; the conjugate coframe has Gram matrix
+    the (1,0)-coframe phi^1..phi^n and ``hermitian_inverse`` is H^-1, which
+    the caller supplies (the metric has it as -i W^T from the fundamental
+    form, without inverting H); the conjugate coframe has Gram matrix
     conj(H) and is orthogonal to it, as for every metric compatible with the
     almost-complex structure.  So words of different bidegree are orthogonal,
     and the Gram determinant of two words of one bidegree is a minor of H
@@ -287,15 +286,15 @@ class GramData:
     of H, corner entries of its compounds, by exact sign evaluation at pi.
     """
 
-    __slots__ = ("n", "hermitian_block", "_h_inverse", "_compounds", "_block_cache")
+    __slots__ = ("n", "hermitian_block", "hermitian_inverse", "_compounds", "_block_cache")
 
-    def __init__(self, n: int, h):
+    def __init__(self, n: int, h, h_inverse):
         self.n = n
         self.hermitian_block = h
+        self.hermitian_inverse = h_inverse
         self._compounds: dict = {}
         self._block_cache: dict = {}
         self._validate()
-        self._h_inverse = linalg.inverse(h)
 
     def _validate(self):
         h = self.hermitian_block
@@ -303,7 +302,7 @@ class GramData:
             raise ValueError(f"Gram block must be {self.n}x{self.n}")
         for a in range(self.n):
             for b in range(self.n):
-                if not (h[a][b] - h[b][a].conj()).is_zero():
+                if h[a][b] != h[b][a].conj():
                     raise ValueError("Gram block is not Hermitian")
         # minors of a Hermitian matrix are real
         for k in range(1, self.n + 1):
@@ -346,7 +345,7 @@ class GramData:
         1..n in ``combinations`` order; M is H, or H^-1 with ``inverse``."""
         key = (p, inverse)
         if key not in self._compounds:
-            m = self._h_inverse if inverse else self.hermitian_block
+            m = self.hermitian_inverse if inverse else self.hermitian_block
             if p <= 1:
                 c = m if p else [[ONE]]
             else:

@@ -334,8 +334,10 @@ def _split_constraints(mode_polys) -> list:
             continue
         den = P_ONE
         for s in mp.values():
-            g = pgcd(den, s.den)
-            den = pmul(pdivmod(den, g)[0], s.den)
+            # a constant denominator is 1 (monic) and leaves the lcm alone
+            if len(s.den) > 1:
+                g = pgcd(den, s.den) if len(den) > 1 else P_ONE
+                den = pmul(pdivmod(den, g)[0], s.den)
         groups: dict = {}
         for e, s in mp.items():
             for t, c in enumerate(pmul(s.num, pdivmod(den, s.den)[0])):

@@ -19,7 +19,8 @@ Laplacian is assembled from the four bidegree-homogeneous pieces of d and
 their adjoints, block by block.  By Cauchy-Binet the Gram block of
 bidegree (p, q) is C_p(H) (x) conj C_q(H), with C_p the compound matrix of
 p x p minors, and its conjugate has inverse conj C_p(H^-1) (x) C_q(H^-1):
-one n x n inverse per metric serves every block.  Only the dbar+mu
+H^-1 = -i W^T comes with the metric, so the one n x n inverse per metric
+is the map between W and H, and it serves every block.  Only the dbar+mu
 Laplacian is built for a report: d and the metric are real, so the
 del+mubar Laplacian is its conjugate under the signed conjugation of words,
 and the two are compared through that conjugation, once per pair of
@@ -70,10 +71,12 @@ def _dual(m, what: str):
     return [[IMAG * x for x in row] for row in inv]
 
 
-def _metric(spec: ManifoldSpec, h, omega: Form) -> HermitianData:
-    """The metric with Gram block h and fundamental form omega."""
+def _metric(spec: ManifoldSpec, h, w, omega: Form) -> HermitianData:
+    """The metric with Gram block h and fundamental form omega, whose (1,1)
+    coefficients w give h^-1 = -i w^T with no further inverse."""
     closed = spec.exterior_d(omega).is_zero()
-    return HermitianData(gram=GramData(spec.n, h), omega=omega, is_almost_kahler=closed)
+    h_inverse = [[-(IMAG * x) for x in row] for row in linalg.transpose(w)]
+    return HermitianData(gram=GramData(spec.n, h, h_inverse), omega=omega, is_almost_kahler=closed)
 
 
 def metric_from_pair(omega: Form, spec: ManifoldSpec) -> HermitianData:
@@ -89,18 +92,19 @@ def metric_from_pair(omega: Form, spec: ManifoldSpec) -> HermitianData:
     n = spec.n
     idx = range(1, n + 1)
     w = [[omega.coefficient((j, n + k)) for k in idx] for j in idx]
-    return _metric(spec, _dual(w, "omega"), omega)
+    return _metric(spec, _dual(w, "omega"), w, omega)
 
 
 def metric_from_gram(h, spec: ManifoldSpec) -> HermitianData:
     """Metric from an explicit Hermitian Gram matrix H on the (1,0)-coframe;
     its fundamental form has (1,1) coefficients W = i (H^T)^-1."""
     n = spec.n
+    w = _dual(h, "gram")
     omega = Form.zero(n)
-    for j, row in enumerate(_dual(h, "gram"), start=1):
+    for j, row in enumerate(w, start=1):
         for k, c in enumerate(row, start=n + 1):
             omega = omega + Form.monomial(n, (j, k), c)
-    return _metric(spec, h, omega)
+    return _metric(spec, h, w, omega)
 
 
 def metric_for(spec: ManifoldSpec) -> HermitianData:

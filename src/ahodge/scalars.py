@@ -6,7 +6,17 @@ canonical form: numerator and denominator coprime, denominator monic.  Each
 coefficient is one integer triple (a + b*i)/d with d > 0 and
 gcd(a, b, d) == 1.  With that normalization equality is syntactic, so zero
 tests are exact; in particular expressions like ``-4*pi*k + 1`` with integer
-``k`` are provably nonzero without any floating point.
+``k`` are provably nonzero without any floating point: ``==`` compares
+the coefficient triples and forms no difference.
+
+The arithmetic takes a polynomial gcd only where lowest terms can need one
+(Henrici, J. ACM 3, 1956; Knuth, TAOCP vol. 2, 4.5.1).  A product cancels
+crosswise, gcd(n1, d2) and gcd(n2, d1), each skipped when a side is
+constant.  A sum over different denominators takes g = gcd(d1, d2), skipped
+when one is constant; g = 1 leaves the sum in lowest terms, and otherwise
+one more gcd with g finishes it.  An inverse and a conjugate take none,
+and a conjugate with real coefficients is the scalar itself.  A gcd with an
+operand of degree 1 is a root test: the other operand evaluated at its root.
 
 Sign queries (needed only for inequalities, e.g. metric positivity) evaluate
 the two polynomials exactly in integers on an interval enclosure of pi from
@@ -182,12 +192,18 @@ def pmul(p, q):
     if len(p) == 1 and len(q) == 1:
         c = p[0] * q[0]
         return P_ZERO if c.is_zero() else (c,)
+    if p == P_ONE:
+        return q
+    if q == P_ONE:
+        return p
     out = [QQI_ZERO] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a.is_zero():
             continue
         for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
+            c = out[i + j]
+            # the first product into a slot needs no sum
+            out[i + j] = a * b if c is QQI_ZERO else c + a * b
     return pnorm(out)
 
 
@@ -198,23 +214,26 @@ def pscale(p, c: QQi):
 
 
 def pdivmod(p, q):
+    """Quotient and remainder of p by q, by long division from the top."""
     if not q:
         raise DivisionByZero("polynomial division by zero")
-    r = list(p)
     d = len(q) - 1
-    lead_inv = q[-1].inv()
-    quot = [QQI_ZERO] * max(0, len(p) - d)
-    while len(r) - 1 >= d and pnorm(r):
-        r = list(pnorm(r))
-        if len(r) - 1 < d:
-            break
-        k = len(r) - 1 - d
-        c = r[-1] * lead_inv
+    if len(p) <= d:
+        return P_ZERO, pnorm(p)
+    r = list(p)
+    lead_inv = None if q[-1] == QQI_ONE else q[-1].inv()
+    quot = [QQI_ZERO] * (len(p) - d)
+    for k in range(len(p) - 1 - d, -1, -1):
+        c = r[k + d]
+        if c.is_zero():
+            continue
+        if lead_inv is not None:
+            c = c * lead_inv
         quot[k] = c
-        for j in range(len(q)):
+        # r[k + d] - c * q[d] is zero by the choice of c and is not read again
+        for j in range(d):
             r[k + j] = r[k + j] - c * q[j]
-        r = list(pnorm(r))
-    return pnorm(quot), pnorm(r)
+    return pnorm(quot), pnorm(r[:d])
 
 
 def pmonic(p):
@@ -226,8 +245,22 @@ def pmonic(p):
     return pscale(p, lead.inv())
 
 
+def peval(p, x: QQi) -> QQi:
+    """p(x) by Horner's rule."""
+    out = QQI_ZERO
+    for c in reversed(p):
+        out = out * x + c
+    return out
+
+
 def pgcd(p, q):
-    """Monic gcd via the Euclidean algorithm over Q(i)."""
+    """Monic gcd over Q(i).  An operand c1*tau + c0 of degree 1 is tested by
+    its root: the gcd is tau + c0/c1 when the other operand vanishes at
+    -c0/c1, else 1.  Otherwise the Euclidean algorithm."""
+    for lin, other in ((p, q), (q, p)):
+        if len(lin) == 2:
+            c0 = lin[0] if lin[1] == QQI_ONE else lin[0] * lin[1].inv()
+            return (c0, QQI_ONE) if peval(other, -c0).is_zero() else P_ONE
     a, b = p, q
     while b:
         a, b = b, pdivmod(a, b)[1]
@@ -299,19 +332,34 @@ class Scalar:
     # -- field operations ---------------------------------------------
 
     def __add__(self, other):
-        if self.num == P_ZERO:
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if not n1:
             return other
-        if other.num == P_ZERO:
+        if not n2:
             return self
-        if self.den == other.den:
-            if self.den == P_ONE:
-                total = padd(self.num, other.num)
-                return Scalar(total, P_ONE, _canonical=True) if total else ZERO
-            return Scalar(padd(self.num, other.num), self.den)
-        return Scalar(
-            padd(pmul(self.num, other.den), pmul(other.num, self.den)),
-            pmul(self.den, other.den),
-        )
+        if d1 == d2:
+            total = padd(n1, n2)
+            if not total:
+                return ZERO
+            if d1 == P_ONE:
+                return Scalar(total, P_ONE, _canonical=True)
+            return Scalar(total, d1)
+        # a constant (monic) denominator is 1, coprime to the other one
+        g = pgcd(d1, d2) if len(d1) > 1 and len(d2) > 1 else P_ONE
+        if g == P_ONE:
+            # an irreducible factor of d1 divides n2 d1 but not n1 d2 (it
+            # divides neither n1 nor d2), so not the sum; likewise for d2
+            return Scalar(padd(pmul(n1, d2), pmul(n2, d1)), pmul(d1, d2), _canonical=True)
+        # Knuth, TAOCP 4.5.1: with e_k = d_k / g and t = n1 e2 + n2 e1, the
+        # sum is (t / g2) / (e1 (d2 / g2)) for g2 = gcd(t, g)
+        e1, e2 = pdivmod(d1, g)[0], pdivmod(d2, g)[0]
+        t = padd(pmul(n1, e2), pmul(n2, e1))
+        if not t:
+            return ZERO
+        g2 = pgcd(t, g) if len(t) > 1 else P_ONE
+        if g2 != P_ONE:
+            t, d2 = pdivmod(t, g2)[0], pdivmod(d2, g2)[0]
+        return Scalar(t, pmul(e1, d2), _canonical=True)
 
     def __sub__(self, other):
         return self + (-other)
@@ -320,23 +368,43 @@ class Scalar:
         return Scalar(pneg(self.num), self.den, _canonical=True)
 
     def __mul__(self, other):
-        if self.num == P_ZERO or other.num == P_ZERO:
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if not n1 or not n2:
             return ZERO
-        if self.den == P_ONE and other.den == P_ONE:
-            return Scalar(pmul(self.num, other.num), P_ONE, _canonical=True)
-        return Scalar(pmul(self.num, other.num), pmul(self.den, other.den))
+        if d1 == P_ONE and d2 == P_ONE:
+            return Scalar(pmul(n1, n2), P_ONE, _canonical=True)
+        # n1/d1 and n2/d2 are in lowest terms, so gcd(n1 n2, d1 d2) is
+        # gcd(n1, d2) gcd(n2, d1); a constant side makes its factor 1
+        if len(n1) > 1 and len(d2) > 1:
+            g = pgcd(n1, d2)
+            if g != P_ONE:
+                n1, d2 = pdivmod(n1, g)[0], pdivmod(d2, g)[0]
+        if len(n2) > 1 and len(d1) > 1:
+            g = pgcd(n2, d1)
+            if g != P_ONE:
+                n2, d1 = pdivmod(n2, g)[0], pdivmod(d1, g)[0]
+        return Scalar(pmul(n1, n2), pmul(d1, d2), _canonical=True)
 
     def inv(self):
-        if self.num == P_ZERO:
+        num, den = self.num, self.den
+        if not num:
             raise DivisionByZero("inverse of zero scalar")
-        return Scalar(self.den, self.num)
+        # num and den stay coprime; only num's leading coefficient moves
+        lead = num[-1]
+        if lead == QQI_ONE:
+            return Scalar(den, num, _canonical=True)
+        c = lead.inv()
+        return Scalar(pscale(den, c), pscale(num, c), _canonical=True)
 
     def __truediv__(self, other):
         return self * other.inv()
 
     def conj(self):
-        # coefficient conjugation keeps num and den coprime and den monic
-        return Scalar(pconj(self.num), pconj(self.den), _canonical=True)
+        num, den = self.num, self.den
+        if any(c.b for c in num) or any(c.b for c in den):
+            # coefficient conjugation keeps num and den coprime and den monic
+            return Scalar(pconj(num), pconj(den), _canonical=True)
+        return self
 
     # -- predicates and parts -----------------------------------------
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ahodge import linalg
 from ahodge.algebra import (
     DegreeMismatch,
     DimensionMismatch,
@@ -188,13 +189,14 @@ def test_gram_validation_rejects_bad_matrices(fls_metric):
     bad = [row[:] for row in good.hermitian_block]
     bad[0][1] = ONE  # breaks Hermitian symmetry
     with pytest.raises(ValueError, match="not Hermitian"):
-        GramData(N, bad)
+        GramData(N, bad, linalg.inverse(bad))
     indef = [row[:] for row in good.hermitian_block]
     indef[0][0] = -indef[0][0]
     with pytest.raises(NotPositive):
-        GramData(N, indef)
+        GramData(N, indef, linalg.inverse(indef))
+    small = [row[:2] for row in good.hermitian_block[:2]]
     with pytest.raises(ValueError, match="must be 3x3"):
-        GramData(N, [row[:2] for row in good.hermitian_block[:2]])
+        GramData(N, small, linalg.inverse(small))
 
 
 def test_word_helper():
@@ -222,7 +224,7 @@ def hermitian_blocks(draw):
 @settings(max_examples=40, deadline=None)
 @given(hermitian_blocks(), st.integers(0, 2 * N), st.data())
 def test_word_inner_is_the_gram_determinant(h, k, data):
-    gram = GramData(N, h)
+    gram = GramData(N, h, linalg.inverse(h))
     words = words_of_degree(N, k)
     w1, w2 = data.draw(st.sampled_from(words)), data.draw(st.sampled_from(words))
     assert gram.word_inner(w1, w2) == gram_determinant(h, w1, w2)

@@ -1,6 +1,7 @@
 """Byte-exact behaviour contract: every case of scripts/reproduce_tables.py,
-the standalone torus manifest, two large lattice points of the `fls` family
-and one lattice point left UNDETERMINED by a modes bound of 0 must render
+the standalone torus manifest, two large lattice points of the `fls` family,
+two `fls` points whose parameters carry pi in numerator and denominator, and
+one lattice point left UNDETERMINED by a modes bound of 0 must render
 exactly the text and JSON reports pinned under tests/golden/, with the
 pinned exit code.  A case is (source, parameter overrides, other RunConfig
 options).
@@ -33,6 +34,8 @@ CASES = [(source, overrides, {}) for source, overrides in _reproduce_cases()] + 
     (str(ROOT / "manifests" / "torus6.am"), {}, {}),
     ("builtin:fls", {"c": "400*pi"}, {}),
     ("builtin:fls", {"c": "4000*pi"}, {}),
+    ("builtin:fls", {"a": "pi + 1/2", "b": "-2*pi", "c": "-(1/2)*pi"}, {}),
+    ("builtin:fls", {"a": "-2*pi", "b": "(1/2)/pi + 1", "c": "-pi"}, {}),
     ("builtin:fls", {"c": "4*pi"}, {"degrees": [2], "modes_bound": 0}),
 ]
 

@@ -639,7 +639,8 @@ def test_gram_blocks_match_the_full_gram_matrix(source):
     if isinstance(source, str):
         gram = metric_for(get_builtin(source)).gram
     else:
-        gram = GramData(N, [[S(x) for x in row] for row in source])
+        h = [[S(x) for x in row] for row in source]
+        gram = GramData(N, h, linalg.inverse(h))
     n = gram.n
     for k in range(2 * n + 1):
         full = gram_matrix(gram, k)
@@ -651,6 +652,30 @@ def test_gram_blocks_match_the_full_gram_matrix(source):
             conj = [[x.conj() for x in row] for row in block]
             product = linalg.mat_mul(conj, gram.conj_block_inverse(p, q))
             assert linalg.mat_eq(product, linalg.identity(len(words))), (source, p, q)
+
+
+@pytest.mark.parametrize("name, gram", METRIC_CASES)
+def test_the_metric_carries_the_inverse_of_its_gram_block(name, gram):
+    # H^-1 = -i W^T is read off the fundamental form, not inverted
+    _spec, h = _metric_case(name, gram)
+    assert h.gram.hermitian_inverse == linalg.inverse(h.gram.hermitian_block)
+
+
+@pytest.mark.parametrize("name, gram", METRIC_CASES)
+def test_a_metric_takes_one_inverse(name, gram, monkeypatch):
+    spec = get_builtin(name)
+    h = [[S(x) for x in row] for row in gram] if gram is not None else None
+    calls = []
+    original = linalg.inverse
+
+    def counting(m):
+        calls.append(len(m))
+        return original(m)
+
+    monkeypatch.setattr(linalg, "inverse", counting)
+    metric_for(spec) if h is None else metric_from_gram(h, spec)
+    # the map between W and H; GramData takes H^-1 from it
+    assert calls == [spec.n]
 
 
 @pytest.mark.parametrize("name", builtin_names())

@@ -1,4 +1,5 @@
-"""Exact Gauss-Jordan inverse on matrices whose blocks are interleaved."""
+"""Exact Gauss-Jordan inverse on matrices whose blocks are interleaved, and
+matrix equality."""
 
 import pytest
 from hypothesis import given, settings
@@ -69,3 +70,36 @@ def test_inverse_keeps_interleaved_blocks_apart():
         [False, True, False, True],
     ]
     assert linalg.inverse([]) == []
+
+
+def _equal_by_difference(a, b) -> bool:
+    """The subtract-and-test rule mat_eq used before equality was syntactic."""
+    if len(a) != len(b):
+        return False
+    for ra, rb in zip(a, b):
+        if len(ra) != len(rb):
+            return False
+        for x, y in zip(ra, rb):
+            if not (x - y).is_zero():
+                return False
+    return True
+
+
+rows = st.lists(entries, max_size=3)
+# ragged: rows of different lengths, and the empty matrix
+matrices = st.lists(rows, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices, matrices, st.data())
+def test_mat_eq_matches_the_difference_rule(a, b, data):
+    assert linalg.mat_eq(a, b) == _equal_by_difference(a, b)
+    # an equal copy built by arithmetic, so its entries are new objects
+    copy = [[(x + ONE) - ONE for x in row] for row in a]
+    assert linalg.mat_eq(a, copy) and _equal_by_difference(a, copy)
+    if a and a[0]:
+        i = data.draw(st.integers(0, len(a[0]) - 1))
+        changed = [row[:] for row in copy]
+        changed[0][i] = changed[0][i] + PI
+        assert not linalg.mat_eq(a, changed) and not _equal_by_difference(a, changed)
+    assert not linalg.mat_eq(a, a + [[]])

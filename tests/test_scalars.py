@@ -21,6 +21,7 @@ from ahodge.scalars import (
     parse_scalar,
     pconj,
     pdivmod,
+    peval,
     pgcd,
     pnorm,
     pscale,
@@ -28,7 +29,10 @@ from ahodge.scalars import (
 )
 from util import (
     RefQQi,
+    euclid_gcd,
+    from_ref,
     is_canonical_form_of,
+    long_divmod,
     ref_format,
     ref_padd,
     ref_pmul,
@@ -260,11 +264,12 @@ polys = st.lists(gaussian, max_size=4).map(pnorm)
 
 
 def _reference(num, den):
-    """Canonical (num, den) by the full route: monic gcd, then a monic den."""
+    """Canonical (num, den) by the full route: the Euclidean monic gcd and
+    long division of tests/util.py, then a monic den."""
     if not num:
         return (), P_ONE
-    g = pgcd(num, den)
-    num, den = pdivmod(num, g)[0], pdivmod(den, g)[0]
+    g = euclid_gcd(num, den)
+    num, den = long_divmod(num, g)[0], long_divmod(den, g)[0]
     inv = den[-1].inv()
     return pscale(num, inv), pscale(den, inv)
 
@@ -307,6 +312,108 @@ def test_conjugate_is_canonical_without_renormalising(a, b):
     x = a / b
     c = x.conj()
     assert (c.num, c.den) == _reference(pconj(x.num), pconj(x.den))
+
+
+# -- gcds only where lowest terms need them, against the reference ----------
+
+# roots of the linear factors: real, imaginary, zero and Gaussian
+roots = st.sampled_from(
+    [QQi(Fraction(1, 2)), QQi(-2), QQi(0, 1), QQi(0), QQi(Fraction(1, 3), Fraction(-2, 5))]
+)
+linear_factors = st.builds(lambda r, c: (-r * c, c), roots, nonzero_gaussian)
+quadratic_factors = st.builds(
+    lambda c0, c1: (c0, c1, QQi(1)), nonzero_gaussian, gaussian
+)
+factors = st.one_of(linear_factors, quadratic_factors)
+small_polys = st.lists(gaussian, max_size=3).map(pnorm)
+nonzero_polys = small_polys.filter(bool)
+
+
+def _raw_mul(p, q):
+    """The product of QQi polynomials through the Fraction-pair reference."""
+    return from_ref(ref_pmul(to_ref(p), to_ref(q)))
+
+
+def _raw_add(p, q):
+    return from_ref(ref_padd(to_ref(p), to_ref(q)))
+
+
+def _canonical(num, den) -> Scalar:
+    return Scalar(*_reference(num, den), _canonical=True)
+
+
+def _pair(value: Scalar):
+    return value.num, value.den
+
+
+@settings(max_examples=100, deadline=None)
+@given(factors, small_polys, nonzero_polys, small_polys, nonzero_polys)
+def test_products_cancel_a_factor_shared_across(f, a, b, c, d):
+    # num(x) and den(y) share f; x * y, y * x and x / y must cancel it
+    fa, fd = _raw_mul(f, a), _raw_mul(f, d)
+    x, y = _canonical(fa, b), _canonical(c, fd)
+    raw = (_raw_mul(x.num, y.num), _raw_mul(x.den, y.den))
+    expected = _reference(*raw)
+    assert _pair(x * y) == _pair(y * x) == expected
+    if not y.is_zero():
+        assert _pair(x / y) == _reference(_raw_mul(x.num, y.den), _raw_mul(x.den, y.num))
+
+
+@settings(max_examples=100, deadline=None)
+@given(factors, st.booleans(), small_polys, nonzero_polys, small_polys, nonzero_polys)
+def test_sums_over_shared_and_coprime_denominators(f, shared, a, b, c, d):
+    # with ``shared`` both denominators carry f; otherwise y's is d alone,
+    # a constant or, almost always, coprime to x's
+    x = _canonical(a, _raw_mul(f, b))
+    y = _canonical(c, _raw_mul(f, d) if shared else d)
+    for value, sign in ((x + y, 1), (x - y, -1)):
+        ny = y.num if sign > 0 else tuple(-t for t in y.num)
+        raw_num = _raw_add(_raw_mul(x.num, y.den), _raw_mul(ny, x.den))
+        assert _pair(value) == _reference(raw_num, _raw_mul(x.den, y.den))
+
+
+@settings(max_examples=150, deadline=None)
+@given(linear_factors, st.one_of(st.just(()), small_polys, factors), st.booleans(), small_polys)
+def test_linear_gcd_matches_euclid(lin, other, multiple, extra):
+    # ``multiple`` makes lin divide the other operand, so the root test hits
+    if multiple:
+        other = _raw_mul(lin, extra)
+    expected = euclid_gcd(lin, other)
+    assert pgcd(lin, other) == pgcd(other, lin) == expected
+    root = -(lin[0] * lin[1].inv())
+    assert (expected != P_ONE) == peval(other, root).is_zero()
+
+
+def test_linear_gcd_edge_operands():
+    lin = (QQi(3), QQi(2))  # 2 tau + 3, root -3/2
+    monic = (QQi(Fraction(3, 2)), QQi(1))
+    for other in [(), (QQi(5),), (QQi(0, 1),), lin, _raw_mul(lin, lin)]:
+        assert pgcd(lin, other) == pgcd(other, lin) == euclid_gcd(lin, other)
+    assert pgcd(lin, ()) == monic
+    assert pgcd((QQi(7),), lin) == P_ONE
+
+
+real_coeffs = st.builds(QQi, rationals)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(real_coeffs, max_size=3).map(pnorm), st.lists(real_coeffs, max_size=3).map(pnorm))
+def test_conjugate_of_a_real_scalar_is_itself(num, den):
+    if not den:
+        return
+    x = _canonical(num, den)
+    assert x.conj() is x
+    assert x.is_real()
+    y = x + I
+    assert y.conj() is not y and y.conj() == x - I
+
+
+@settings(max_examples=80, deadline=None)
+@given(scalars(), scalars())
+def test_equality_is_syntactic(a, b):
+    # the rule mat_eq and Form.__eq__ relied on before: a difference that is zero
+    assert (a == b) == (a - b).is_zero()
+    assert (a == _canonical(*_pair(b))) == (a - b).is_zero()
 
 
 # -- the integer-triple QQi against the Fraction-pair reference -------------

@@ -2,7 +2,8 @@
 linear-algebra and promotion checks only tests need, dense and all-degree
 oracles for the Gram blocks, the operator and Laplacian code and the
 Laplacian flag, the Hodge star oracle for the Gram adjoints and the star
-duality of the Laplacians, and the Fraction-pair reference for the scalar arithmetic."""
+duality of the Laplacians, and the Fraction-pair reference and Euclidean
+gcd for the scalar arithmetic."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,7 +15,7 @@ from ahodge.fourier import ModeForm, ModeMatrix
 from ahodge.hermitian import _bidegrees, _shift, laplacian_blocks
 from ahodge.manifold import D2_RELATIONS
 from ahodge.pdesolve import _remainder_annihilated
-from ahodge.scalars import ONE, ZERO, Scalar, parse_scalar
+from ahodge.scalars import ONE, ZERO, QQi, Scalar, parse_scalar
 
 
 def word(n, *tokens):
@@ -524,6 +525,45 @@ def ref_gcd_degree(p, q) -> int:
             r = list(ref_poly(r))
         p, q = q, tuple(r)
     return len(p) - 1
+
+
+def from_ref(poly) -> tuple:
+    """A RefQQi polynomial as QQi coefficients."""
+    return tuple(QQi(c.re, c.im) for c in poly)
+
+
+def _strip(coeffs) -> tuple:
+    cs = list(coeffs)
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return tuple(cs)
+
+
+def long_divmod(p, q) -> tuple:
+    """Quotient and remainder of QQi polynomials by schoolbook division,
+    one leading term at a time: the oracle for ``scalars.pdivmod``."""
+    r = list(p)
+    quot = [QQi()] * max(0, len(p) - len(q) + 1)
+    lead_inv = q[-1].inv()
+    while len(r) >= len(q):
+        c = r[-1] * lead_inv
+        k = len(r) - len(q)
+        quot[k] = c
+        for j, b in enumerate(q):
+            r[k + j] = r[k + j] - c * b
+        r = list(_strip(r))
+    return _strip(quot), tuple(r)
+
+
+def euclid_gcd(p, q) -> tuple:
+    """Monic gcd of QQi polynomials by Euclid's algorithm alone, with no
+    shortcut for any degree: the oracle for ``scalars.pgcd``."""
+    while q:
+        p, q = q, long_divmod(p, q)[1]
+    if not p:
+        return p
+    inv = p[-1].inv()
+    return tuple(c * inv for c in p)
 
 
 def is_canonical_form_of(num, den, ref_num, ref_den) -> bool:

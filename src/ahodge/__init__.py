@@ -12,7 +12,7 @@ from .fourier import (
     harmonic_basis_dbar,
     harmonic_basis_deltabar,
 )
-from .hermitian import HermitianData, check_ak_identity, metric_for, metric_from_pair
+from .hermitian import HermitianData, metric_for, metric_from_pair
 from .manifold import ManifoldSpec, load_spec
 from .obstruction import ObstructionVerdict, coframe_obstruction, symplectic_obstruction
 from .scalars import Scalar, parse_scalar
@@ -31,7 +31,6 @@ __all__ = [
     "Scalar",
     "UNDETERMINED",
     "builtin_names",
-    "check_ak_identity",
     "coframe_obstruction",
     "dolbeault_basis",
     "get_builtin",

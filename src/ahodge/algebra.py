@@ -6,9 +6,9 @@ integer order.  A Form is a finitely supported map from strictly increasing
 index words to scalars in Q(pi)(i); no zero coefficients are ever stored.
 
 GramData carries the Hermitian inner products of the coframe, and from those
-alone computes inner products of words (Gram determinants) and, per
-bidegree block, the Gram matrix and the inverse of its conjugate that
-operator adjoints are built from, both from minors of H and of H^-1.
+alone computes, per bidegree block, the Gram matrix of words (Gram
+determinants, as minors of H) and the factorisation H = L D L^H that puts
+the metric in an orthogonal coframe.
 ``block_words`` fixes the word order of every bidegree block.  No
 hand-coded sign tables.
 """
@@ -23,10 +23,6 @@ from .scalars import ONE, ZERO, Scalar, format_scalar, is_positive
 
 class DimensionMismatch(ValueError):
     """Operands live over coframes of different dimension."""
-
-
-class DegreeMismatch(ValueError):
-    """Inner product of forms of different total degree."""
 
 
 class NotPositive(ValueError):
@@ -268,32 +264,24 @@ class GramData:
     """Inner products of invariant forms for one metric.
 
     ``hermitian_block`` is the n x n Hermitian matrix H of inner products of
-    the (1,0)-coframe phi^1..phi^n and ``hermitian_inverse`` is H^-1, which
-    the caller supplies (the metric has it as -i W^T from the fundamental
-    form, without inverting H); the conjugate coframe has Gram matrix
+    the (1,0)-coframe phi^1..phi^n; the conjugate coframe has Gram matrix
     conj(H) and is orthogonal to it, as for every metric compatible with the
     almost-complex structure.  So words of different bidegree are orthogonal,
-    and the Gram determinant of two words of one bidegree is a minor of H
-    times the conjugate of another.  In ``block_words`` order the Gram block
-    of bidegree (p, q) is therefore the Kronecker product C_p(H) (x)
-    conj C_q(H) of compound matrices (the p x p minors of H), and as
-    C_p(H)^-1 = C_p(H^-1) its conjugate is inverted by minors of H^-1 alone.
+    and in ``block_words`` order the Gram block of bidegree (p, q) is the
+    Kronecker product C_p(H) (x) conj C_q(H) of compound matrices (the p x p
+    minors of H), by Cauchy-Binet.  Each compound is built once.
 
-    Each compound C_p(H) and C_p(H^-1) is built once with its conjugate (C_0
-    = [[1]] and C_1 = M take no determinant), and ``block``, ``conj_block``
-    and ``conj_block_inverse`` are each one Kronecker product of two cached
-    compounds.  Positivity is certified on the n leading principal minors
-    of H, corner entries of its compounds, by exact sign evaluation at pi.
+    Positivity is certified on the n leading principal minors m_k of H,
+    corner entries of its compounds, by exact sign evaluation at pi, and
+    ``ldl`` reuses them as the pivots of H = L D L^H.
     """
 
-    __slots__ = ("n", "hermitian_block", "hermitian_inverse", "_compounds", "_block_cache")
+    __slots__ = ("n", "hermitian_block", "_compounds")
 
-    def __init__(self, n: int, h, h_inverse):
+    def __init__(self, n: int, h):
         self.n = n
         self.hermitian_block = h
-        self.hermitian_inverse = h_inverse
         self._compounds: dict = {}
-        self._block_cache: dict = {}
         self._validate()
 
     def _validate(self):
@@ -306,46 +294,38 @@ class GramData:
                     raise ValueError("Gram block is not Hermitian")
         # minors of a Hermitian matrix are real
         for k in range(1, self.n + 1):
-            if not is_positive(self._compound(k, False)[0][0][0]):
+            if not is_positive(self._leading_minor(k)):
                 raise NotPositive(f"Gram block: leading principal minor {k} is not positive")
 
-    def word_inner(self, w1, w2) -> Scalar:
-        """<m_w1, m_w2>, an entry of the Gram block of their bidegree."""
-        if len(w1) != len(w2):
-            raise DegreeMismatch("inner product of words of different degree")
-        p, q = word_bidegree(w1, self.n)
-        if p != word_bidegree(w2, self.n)[0]:
-            return ZERO
-        words = block_words(self.n, p, q)
-        return self.block(p, q)[words.index(tuple(w1))][words.index(tuple(w2))]
-
-    def block(self, p: int, q: int):
-        """Gram matrix of the words of bidegree (p, q) in ``block_words``
-        order: C_p(H) (x) conj C_q(H)."""
-        return self._kron(p, q, False, False)
+    def _leading_minor(self, k: int) -> Scalar:
+        return self._compound(k)[0][0][0] if k else ONE
 
     def conj_block(self, p: int, q: int):
-        """The conjugate of ``block(p, q)``: conj C_p(H) (x) C_q(H)."""
-        return self._kron(p, q, False, True)
+        """The conjugate of the Gram block of bidegree (p, q): conj C_p(H) (x)
+        C_q(H)."""
+        left, right = self._compound(p)[1], self._compound(q)[0]
+        return [[x * y for x in a for y in b] for a in left for b in right]
 
-    def conj_block_inverse(self, p: int, q: int):
-        """Inverse of ``conj_block(p, q)``, the factor every Gram adjoint out
-        of that block starts with: conj C_p(H^-1) (x) C_q(H^-1)."""
-        return self._kron(p, q, True, True)
+    def ldl(self):
+        """H = L D L^H exactly, with L unit lower triangular and D the
+        positive ratios m_k / m_(k-1) of leading principal minors, as
+        (L, [D_1..D_n]).  In the coframe L^-1 phi the Gram block is D."""
+        h, n = self.hermitian_block, self.n
+        d = [self._leading_minor(k) / self._leading_minor(k - 1) for k in range(1, n + 1)]
+        l = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+        for j in range(n):
+            for i in range(j + 1, n):
+                s = h[i][j]
+                for k in range(j):
+                    s = s - l[i][k] * d[k] * l[j][k].conj()
+                l[i][j] = s / d[j]
+        return l, d
 
-    def _kron(self, p: int, q: int, inverse: bool, conj: bool):
-        key = (p, q, inverse, conj)
-        if key not in self._block_cache:
-            left, right = self._compound(p, inverse)[conj], self._compound(q, inverse)[not conj]
-            self._block_cache[key] = [[x * y for x in a for y in b] for a in left for b in right]
-        return self._block_cache[key]
-
-    def _compound(self, p: int, inverse: bool):
-        """(C_p(M), conj C_p(M)) with rows and columns the p-subsets of
-        1..n in ``combinations`` order; M is H, or H^-1 with ``inverse``."""
-        key = (p, inverse)
-        if key not in self._compounds:
-            m = self.hermitian_inverse if inverse else self.hermitian_block
+    def _compound(self, p: int):
+        """(C_p(H), conj C_p(H)) with rows and columns the p-subsets of 1..n
+        in ``combinations`` order."""
+        if p not in self._compounds:
+            m = self.hermitian_block
             if p <= 1:
                 c = m if p else [[ONE]]
             else:
@@ -354,5 +334,5 @@ class GramData:
                     [linalg.det([[m[a][b] for b in cols] for a in rows]) for cols in subsets]
                     for rows in subsets
                 ]
-            self._compounds[key] = (c, linalg.transpose(c))  # C_p(M) is Hermitian as M is
-        return self._compounds[key]
+            self._compounds[p] = (c, linalg.transpose(c))  # C_p(H) is Hermitian as H is
+        return self._compounds[p]

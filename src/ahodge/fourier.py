@@ -15,8 +15,8 @@ polynomials of one sparse type (see "Symbolic minors" below).
 
 The other two spaces cut the dbar space by the kernel of one operator on
 the (p,0) block: mubar for the Dolbeault-type space, and the Gram adjoint of
-mu (built in ``hermitian``, as for the Laplacians) for the (dbar+mu)-harmonic
-one.  Both are function-linear, so each acts on every mode separately.
+mu for the (dbar+mu)-harmonic one.  Both are function-linear, so each acts
+on every mode separately.
 
 "No certified answer" is ``None`` throughout: the mode search returns it when
 elimination degenerates or a root bound has more bits than the configured
@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
-from . import hermitian, linalg, pdesolve
+from . import linalg, pdesolve
 from .algebra import Form
 from .manifold import ManifoldSpec
 from .scalars import ONE, P_ONE, Scalar, ZERO, pdivmod, pgcd, pmul
@@ -93,9 +93,6 @@ class ModeForm:
 
     def is_zero(self) -> bool:
         return not self.modes
-
-    def invariant_part(self) -> Form:
-        return self.modes.get((0,) * self.rank, Form.zero(self.n))
 
     def __eq__(self, other):
         return (
@@ -659,9 +656,13 @@ def harmonic_basis_deltabar(dbar: HarmonicSpace, spec: ManifoldSpec, h) -> Harmo
     cut by the kernel of mu*, the Gram adjoint of mu on block (p-2, 1).  On
     (p,0)-forms mu and dbar* vanish by bidegree, so deltabar = dbar and
     deltabar* = mu*; mu is zero-order, so the pointwise adjoint acts mode by
-    mode."""
-    adjoint = hermitian.piece_adjoint("mu", (dbar.p - 2, 1), h, spec)
-    return _filter_span(dbar, adjoint, "deltabar", spec)
+    mode.  mu* = conj(G_src)^-1 M^H conj(G_tgt) with G_src invertible, so
+    ker mu* = ker M^H conj(G_tgt), G_tgt the Gram block of (p, 0): one
+    product and no inverse."""
+    m = spec.piece_matrices((dbar.p - 2, 1)).get("mu")
+    if m is not None:
+        m = linalg.mat_mul(linalg.conj_transpose(m), h.gram.conj_block(dbar.p, 0))
+    return _filter_span(dbar, m, "deltabar", spec)
 
 
 def dolbeault_basis(dbar: HarmonicSpace, spec: ManifoldSpec) -> HarmonicSpace:

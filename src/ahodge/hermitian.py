@@ -1,31 +1,29 @@
-"""Hermitian metrics on a manifold spec: compatibility, Gram adjoints,
-invariant-form Laplacians, and the almost-Kahler comparison of the two
-mixed Laplacians.
+"""Hermitian metrics on a manifold spec: compatibility, and the
+almost-Kahler comparison of the two mixed Laplacians.
 
 A metric is held as the n x n Hermitian Gram block H of the (1,0)-coframe.
 A compatible fundamental form omega = sum W_jk phi^j ^ conj phi^k has
 H = i (W^T)^-1, and the same map sends H back to W, so either manifest
 route ([metric] omega or gram) gives both.  Positivity is certified on the
-leading principal minors of H.
+leading principal minors m_k of H.
 
-Adjoints are pure Gram-matrix linear algebra: A = conj(G_src)^-1 M^H conj(G_tgt)
-satisfies <Mx, y> = <x, Ay> exactly on invariant forms, with no Hodge star
-and no sign conventions.  The (dbar+mu)-harmonic filter in ``fourier`` takes
-the adjoint of mu from here; the test suite checks it against the star
-criterion mubar(star psi) = 0.
+Forms of different bidegree are orthogonal, so a Laplacian is assembled
+block by block from the four pieces of d and their Gram adjoints A =
+conj(G_src)^-1 M^H conj(G_tgt), which satisfy <Mx, y> = <x, Ay> exactly.
+The flag builds them in the coframe phi' = L^-1 phi of H = L D L^H (L unit
+lower triangular, D_k = m_k / m_(k-1)), where the Gram block of words is
+diagonal with entries g(w), the product of D over the letters of w, so the
+adjoint of a piece X is entrywise: X*[u][v] = conj(X[v][u]) g(v) / g(u).
+The flag is an operator identity and the conjugation of words is the same
+in every (1,0)-coframe; when L = I the spec is read as it is.  Each term
+of a Laplacian holds one adjoint, so a constant factor on the metric
+scales both Laplacians alike: D is divided by D_1, and on a metric
+proportional to the identity each adjoint is a conjugate transpose.  The
+pieces are read once into sparse rows {column: nonzero}.
 
-A compatible metric makes forms of different bidegree orthogonal, so every
-Laplacian is assembled from the four bidegree-homogeneous pieces of d and
-their adjoints, block by block.  By Cauchy-Binet the Gram block of
-bidegree (p, q) is C_p(H) (x) conj C_q(H), with C_p the compound matrix of
-p x p minors, and its conjugate has inverse conj C_p(H^-1) (x) C_q(H^-1):
-H^-1 = -i W^T comes with the metric, so the one n x n inverse per metric
-is the map between W and H, and it serves every block.  Only the dbar+mu
-Laplacian is built for a report: d and the metric are real, so the
-del+mubar Laplacian is its conjugate under the signed conjugation of words,
-and the two are compared through that conjugation, once per pair of
-mirror blocks and on degrees 0..n only: the complex-linear star
-intertwines star L_deltabar = L_delta star from degree k to 2n - k.
+Only the dbar+mu Laplacian is built, and it is compared with its mirror
+under the signed conjugation of words, entry by entry, on degrees 0..n
+(see ``delta_laplacians_equal``).
 
 The restriction of the L2 adjoint to invariant forms is the Gram adjoint;
 this uses that averaging over the compact quotient preserves invariant forms,
@@ -37,20 +35,19 @@ argument: their Gram adjoints are their pointwise adjoints.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import product
+from math import prod
 
 from . import linalg
 from .algebra import Form, GramData, NotPositive, conj_word
-from .manifold import BIDEGREE_SHIFTS, ManifoldSpec
+from .manifold import BIDEGREE_SHIFTS, ManifoldSpec, _parse_fibration, substitute, substitute_rows
 from .scalars import I as IMAG
+from .scalars import ONE
 
 
 class NotCompatible(ValueError):
     """The candidate fundamental form is not real of pure type (1,1)."""
-
-
-class NotAlmostKahler(ValueError):
-    """Operation requires a closed fundamental form."""
 
 
 @dataclass
@@ -58,7 +55,6 @@ class HermitianData:
     gram: GramData
     omega: Form
     is_almost_kahler: bool
-    _adj_cache: dict = field(default_factory=dict, repr=False)
 
 
 def _dual(m, what: str):
@@ -71,12 +67,10 @@ def _dual(m, what: str):
     return [[IMAG * x for x in row] for row in inv]
 
 
-def _metric(spec: ManifoldSpec, h, w, omega: Form) -> HermitianData:
-    """The metric with Gram block h and fundamental form omega, whose (1,1)
-    coefficients w give h^-1 = -i w^T with no further inverse."""
+def _metric(spec: ManifoldSpec, h, omega: Form) -> HermitianData:
+    """The metric with Gram block h and fundamental form omega."""
     closed = spec.exterior_d(omega).is_zero()
-    h_inverse = [[-(IMAG * x) for x in row] for row in linalg.transpose(w)]
-    return HermitianData(gram=GramData(spec.n, h, h_inverse), omega=omega, is_almost_kahler=closed)
+    return HermitianData(gram=GramData(spec.n, h), omega=omega, is_almost_kahler=closed)
 
 
 def metric_from_pair(omega: Form, spec: ManifoldSpec) -> HermitianData:
@@ -92,7 +86,7 @@ def metric_from_pair(omega: Form, spec: ManifoldSpec) -> HermitianData:
     n = spec.n
     idx = range(1, n + 1)
     w = [[omega.coefficient((j, n + k)) for k in idx] for j in idx]
-    return _metric(spec, _dual(w, "omega"), w, omega)
+    return _metric(spec, _dual(w, "omega"), omega)
 
 
 def metric_from_gram(h, spec: ManifoldSpec) -> HermitianData:
@@ -104,7 +98,7 @@ def metric_from_gram(h, spec: ManifoldSpec) -> HermitianData:
     for j, row in enumerate(w, start=1):
         for k, c in enumerate(row, start=n + 1):
             omega = omega + Form.monomial(n, (j, k), c)
-    return _metric(spec, h, w, omega)
+    return _metric(spec, h, omega)
 
 
 def metric_for(spec: ManifoldSpec) -> HermitianData:
@@ -117,7 +111,7 @@ def metric_for(spec: ManifoldSpec) -> HermitianData:
     return metric_from_gram(payload, spec)
 
 
-# -- adjoints and Laplacians on invariant forms -------------------------
+# -- the Laplacian flag in an orthogonal coframe ---------------------------
 
 
 def _bidegrees(n: int, k: int):
@@ -129,56 +123,111 @@ def _shift(pq, which: str, sign: int = 1):
     return (pq[0] + sign * dp, pq[1] + sign * dq)
 
 
-def piece_adjoint(which: str, pq, h: HermitianData, spec: ManifoldSpec):
-    """Gram adjoint of one piece of d on block pq: a map from block
-    pq + shift back to pq, or None when the piece is absent."""
-    key = (which, pq)
-    if key in h._adj_cache:
-        return h._adj_cache[key]
-    m = spec.piece_matrices(pq).get(which)
-    adj = None
-    if m is not None:
-        adj = linalg.mat_mul(
-            h.gram.conj_block_inverse(*pq),
-            linalg.mat_mul(linalg.conj_transpose(m), h.gram.conj_block(*_shift(pq, which))),
-        )
-    h._adj_cache[key] = adj
-    return adj
+def _bar(pq):
+    return (pq[1], pq[0])
 
 
-def _add_block(blocks: dict, key, term):
-    prev = blocks.get(key)
-    blocks[key] = term if prev is None else linalg.mat_add(prev, term)
+def _rebased(spec: ManifoldSpec, l) -> ManifoldSpec:
+    """The spec in the coframe phi' = L^-1 phi: phi = L phi' substituted into
+    each d phi^j, and L^-1 applied outside.  The flag reads neither metric
+    nor fibration, so it keeps none."""
+    n = spec.n
+    images = [Form(n, {(c,): x for c, x in enumerate(row, 1) if not x.is_zero()}) for row in l]
+    images += [phi.conj() for phi in images]
+    dphi = substitute_rows(linalg.inverse(l), dict(enumerate(spec.dphi, 1)), images)
+    e_forms = [substitute(images, spec.e_form(k)) for k in range(1, 2 * n + 1)]
+    return ManifoldSpec(
+        spec.name, n, spec.params, dphi, e_forms, None,
+        _parse_fibration((), spec.params, n), spec.section, spec.symbol,
+    )
 
 
-def laplacian_blocks(parts, h: HermitianData, spec: ManifoldSpec, k: int) -> dict:
-    """O O* + O* O on invariant k-forms, for O the sum of the pieces of d
-    named in ``parts``, as {(target bidegree, source bidegree): matrix};
-    blocks that no term reaches are absent (zero).
+class _Frame:
+    """A spec read in a coframe where its metric is diagonal: the pieces of
+    d as sparse rows {column: nonzero}, each read once, and their entrywise
+    Gram adjoints.  ``weights`` are D / D_1, or None when all are 1."""
+
+    def __init__(self, h: HermitianData, spec: ManifoldSpec):
+        l, d = h.gram.ldl()
+        l_is_identity = all(x.is_zero() for i, row in enumerate(l) for x in row[:i])
+        self.spec = spec if l_is_identity else _rebased(spec, l)
+        weights = [x / d[0] for x in d]
+        self.weights = None if all(x == ONE for x in weights) else weights
+        self._pieces: dict = {}
+        self._adjoints: dict = {}
+
+    def piece(self, which: str, pq):
+        """The piece ``which`` of d on block pq, or None when it is absent."""
+        if (which, pq) not in self._pieces:
+            m = self.spec.piece_matrices(pq).get(which)
+            self._pieces[which, pq] = None if m is None else [
+                {j: x for j, x in enumerate(row) if not x.is_zero()} for row in m
+            ]
+        return self._pieces[which, pq]
+
+    def adjoint(self, which: str, pq):
+        """Gram adjoint of the piece ``which`` on block pq, from block pq +
+        shift back to pq: X*[u][v] = conj(X[v][u]) g(v) / g(u)."""
+        if (which, pq) not in self._adjoints:
+            x = self.piece(which, pq)
+            adj = None
+            if x is not None:
+                adj = [{} for _ in self.spec.block_words(*pq)]
+                g_src, g_tgt = self._word_weights(pq), self._word_weights(_shift(pq, which))
+                for v, row in enumerate(x):
+                    for u, c in row.items():
+                        adj[u][v] = c.conj() if g_src is None else c.conj() * g_tgt[v] / g_src[u]
+            self._adjoints[which, pq] = adj
+        return self._adjoints[which, pq]
+
+    def _word_weights(self, pq):
+        """g(w) = the product of the weights of the letters of w, for the
+        words of block pq; a letter and its conjugate weigh the same."""
+        if self.weights is None:
+            return None
+        n = self.spec.n
+        return [
+            prod((self.weights[(j - 1) % n] for j in w), start=ONE)
+            for w in self.spec.block_words(*pq)
+        ]
+
+
+def _add_product(blocks: dict, key, a, b):
+    """blocks[key] += a b on sparse rows: zeros are skipped, a first product
+    is stored without a sum, and an entry that sums to zero is dropped."""
+    out = blocks.get(key)
+    if out is None:
+        out = blocks[key] = [{} for _ in a]
+    for acc, row in zip(out, a):
+        for k, x in row.items():
+            for j, y in b[k].items():
+                s = acc.pop(j, None)
+                s = x * y if s is None else s + x * y
+                if not s.is_zero():
+                    acc[j] = s
+
+
+def laplacian_blocks(frame: _Frame, k: int) -> dict:
+    """L_deltabar = O O* + O* O on invariant k-forms of the frame, O = dbar +
+    mu, as {(target bidegree, source bidegree): sparse rows}; blocks that no
+    term reaches are absent (zero).
 
     The Laplacian is the sum over pairs of pieces X, Y of X Y* + X* Y, and
     each such term maps one bidegree block into one other."""
     blocks: dict = {}
-    for src in _bidegrees(spec.n, k):
-        for x in parts:
-            for y in parts:
-                # X Y*: src -> mid = src - shift(Y) -> mid + shift(X)
-                mid = _shift(src, y, -1)
-                x_mat = spec.piece_matrices(mid).get(x)
-                y_adj = piece_adjoint(y, mid, h, spec)
-                if x_mat is not None and y_adj is not None:
-                    _add_block(blocks, (_shift(mid, x), src), linalg.mat_mul(x_mat, y_adj))
-                # X* Y: src -> src + shift(Y) -> back by shift(X)
-                y_mat = spec.piece_matrices(src).get(y)
-                back = _shift(_shift(src, y), x, -1)
-                x_adj = piece_adjoint(x, back, h, spec)
-                if y_mat is not None and x_adj is not None:
-                    _add_block(blocks, (back, src), linalg.mat_mul(x_adj, y_mat))
+    parts = ("dbar", "mu")
+    for src, x, y in product(_bidegrees(frame.spec.n, k), parts, parts):
+        # X Y*: src -> mid = src - shift(Y) -> mid + shift(X)
+        mid = _shift(src, y, -1)
+        x_mat, y_adj = frame.piece(x, mid), frame.adjoint(y, mid)
+        if x_mat is not None and y_adj is not None:
+            _add_product(blocks, (_shift(mid, x), src), x_mat, y_adj)
+        # X* Y: src -> src + shift(Y) -> back by shift(X)
+        back = _shift(_shift(src, y), x, -1)
+        y_mat, x_adj = frame.piece(y, src), frame.adjoint(x, back)
+        if y_mat is not None and x_adj is not None:
+            _add_product(blocks, (back, src), x_adj, y_mat)
     return blocks
-
-
-def _bar(pq):
-    return (pq[1], pq[0])
 
 
 def _conjugation(spec: ManifoldSpec, pq) -> list:
@@ -192,49 +241,51 @@ def _conjugation(spec: ManifoldSpec, pq) -> list:
     return out
 
 
+def _is_mirror(mine, mirror, conj_tgt, conj_src) -> bool:
+    """Whether block ``mine`` is C ``mirror`` C, entry by entry: entry (u, w)
+    is s_u s_w conj(mirror[c(u)][c(w)]), and an entry missing on one side is
+    a difference."""
+    for row, (su, cu) in zip(mine, conj_tgt):
+        other = mirror[cu]
+        if len(row) != len(other):
+            return False
+        for w, x in row.items():
+            sw, cw = conj_src[w]
+            if other.get(cw) != (x.conj() if su == sw else -x.conj()):
+                return False
+    return True
+
+
 def delta_laplacians_equal(h: HermitianData, spec: ManifoldSpec) -> bool:
     """Whether the two mixed Laplacians coincide on every invariant degree.
 
-    Only L_deltabar is built.  d and the metric are real, so L_delta =
-    C L_deltabar C with C the signed conjugation of words: block (t, s) of
-    L_delta has entries s_u s_w conj(L_deltabar[(bar t, bar s)][c(u)][c(w)]),
-    where bar (p, q) = (q, p).  A block absent on one side must be zero.
-    C is an involution, so block (t, s) decides (bar t, bar s) too.
+    Only L_deltabar is built, in an orthogonal coframe.  d and the metric
+    are real, so L_delta = C L_deltabar C with C the signed conjugation of
+    words: block (t, s) of L_delta has entries s_u s_w conj(L_deltabar[(bar
+    t, bar s)][c(u)][c(w)]), where bar (p, q) = (q, p).  A block absent on
+    one side must be zero.  C is an involution, so block (t, s) decides
+    (bar t, bar s) too.
 
     Only degrees 0..n are compared.  The complex-linear star maps (p, q) to
     (n-q, n-p), and on a unimodular group dbar* = -star del star and mu* =
     -star mubar star, so star L_deltabar = L_delta star from degree k to
     2n - k: the Laplacians agree at k exactly when they agree at 2n - k."""
+    frame = _Frame(h, spec)
     conj: dict = {}
     for k in range(spec.n + 1):
-        blocks = laplacian_blocks(("dbar", "mu"), h, spec, k)
+        blocks = laplacian_blocks(frame, k)
         for tgt, src in sorted(blocks.keys() | {(_bar(t), _bar(s)) for t, s in blocks}):
             if (tgt, src) > (_bar(tgt), _bar(src)):
                 continue
             mine = blocks.get((tgt, src))
             mirror = blocks.get((_bar(tgt), _bar(src)))
             if mine is None or mirror is None:
-                if not linalg.is_zero_matrix(mine or mirror):
+                if any(mine or mirror):
                     return False
                 continue
             for pq in (tgt, src):
                 if pq not in conj:
                     conj[pq] = _conjugation(spec, pq)
-            delta = [
-                [
-                    mirror[cu][cw].conj() if su == sw else -mirror[cu][cw].conj()
-                    for sw, cw in conj[src]
-                ]
-                for su, cu in conj[tgt]
-            ]
-            if not linalg.mat_eq(mine, delta):
+            if not _is_mirror(mine, mirror, conj[tgt], conj[src]):
                 return False
     return True
-
-
-def check_ak_identity(h: HermitianData, spec: ManifoldSpec) -> bool:
-    """Exact matrix identity between the two mixed Laplacians; only
-    meaningful (and only claimed) for almost-Kahler metrics."""
-    if not h.is_almost_kahler:
-        raise NotAlmostKahler("fundamental form is not closed")
-    return delta_laplacians_equal(h, spec)

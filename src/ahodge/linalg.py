@@ -1,9 +1,9 @@
 """Dense exact linear algebra over the Q(pi)(i) scalar field.
 
-Matrices are lists of row lists of Scalars.  Everything here is small: the
-Laplacian path works on bidegree blocks of at most 9 x 9, and the only
-inverses are of the n x n Gram block, its dual and the 2n x 2n coframe
-change of basis, so plain Gauss-Jordan with exact division is fine.
+Matrices are lists of row lists of Scalars.  Everything here is small, and
+the only inverses are of the n x n Gram block, its dual, the triangular
+factor of a non-diagonal one and the 2n x 2n coframe change of basis, so
+plain Gauss-Jordan with exact division is fine.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ def identity(n: int):
     for k in range(n):
         m[k][k] = ONE
     return m
-
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_mul(a, b):
@@ -55,10 +51,6 @@ def mat_eq(a, b) -> bool:
     """Same shape and equal entries; canonical scalars are equal exactly
     when their forms are, so no difference is formed."""
     return a == b
-
-
-def is_zero_matrix(a) -> bool:
-    return all(x.is_zero() for row in a for x in row)
 
 
 def rref(a):

@@ -151,7 +151,7 @@ class ManifoldSpec:
         self.section = section
         self._dword_cache: dict = {}
         self._piece_cache: dict = {}
-        self._d2 = None  # d^2 of the generators, evaluated once
+        self._d2 = None  # d^2 of phi^1..phi^n, evaluated once
         self._dgen = {}
         for j in range(1, n + 1):
             self._dgen[j] = dphi[j - 1]
@@ -166,9 +166,6 @@ class ManifoldSpec:
     def e_form(self, k: int) -> Form:
         """The real coframe element e^k expressed in the phi-basis."""
         return self._e_forms[k - 1]
-
-    def d_generator(self, a: int) -> Form:
-        return self._dgen[a]
 
     def d_word(self, word) -> Form:
         """d of one index word by the Leibniz rule, d(w) = sum_t (-1)^t
@@ -280,16 +277,19 @@ class ManifoldSpec:
         its component in bidegree bideg(a) + s is the relation shifting by s
         applied to phi^a; the witness is the smallest failing degree-1 word.
         Each component is a derivation, as d is one, so it vanishes on every
-        invariant form once it vanishes on the degree-1 words."""
+        invariant form once it vanishes on the degree-1 words.  d is real, so
+        d^2 conj phi^a is the conjugate of d^2 phi^a, whose words have the
+        swapped bidegrees: only phi^1..phi^n are evaluated."""
         n = self.n
         if self._d2 is None:
-            self._d2 = [self.exterior_d(self._dgen[a]) for a in range(1, 2 * n + 1)]
+            self._d2 = [self.exterior_d(self._dgen[a]) for a in range(1, n + 1)]
         first: dict = {}  # bidegree shift -> smallest failing word
-        for a, residue in enumerate(self._d2, 1):
-            p, q = word_bidegree((a,), n)
-            for w in residue.coeffs:
-                r, s = word_bidegree(w, n)
-                first.setdefault((r - p, s - q), (a,))
+        for bar in (0, 1):
+            for a, residue in enumerate(self._d2, 1):
+                # phi^a has bidegree (1, 0); conj phi^a has (0, 1), and the
+                # words of its residue have the swapped bidegrees (s, r)
+                for r, s in {word_bidegree(w, n) for w in residue.coeffs}:
+                    first.setdefault((s, r - 1) if bar else (r - 1, s), (a + bar * n,))
         report = []
         for name, ((outer, inner), *_rest) in D2_RELATIONS:
             (dp, dq), (ep, eq) = BIDEGREE_SHIFTS[outer], BIDEGREE_SHIFTS[inner]
@@ -537,7 +537,7 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
             f"complexified coframe ({exc})" + (f" at {at}" if at else "")
         ) from exc
     if real_route:
-        dphi = _derive_complex_equations(de, cmatrix, e_forms)
+        dphi = substitute_rows(cmatrix, de, e_forms)
         for j in sorted(declared_dphi):
             if not (dphi[j - 1] - declared_dphi[j]).is_zero():
                 raise ParseError(
@@ -556,7 +556,7 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
             raise ParseError("[metric] declares a second metric", lineno)
         if key == "omega":
             omega = _parse_form_expr(value, params, n, "e", lineno)
-            metric_source = ("omega", _e_to_phi(e_forms, omega))
+            metric_source = ("omega", substitute(e_forms, omega))
         elif key == "gram":
             h = _parse_list(value, params, lineno, lambda p: p.bracketed(p.expr))
             if len(h) != n or any(len(r) != n for r in h):
@@ -582,27 +582,31 @@ def _coframe_basis(cmatrix):
     ]
 
 
-def _derive_complex_equations(de: dict, cmatrix, e_forms):
-    """Derive d phi^j from real structure equations and the acs rows."""
-    d_e_phi = {k: _e_to_phi(e_forms, form) for k, form in de.items()}
+def substitute_rows(rows, forms: dict, images) -> list:
+    """sum_k row[k] forms[k + 1] for each row, with each form rewritten by
+    ``substitute``: d phi^j from the real structure equations and the acs
+    rows, or the structure equations in another (1,0)-coframe."""
+    d_images = {k: substitute(images, form) for k, form in forms.items()}
     out = []
-    for row in cmatrix:
-        total = Form.zero(len(cmatrix))
+    for row in rows:
+        total = Form.zero(len(rows))
         for k, c in enumerate(row, start=1):
             if not c.is_zero():
-                total = total + d_e_phi[k].scale(c)
+                total = total + d_images[k].scale(c)
         out.append(total)
     return out
 
 
-def _e_to_phi(e_forms, e_expr: Form) -> Form:
-    """Convert a form written over real coframe indices to the phi-basis."""
-    n = len(e_forms) // 2
+def substitute(images, alpha: Form) -> Form:
+    """alpha with each index k of its words replaced by the one-form
+    ``images[k - 1]``: a form over the real coframe into the phi-basis, or
+    a phi-form into another (1,0)-coframe and its conjugate."""
+    n = len(images) // 2
     out = Form.zero(n)
-    for word, c in e_expr.coeffs.items():
+    for word, c in alpha.coeffs.items():
         term = Form.scalar(n, c)
         for k in word:
-            term = term.wedge(e_forms[k - 1])
+            term = term.wedge(images[k - 1])
         out = out + term
     return out
 

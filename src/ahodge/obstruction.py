@@ -27,10 +27,6 @@ class ObstructionVerdict:
     rule: str | None = None  # "theorem" | "coframe_corollary"
     certificate: dict | None = None
 
-    @property
-    def obstructed(self) -> bool:
-        return self.verdict == "Obstructed"
-
 
 def _certify(witness: ModeForm, spec: ManifoldSpec) -> dict:
     return {

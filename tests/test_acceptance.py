@@ -18,11 +18,12 @@ from ahodge.fourier import (
     harmonic_basis_deltabar,
     mode_matrix,
 )
-from ahodge.hermitian import check_ak_identity, metric_for
+from ahodge.hermitian import metric_for
 from ahodge.obstruction import symplectic_obstruction
 from ahodge.pdesolve import build_dbar_system, reduce
 from util import (
     adjoint_matrix,
+    check_ak_identity,
     exhaustive_mode_scan,
     gram_matrix,
     hodge_star,
@@ -131,7 +132,7 @@ def test_criterion_5_iwasawa_ak():
 def test_criterion_6_obstruction():
     std = get_builtin("iwasawa_std")
     verdict = symplectic_obstruction(std, harmonic_basis_dbar(1, std))
-    assert verdict.obstructed
+    assert verdict.verdict == "Obstructed"
     assert spans_equal([verdict.witness], [invariant(std, [("1", ("3",))])])
     nonak = get_builtin("fls_nonak")
     assert symplectic_obstruction(nonak, harmonic_basis_dbar(1, nonak)).verdict == "Inconclusive"

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from ahodge import linalg
 from ahodge.algebra import (
-    DegreeMismatch,
     DimensionMismatch,
     Form,
     GramData,
@@ -14,7 +13,18 @@ from ahodge.algebra import (
     words_of_degree,
 )
 from ahodge.scalars import I, ONE, Scalar, ZERO, sign_at_pi
-from util import S, form, gram_determinant, hodge_star, inner_product, volume, word
+from util import (
+    DegreeMismatch,
+    S,
+    check_ldl,
+    form,
+    gram_determinant,
+    hodge_star,
+    inner_product,
+    volume,
+    word,
+    word_inner,
+)
 
 N = 3
 all_words = [w for k in range(7) for w in words_of_degree(N, k)]
@@ -189,14 +199,14 @@ def test_gram_validation_rejects_bad_matrices(fls_metric):
     bad = [row[:] for row in good.hermitian_block]
     bad[0][1] = ONE  # breaks Hermitian symmetry
     with pytest.raises(ValueError, match="not Hermitian"):
-        GramData(N, bad, linalg.inverse(bad))
+        GramData(N, bad)
     indef = [row[:] for row in good.hermitian_block]
     indef[0][0] = -indef[0][0]
     with pytest.raises(NotPositive):
-        GramData(N, indef, linalg.inverse(indef))
+        GramData(N, indef)
     small = [row[:2] for row in good.hermitian_block[:2]]
     with pytest.raises(ValueError, match="must be 3x3"):
-        GramData(N, small, linalg.inverse(small))
+        GramData(N, small)
 
 
 def test_word_helper():
@@ -224,10 +234,16 @@ def hermitian_blocks(draw):
 @settings(max_examples=40, deadline=None)
 @given(hermitian_blocks(), st.integers(0, 2 * N), st.data())
 def test_word_inner_is_the_gram_determinant(h, k, data):
-    gram = GramData(N, h, linalg.inverse(h))
+    gram = GramData(N, h)
     words = words_of_degree(N, k)
     w1, w2 = data.draw(st.sampled_from(words)), data.draw(st.sampled_from(words))
-    assert gram.word_inner(w1, w2) == gram_determinant(h, w1, w2)
+    assert word_inner(gram, w1, w2) == gram_determinant(h, w1, w2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hermitian_blocks())
+def test_the_gram_block_is_l_d_l_h(h):
+    check_ldl(GramData(N, h))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -1,5 +1,6 @@
 """Byte-exact behaviour contract: every case of scripts/reproduce_tables.py,
-the standalone torus manifest, two large lattice points of the `fls` family,
+the standalone torus manifest, the torus and iwasawa_std with a
+non-diagonal Gram block, two large lattice points of the `fls` family,
 two `fls` points whose parameters carry pi in numerator and denominator, and
 one lattice point left UNDETERMINED by a modes bound of 0 must render
 exactly the text and JSON reports pinned under tests/golden/, with the
@@ -32,6 +33,8 @@ def _reproduce_cases():
 
 CASES = [(source, overrides, {}) for source, overrides in _reproduce_cases()] + [
     (str(ROOT / "manifests" / "torus6.am"), {}, {}),
+    (str(ROOT / "manifests" / "torus6_skew.am"), {}, {}),
+    (str(ROOT / "manifests" / "iwasawa_std_skew.am"), {}, {}),
     ("builtin:fls", {"c": "400*pi"}, {}),
     ("builtin:fls", {"c": "4000*pi"}, {}),
     ("builtin:fls", {"a": "pi + 1/2", "b": "-2*pi", "c": "-(1/2)*pi"}, {}),

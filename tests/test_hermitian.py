@@ -17,29 +17,34 @@ from ahodge.builtins import BUILTINS, builtin_names, get_builtin
 from ahodge.cli import RunConfig, compute_report, report_to_dict
 from ahodge.hermitian import (
     _bidegrees,
-    NotAlmostKahler,
     NotCompatible,
-    check_ak_identity,
     delta_laplacians_equal,
     metric_for,
     metric_from_gram,
     metric_from_pair,
 )
-from ahodge.manifold import load_spec
+from ahodge.manifold import ManifoldSpec, load_spec
 from ahodge.scalars import I, ONE, Scalar, ZERO, format_scalar
 from util import (
+    NotAlmostKahler,
     S,
     adjoint_matrix,
+    check_ak_identity,
+    check_ldl,
+    conj_block_inverse,
     conjugated,
     delta_laplacian,
+    gram_block,
     gram_matrix,
     hodge_star,
     inner_product,
+    laplacian_blocks,
     laplacian_invariant,
     laplacians_equal_all_degrees,
     laplacian_matrix,
     mat_vec,
     operator_matrix,
+    rebase,
     row_space_equal,
     star_matrix,
     volume,
@@ -241,7 +246,7 @@ def test_adjoint_involution_and_zero(fls_metric, fls):
         assert linalg.mat_eq(back, m)
     zero = linalg.zeros(len(words_of_degree(N, 2)), len(words_of_degree(N, 1)))
     adj0 = adjoint_matrix(zero, gram_matrix(h.gram, 1), gram_matrix(h.gram, 2))
-    assert linalg.is_zero_matrix(adj0)
+    assert all(x.is_zero() for row in adj0 for x in row)
 
 
 def test_laplacian_self_adjoint(fls_4pi_metric, fls_4pi):
@@ -422,6 +427,83 @@ def test_the_star_intertwines_the_two_laplacians(name, gram):
         assert linalg.mat_eq(lhs, rhs), k
 
 
+# a diagonal Gram block that is not a multiple of the identity
+LDL_GRAMS = NON_DIAGONAL_GRAMS + [[["1", "0", "0"], ["0", "2", "0"], ["0", "0", "pi"]]]
+
+
+@pytest.mark.parametrize("source", builtin_names() + LDL_GRAMS)
+def test_the_gram_block_factors_as_l_d_l_h(source):
+    if isinstance(source, str):
+        check_ldl(metric_for(get_builtin(source)).gram)
+    else:
+        check_ldl(GramData(N, [[S(x) for x in row] for row in source]))
+
+
+SCALINGS = ("2", "1/3", "pi")
+# phi' = A phi: a triangular A, a permutation and one carrying pi
+REBASES = [
+    [["1", "0", "0"], ["2", "1", "0"], ["i", "-1", "3"]],
+    [["0", "1", "0"], ["0", "0", "1"], ["1", "0", "0"]],
+    [["1", "0", "pi"], ["0", "1", "0"], ["0", "0", "1"]],
+]
+
+
+@pytest.mark.parametrize("name, gram", METRIC_CASES)
+def test_the_flag_is_kept_by_scaling_the_metric_and_changing_the_coframe(name, gram):
+    # the flag is read in the coframe where H is diagonal, with D divided
+    # by D_1; neither a constant factor nor the declared coframe may move it
+    spec, h = _metric_case(name, gram)
+    expected = laplacians_equal_all_degrees(h, spec)
+    for factor in SCALINGS:
+        c = S(factor)
+        scaled = metric_from_gram([[c * x for x in row] for row in h.gram.hermitian_block], spec)
+        assert delta_laplacians_equal(scaled, spec) == expected, factor
+    for a in REBASES:
+        rebased, h_rebased = rebase(spec, [[S(x) for x in row] for row in a], h)
+        assert delta_laplacians_equal(h_rebased, rebased) == expected, a
+
+
+@pytest.mark.parametrize("name, gram", METRIC_CASES)
+def test_the_sparse_blocks_are_the_dense_laplacian_in_the_orthogonal_coframe(name, gram):
+    # in the coframe of H = L D L^H the metric is D / D_1, and the dense
+    # oracle builds its Gram adjoints from compound matrices and inverses
+    spec, h = _metric_case(name, gram)
+    frame = hermitian._Frame(h, spec)
+    _l, d = h.gram.ldl()
+    n = spec.n
+    diagonal = [[d[i] / d[0] if i == j else ZERO for j in range(n)] for i in range(n)]
+    h_frame = metric_from_gram(diagonal, frame.spec)
+    for k in range(n + 1):
+        sparse = hermitian.laplacian_blocks(frame, k)
+        dense = laplacian_blocks(("dbar", "mu"), h_frame, frame.spec, k)
+        assert sparse.keys() == dense.keys(), k
+        for (tgt, src), rows in sparse.items():
+            cols = range(len(block_words(n, *src)))
+            assert [[row.get(j, ZERO) for j in cols] for row in rows] == dense[tgt, src]
+            assert all(not x.is_zero() for row in rows for x in row.values())
+
+
+@pytest.mark.parametrize("name, gram", METRIC_CASES)
+def test_the_flag_multiplies_and_inverts_no_matrix_and_builds_no_spec(name, gram, monkeypatch):
+    # a metric proportional to the identity is read as declared, with
+    # entrywise adjoints; a non-diagonal one is rebased once
+    spec, h = _metric_case(name, gram)
+    calls = []
+
+    def spy(label, original):
+        def counting(*args, **kwargs):
+            calls.append(label)
+            return original(*args, **kwargs)
+
+        return counting
+
+    monkeypatch.setattr(linalg, "mat_mul", spy("mat_mul", linalg.mat_mul))
+    monkeypatch.setattr(linalg, "inverse", spy("inverse", linalg.inverse))
+    monkeypatch.setattr(ManifoldSpec, "__init__", spy("spec", ManifoldSpec.__init__))
+    delta_laplacians_equal(h, spec)
+    assert calls == ([] if gram is None else ["inverse", "spec"])
+
+
 def _fls_parameter(nonzero=False):
     """A random rational, times pi or not, as a scalar expression."""
     ratio = st.fractions(min_value=-5, max_value=5, max_denominator=5)
@@ -439,8 +521,9 @@ def test_conjugated_deltabar_laplacian_on_fls_points(a, b, c):
 
 def test_a_block_without_a_mirror_must_be_zero(fls, fls_metric, monkeypatch):
     # the block sets built from real manifests are closed under conjugation;
-    # a lone block stands against the zero block of its absent mirror
-    for block, expected in (([[ZERO, ZERO]], True), ([[ZERO, ONE]], False)):
+    # a lone block of sparse rows stands against the zero block of its
+    # absent mirror
+    for block, expected in (([{}], True), ([{1: ONE}], False)):
         monkeypatch.setattr(
             hermitian, "laplacian_blocks", lambda *args: {((1, 0), (2, 0)): block}
         )
@@ -448,34 +531,40 @@ def test_a_block_without_a_mirror_must_be_zero(fls, fls_metric, monkeypatch):
 
 
 def test_a_report_never_builds_the_delta_laplacian(monkeypatch):
-    calls = []
-    original = hermitian.laplacian_blocks
+    calls, pieces = [], set()
+    original_blocks, original_piece = hermitian.laplacian_blocks, hermitian._Frame.piece
 
-    def spy(parts, h, spec, k):
-        calls.append((parts, k))
-        return original(parts, h, spec, k)
+    def blocks_spy(frame, k):
+        calls.append(k)
+        return original_blocks(frame, k)
 
-    monkeypatch.setattr(hermitian, "laplacian_blocks", spy)
+    def piece_spy(frame, which, pq):
+        pieces.add(which)
+        return original_piece(frame, which, pq)
+
+    monkeypatch.setattr(hermitian, "laplacian_blocks", blocks_spy)
+    monkeypatch.setattr(hermitian._Frame, "piece", piece_spy)
     for name in builtin_names():
         calls.clear()
         flags = compute_report(RunConfig(f"builtin:{name}")).flags
         # only L_deltabar, on degrees 0..n; a degree that differs ends the
         # comparison early
-        last = N if flags["delta_laplacians_equal"] else calls[-1][1]
-        assert calls == [(("dbar", "mu"), k) for k in range(last + 1)], name
+        last = N if flags["delta_laplacians_equal"] else calls[-1]
+        assert calls == list(range(last + 1)), name
+    # L_deltabar reads only the dbar and mu pieces and their adjoints
+    assert pieces == {"dbar", "mu"}
 
 
 def test_a_difference_at_degree_n_alone_clears_the_flag(fls, fls_metric, monkeypatch):
     # catches a loop that stops short of the middle degree
     original = hermitian.laplacian_blocks
 
-    def perturbed(parts, h, spec, k):
-        blocks = original(parts, h, spec, k)
-        if k == spec.n:
-            blocks = dict(blocks)
+    def perturbed(frame, k):
+        blocks = original(frame, k)
+        if k == frame.spec.n:
             key = min(blocks)
-            blocks[key] = [row[:] for row in blocks[key]]
-            blocks[key][0][0] = blocks[key][0][0] + ONE
+            blocks[key] = [dict(row) for row in blocks[key]]
+            blocks[key][0][0] = blocks[key][0].get(0, ZERO) + ONE
         return blocks
 
     assert delta_laplacians_equal(fls_metric, fls)
@@ -494,18 +583,18 @@ def test_each_mirror_pair_of_blocks_is_compared_once(name, monkeypatch):
     h = metric_for(spec)
     equal = laplacians_equal_all_degrees(h, spec)
     built, compared = [], []
-    original_blocks, original_eq = hermitian.laplacian_blocks, linalg.mat_eq
+    original_blocks, original_mirror = hermitian.laplacian_blocks, hermitian._is_mirror
 
     def blocks_spy(*args):
         built.append(original_blocks(*args))
         return built[-1]
 
-    def eq_spy(a, b):
-        compared.append(a)
-        return original_eq(a, b)
+    def mirror_spy(mine, *args):
+        compared.append(mine)
+        return original_mirror(mine, *args)
 
     monkeypatch.setattr(hermitian, "laplacian_blocks", blocks_spy)
-    monkeypatch.setattr(linalg, "mat_eq", eq_spy)
+    monkeypatch.setattr(hermitian, "_is_mirror", mirror_spy)
     assert delta_laplacians_equal(h, spec) == equal
     keys = [
         key
@@ -640,25 +729,18 @@ def test_gram_blocks_match_the_full_gram_matrix(source):
         gram = metric_for(get_builtin(source)).gram
     else:
         h = [[S(x) for x in row] for row in source]
-        gram = GramData(N, h, linalg.inverse(h))
+        gram = GramData(N, h)
     n = gram.n
     for k in range(2 * n + 1):
         full = gram_matrix(gram, k)
         index = {w: i for i, w in enumerate(words_of_degree(n, k))}
         for p, q in _bidegrees(n, k):
             words = block_words(n, p, q)
-            block = gram.block(p, q)
+            block = gram_block(gram, p, q)
             assert linalg.mat_eq(block, [[full[index[a]][index[b]] for b in words] for a in words])
             conj = [[x.conj() for x in row] for row in block]
-            product = linalg.mat_mul(conj, gram.conj_block_inverse(p, q))
+            product = linalg.mat_mul(conj, conj_block_inverse(gram, p, q))
             assert linalg.mat_eq(product, linalg.identity(len(words))), (source, p, q)
-
-
-@pytest.mark.parametrize("name, gram", METRIC_CASES)
-def test_the_metric_carries_the_inverse_of_its_gram_block(name, gram):
-    # H^-1 = -i W^T is read off the fundamental form, not inverted
-    _spec, h = _metric_case(name, gram)
-    assert h.gram.hermitian_inverse == linalg.inverse(h.gram.hermitian_block)
 
 
 @pytest.mark.parametrize("name, gram", METRIC_CASES)
@@ -674,7 +756,7 @@ def test_a_metric_takes_one_inverse(name, gram, monkeypatch):
 
     monkeypatch.setattr(linalg, "inverse", counting)
     metric_for(spec) if h is None else metric_from_gram(h, spec)
-    # the map between W and H; GramData takes H^-1 from it
+    # the map between W and H
     assert calls == [spec.n]
 
 

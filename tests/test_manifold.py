@@ -40,7 +40,9 @@ def _d_word_recursive(spec, w):
         return Form.zero(spec.n)
     head, rest = w[0], w[1:]
     head_form = Form.monomial(spec.n, (head,))
-    term = spec.d_generator(head).wedge(Form.monomial(spec.n, rest))
+    d_head = spec.dphi[(head - 1) % spec.n]
+    d_head = d_head.conj() if head > spec.n else d_head
+    term = d_head.wedge(Form.monomial(spec.n, rest))
     return term - head_form.wedge(_d_word_recursive(spec, rest))
 
 
@@ -273,7 +275,7 @@ def test_a_run_evaluates_d_squared_on_the_generators_once(monkeypatch):
     original_d, original_mul = ManifoldSpec.exterior_d, linalg.mat_mul
 
     def d_spy(self, alpha):
-        evaluated.extend(a for a in range(1, 2 * self.n + 1) if alpha is self.d_generator(a))
+        evaluated.extend(a for a in range(1, 2 * self.n + 1) if alpha is self._dgen[a])
         return original_d(self, alpha)
 
     def mul_spy(a, b):
@@ -283,13 +285,14 @@ def test_a_run_evaluates_d_squared_on_the_generators_once(monkeypatch):
     monkeypatch.setattr(ManifoldSpec, "exterior_d", d_spy)
     monkeypatch.setattr(linalg, "mat_mul", mul_spy)
     get_builtin("fls")
-    assert evaluated == list(range(1, 7))
+    # d is real: d^2 of the conjugate generators is read off phi^1..phi^3
+    assert evaluated == list(range(1, 4))
     assert products == []
     evaluated.clear()
     out, code = run(RunConfig("builtin:fls", report_format="json"))
     assert code == 0
     assert json.loads(out)["flags"]["d2_relations_hold"] is True
-    assert evaluated == list(range(1, 7))
+    assert evaluated == list(range(1, 4))
 
 
 def test_integrability_flags(fls, iwasawa_std, iwasawa_complex):

@@ -13,13 +13,13 @@ def search(spec):
 
 def test_conjugated_iwasawa_coframe_is_obstructed(iwasawa_std):
     verdict = coframe_obstruction(iwasawa_std)
-    assert verdict.obstructed
+    assert verdict.verdict == "Obstructed"
     assert verdict.rule == "coframe_corollary"
-    assert set(verdict.witness.invariant_part().coeffs) == {(3,)}
+    assert set(verdict.witness.modes[()].coeffs) == {(3,)}
 
     full = search(iwasawa_std)
-    assert full.obstructed
-    assert set(full.witness.invariant_part().coeffs) == {(3,)}
+    assert full.verdict == "Obstructed"
+    assert set(full.witness.modes[()].coeffs) == {(3,)}
     assert full.certificate == {
         "dbar_witness_zero": True,
         "d_witness_nonzero": True,
@@ -42,9 +42,9 @@ def test_integrable_iwasawa_obstructed(iwasawa_complex):
     # d phi^3 = -phi^{12} is pure (2,0) and nonzero, so the coframe
     # criterion fires even though the structure is integrable
     verdict = coframe_obstruction(iwasawa_complex)
-    assert verdict.obstructed
+    assert verdict.verdict == "Obstructed"
     both = search(iwasawa_complex)
-    assert both.obstructed
+    assert both.verdict == "Obstructed"
 
 
 def test_obstruction_never_fires_on_almost_kahler_points():

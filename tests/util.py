@@ -1,18 +1,32 @@
 """Shared test helpers: compact word/form builders, span comparison, the
 linear-algebra and promotion checks only tests need, dense and all-degree
-oracles for the Gram blocks, the operator and Laplacian code and the
-Laplacian flag, the Hodge star oracle for the Gram adjoints and the star
-duality of the Laplacians, and the Fraction-pair reference and Euclidean
-gcd for the scalar arithmetic."""
+oracles for the Gram blocks, the Gram adjoints, the operator and Laplacian
+code and the Laplacian flag, a constant change of coframe, the Hodge star
+oracle for the Gram adjoints and the star duality of the Laplacians, and
+the Fraction-pair reference and Euclidean gcd for the scalar arithmetic."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 from ahodge import linalg
-from ahodge.algebra import Form, conj_word, merge_words, word_bidegree, words_of_degree
+from ahodge.algebra import (
+    Form,
+    block_words,
+    conj_word,
+    merge_words,
+    word_bidegree,
+    words_of_degree,
+)
 from ahodge.fourier import ModeForm, ModeMatrix
-from ahodge.hermitian import _bidegrees, _shift, laplacian_blocks
+from ahodge.hermitian import (
+    _bidegrees,
+    _rebased,
+    _shift,
+    delta_laplacians_equal,
+    metric_from_gram,
+)
 from ahodge.manifold import D2_RELATIONS
 from ahodge.pdesolve import _remainder_annihilated
 from ahodge.scalars import ONE, ZERO, QQi, Scalar, parse_scalar
@@ -217,6 +231,72 @@ def gram_matrix(gram, k):
     return [[gram_determinant(gram.hermitian_block, w1, w2) for w2 in words] for w1 in words]
 
 
+def compound(m, p):
+    """C_p(m): the p x p minors of m, rows and columns the p-subsets of its
+    indices in ``combinations`` order."""
+    subsets = list(combinations(range(len(m)), p))
+    return [
+        [linalg.det([[m[a][b] for b in cols] for a in rows]) for cols in subsets]
+        for rows in subsets
+    ]
+
+
+def gram_block(gram, p, q):
+    """The Gram block of bidegree (p, q), C_p(H) (x) conj C_q(H)."""
+    return _conj(gram.conj_block(p, q))
+
+
+def conj_block_inverse(gram, p, q):
+    """The inverse of ``gram.conj_block(p, q)`` from minors of H^-1 alone:
+    conj C_p(H^-1) (x) C_q(H^-1), as C_p(H)^-1 = C_p(H^-1)."""
+    h_inverse = linalg.inverse(gram.hermitian_block)
+    left, right = _conj(compound(h_inverse, p)), compound(h_inverse, q)
+    return [[x * y for x in a for y in b] for a in left for b in right]
+
+
+def piece_adjoint(which, pq, h, spec):
+    """Dense Gram adjoint conj(G_src)^-1 M^H conj(G_tgt) of one piece of d on
+    block pq, from block pq + shift back to pq, or None when the piece is
+    absent."""
+    m = spec.piece_matrices(pq).get(which)
+    if m is None:
+        return None
+    return linalg.mat_mul(
+        conj_block_inverse(h.gram, *pq),
+        linalg.mat_mul(linalg.conj_transpose(m), h.gram.conj_block(*_shift(pq, which))),
+    )
+
+
+def _add_block(blocks, key, term):
+    prev = blocks.get(key)
+    if prev is not None:
+        term = [[x + y for x, y in zip(a, b)] for a, b in zip(prev, term)]
+    blocks[key] = term
+
+
+def laplacian_blocks(parts, h, spec, k):
+    """Dense O O* + O* O on invariant k-forms in the declared coframe, for O
+    the sum of the pieces of d named in ``parts``, as {(target bidegree,
+    source bidegree): matrix}; blocks that no term reaches are absent."""
+    blocks: dict = {}
+    for src in _bidegrees(spec.n, k):
+        for x in parts:
+            for y in parts:
+                # X Y*: src -> mid = src - shift(Y) -> mid + shift(X)
+                mid = _shift(src, y, -1)
+                x_mat = spec.piece_matrices(mid).get(x)
+                y_adj = piece_adjoint(y, mid, h, spec)
+                if x_mat is not None and y_adj is not None:
+                    _add_block(blocks, (_shift(mid, x), src), linalg.mat_mul(x_mat, y_adj))
+                # X* Y: src -> src + shift(Y) -> back by shift(X)
+                y_mat = spec.piece_matrices(src).get(y)
+                back = _shift(_shift(src, y), x, -1)
+                x_adj = piece_adjoint(x, back, h, spec)
+                if y_mat is not None and x_adj is not None:
+                    _add_block(blocks, (back, src), linalg.mat_mul(x_adj, y_mat))
+    return blocks
+
+
 def adjoint_matrix(m, g_src, g_tgt):
     """Gram adjoint: <M x, y>_tgt = <x, A y>_src for all basis vectors."""
     if not m:
@@ -270,6 +350,40 @@ def laplacians_equal_all_degrees(h, spec):
         linalg.mat_eq(laplacian_matrix("deltabar", h, spec, k), delta_laplacian(h, spec, k))
         for k in range(2 * spec.n + 1)
     )
+
+
+class NotAlmostKahler(ValueError):
+    """The almost-Kahler identity is claimed only for a closed fundamental
+    form."""
+
+
+def check_ak_identity(h, spec):
+    """The Laplacian flag where the almost-Kahler identities claim it true."""
+    if not h.is_almost_kahler:
+        raise NotAlmostKahler("fundamental form is not closed")
+    return delta_laplacians_equal(h, spec)
+
+
+def rebase(spec, a, h):
+    """The spec and its metric h in the coframe phi' = A phi, whose Gram
+    block is H' = A H A^H.  The spec declares no metric and a fibration of
+    rank 0, so only its flags and its d^2 are meaningful."""
+    rebased = _rebased(spec, linalg.inverse(a))
+    h_block = linalg.mat_mul(a, linalg.mat_mul(h.gram.hermitian_block, linalg.conj_transpose(a)))
+    return rebased, metric_from_gram(h_block, rebased)
+
+
+def check_ldl(gram):
+    """``gram.ldl()`` is H = L D L^H exactly, L unit lower triangular and D_k
+    = m_k / m_(k-1) from the leading principal minors m_k of H."""
+    h, n = gram.hermitian_block, gram.n
+    l, d = gram.ldl()
+    for i in range(n):
+        assert l[i][i] == ONE and all(x.is_zero() for x in l[i][i + 1 :])
+    minors = [linalg.det([row[:k] for row in h[:k]]) for k in range(n + 1)]
+    assert d == [minors[k] / minors[k - 1] for k in range(1, n + 1)]
+    diag = [[d[i] if i == j else ZERO for j in range(n)] for i in range(n)]
+    assert linalg.mat_mul(l, linalg.mat_mul(diag, linalg.conj_transpose(l))) == h
 
 
 def conjugated(mat, spec, k):
@@ -351,13 +465,28 @@ def d2_relations_all_degrees(spec):
 # instead; the star criterion mubar(star psi) = 0 checks them.
 
 
+class DegreeMismatch(ValueError):
+    """Inner product of forms of different total degree."""
+
+
+def word_inner(gram, w1, w2):
+    """<m_w1, m_w2>, an entry of the Gram block of their bidegree."""
+    if len(w1) != len(w2):
+        raise DegreeMismatch("inner product of words of different degree")
+    p, q = word_bidegree(w1, gram.n)
+    if p != word_bidegree(w2, gram.n)[0]:
+        return ZERO
+    words = block_words(gram.n, p, q)
+    return gram_block(gram, p, q)[words.index(tuple(w1))][words.index(tuple(w2))]
+
+
 def inner_product(gram, alpha, beta):
     """<alpha, beta> from the Gram determinants of words; words of different
     degree raise DegreeMismatch."""
     total = ZERO
     for w1, c1 in alpha.coeffs.items():
         for w2, c2 in beta.coeffs.items():
-            total = total + c1 * c2.conj() * gram.word_inner(w1, w2)
+            total = total + c1 * c2.conj() * word_inner(gram, w1, w2)
     return total
 
 

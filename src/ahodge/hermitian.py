@@ -7,23 +7,22 @@ H = i (W^T)^-1, and the same map sends H back to W, so either manifest
 route ([metric] omega or gram) gives both.  Positivity is certified on the
 leading principal minors m_k of H.
 
-Forms of different bidegree are orthogonal, so a Laplacian is assembled
-block by block from the four pieces of d and their Gram adjoints A =
-conj(G_src)^-1 M^H conj(G_tgt), which satisfy <Mx, y> = <x, Ay> exactly.
-The flag builds them in the coframe phi' = L^-1 phi of H = L D L^H (L unit
-lower triangular, D_k = m_k / m_(k-1)), where the Gram block of words is
-diagonal with entries g(w), the product of D over the letters of w, so the
-adjoint of a piece X is entrywise: X*[u][v] = conj(X[v][u]) g(v) / g(u).
-The flag is an operator identity and the conjugation of words is the same
-in every (1,0)-coframe; when L = I the spec is read as it is.  Each term
-of a Laplacian holds one adjoint, so a constant factor on the metric
-scales both Laplacians alike: D is divided by D_1, and on a metric
-proportional to the identity each adjoint is a conjugate transpose.  The
-pieces are read once into sparse rows {column: nonzero}.
+The flag is decided in the coframe phi' = L^-1 phi of H = L D L^H (L unit
+lower triangular, D_k = m_k / m_(k-1)), where the Gram matrix of words is
+diagonal with entries g(w), the product of D over the letters of w, so
+every Gram adjoint is entrywise.  The flag is an operator identity and the
+conjugation of words is the same in every (1,0)-coframe; when L = I the
+spec is read as it is.  Each term of a Laplacian holds one adjoint, so a
+constant factor on the metric scales both Laplacians alike: D is divided
+by D_1, and on a metric proportional to the identity every weight is 1.
 
-Only the dbar+mu Laplacian is built, and it is compared with its mirror
-under the signed conjugation of words, entry by entry, on degrees 0..n
-(see ``delta_laplacians_equal``).
+Only the dbar+mu Laplacian is built, degree by degree from one operator
+O_k = dbar + mu per degree, read once from d and reused as O_(k-1) at the
+next degree.  T_k = G_k L_k is Hermitian, and it is formed on its upper
+triangle only, as two Gram sums of O_k and O_(k-1) (see
+``laplacian_gram``).  It is compared entry by entry with its mirror under
+the signed conjugation of words, on degrees 0..n (see
+``delta_laplacians_equal``).
 
 The restriction of the L2 adjoint to invariant forms is the Gram adjoint;
 this uses that averaging over the compact quotient preserves invariant forms,
@@ -36,14 +35,14 @@ argument: their Gram adjoints are their pointwise adjoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import prod
+from operator import itemgetter
 
 from . import linalg
-from .algebra import Form, GramData, NotPositive, conj_word
-from .manifold import BIDEGREE_SHIFTS, ManifoldSpec, _parse_fibration, substitute, substitute_rows
+from .algebra import Form, GramData, NotPositive, conj_word, word_bidegree, words_of_degree
+from .manifold import ManifoldSpec, _parse_fibration, substitute, substitute_rows
 from .scalars import I as IMAG
-from .scalars import ONE
+from .scalars import ONE, ZERO
 
 
 class NotCompatible(ValueError):
@@ -114,19 +113,6 @@ def metric_for(spec: ManifoldSpec) -> HermitianData:
 # -- the Laplacian flag in an orthogonal coframe ---------------------------
 
 
-def _bidegrees(n: int, k: int):
-    return [(p, k - p) for p in range(max(0, k - n), min(k, n) + 1)]
-
-
-def _shift(pq, which: str, sign: int = 1):
-    dp, dq = BIDEGREE_SHIFTS[which]
-    return (pq[0] + sign * dp, pq[1] + sign * dq)
-
-
-def _bar(pq):
-    return (pq[1], pq[0])
-
-
 def _rebased(spec: ManifoldSpec, l) -> ManifoldSpec:
     """The spec in the coframe phi' = L^-1 phi: phi = L phi' substituted into
     each d phi^j, and L^-1 applied outside.  The flag reads neither metric
@@ -142,150 +128,122 @@ def _rebased(spec: ManifoldSpec, l) -> ManifoldSpec:
     )
 
 
-class _Frame:
-    """A spec read in a coframe where its metric is diagonal: the pieces of
-    d as sparse rows {column: nonzero}, each read once, and their entrywise
-    Gram adjoints.  ``weights`` are D / D_1, or None when all are 1."""
-
-    def __init__(self, h: HermitianData, spec: ManifoldSpec):
-        l, d = h.gram.ldl()
-        l_is_identity = all(x.is_zero() for i, row in enumerate(l) for x in row[:i])
-        self.spec = spec if l_is_identity else _rebased(spec, l)
-        weights = [x / d[0] for x in d]
-        self.weights = None if all(x == ONE for x in weights) else weights
-        self._pieces: dict = {}
-        self._adjoints: dict = {}
-
-    def piece(self, which: str, pq):
-        """The piece ``which`` of d on block pq, or None when it is absent."""
-        if (which, pq) not in self._pieces:
-            m = self.spec.piece_matrices(pq).get(which)
-            self._pieces[which, pq] = None if m is None else [
-                {j: x for j, x in enumerate(row) if not x.is_zero()} for row in m
-            ]
-        return self._pieces[which, pq]
-
-    def adjoint(self, which: str, pq):
-        """Gram adjoint of the piece ``which`` on block pq, from block pq +
-        shift back to pq: X*[u][v] = conj(X[v][u]) g(v) / g(u)."""
-        if (which, pq) not in self._adjoints:
-            x = self.piece(which, pq)
-            adj = None
-            if x is not None:
-                adj = [{} for _ in self.spec.block_words(*pq)]
-                g_src, g_tgt = self._word_weights(pq), self._word_weights(_shift(pq, which))
-                for v, row in enumerate(x):
-                    for u, c in row.items():
-                        adj[u][v] = c.conj() if g_src is None else c.conj() * g_tgt[v] / g_src[u]
-            self._adjoints[which, pq] = adj
-        return self._adjoints[which, pq]
-
-    def _word_weights(self, pq):
-        """g(w) = the product of the weights of the letters of w, for the
-        words of block pq; a letter and its conjugate weigh the same."""
-        if self.weights is None:
-            return None
-        n = self.spec.n
-        return [
-            prod((self.weights[(j - 1) % n] for j in w), start=ONE)
-            for w in self.spec.block_words(*pq)
-        ]
+def _frame(h: HermitianData, spec: ManifoldSpec):
+    """The spec read in a coframe where its metric is diagonal, and the
+    weights D / D_1 of that diagonal, or None when all are 1."""
+    l, d = h.gram.ldl()
+    if any(not x.is_zero() for i, row in enumerate(l) for x in row[:i]):
+        spec = _rebased(spec, l)
+    weights = [x / d[0] for x in d]
+    return spec, None if all(x == ONE for x in weights) else weights
 
 
-def _add_product(blocks: dict, key, a, b):
-    """blocks[key] += a b on sparse rows: zeros are skipped, a first product
-    is stored without a sum, and an entry that sums to zero is dropped."""
-    out = blocks.get(key)
-    if out is None:
-        out = blocks[key] = [{} for _ in a]
-    for acc, row in zip(out, a):
-        for k, x in row.items():
-            for j, y in b[k].items():
-                s = acc.pop(j, None)
-                s = x * y if s is None else s + x * y
-                if not s.is_zero():
-                    acc[j] = s
+def word_weights(weights, n: int) -> list:
+    """For each degree -1..n+1, g(w) = the product of the weights of the
+    letters of w over the words of that degree in sorted order; a letter
+    and its conjugate weigh the same.  There are no (-1)-forms."""
+    return [[]] + [
+        [prod((weights[(j - 1) % n] for j in w), start=ONE) for w in words_of_degree(n, k)]
+        for k in range(n + 2)
+    ]
 
 
-def laplacian_blocks(frame: _Frame, k: int) -> dict:
-    """L_deltabar = O O* + O* O on invariant k-forms of the frame, O = dbar +
-    mu, as {(target bidegree, source bidegree): sparse rows}; blocks that no
-    term reaches are absent (zero).
-
-    The Laplacian is the sum over pairs of pieces X, Y of X Y* + X* Y, and
-    each such term maps one bidegree block into one other."""
-    blocks: dict = {}
-    parts = ("dbar", "mu")
-    for src, x, y in product(_bidegrees(frame.spec.n, k), parts, parts):
-        # X Y*: src -> mid = src - shift(Y) -> mid + shift(X)
-        mid = _shift(src, y, -1)
-        x_mat, y_adj = frame.piece(x, mid), frame.adjoint(y, mid)
-        if x_mat is not None and y_adj is not None:
-            _add_product(blocks, (_shift(mid, x), src), x_mat, y_adj)
-        # X* Y: src -> src + shift(Y) -> back by shift(X)
-        back = _shift(_shift(src, y), x, -1)
-        y_mat, x_adj = frame.piece(y, src), frame.adjoint(x, back)
-        if y_mat is not None and x_adj is not None:
-            _add_product(blocks, (back, src), x_adj, y_mat)
-    return blocks
-
-
-def _conjugation(spec: ManifoldSpec, pq) -> list:
-    """C on block pq: for each word, its sign and the position of its
-    conjugate word in block (q, p)."""
-    index = {w: i for i, w in enumerate(spec.block_words(*_bar(pq)))}
+def deltabar_operator(spec: ManifoldSpec, k: int) -> list:
+    """O_k = dbar + mu from invariant k-forms to (k+1)-forms, words in
+    sorted order.  Column a is d(a) restricted to bidegrees (p, q+1) and
+    (p+2, q-1): the words whose count of unbarred letters differs from a's
+    by an even number.  Each column is [(row, x, conj x)] for the nonzero
+    entries x, in row order."""
+    n = spec.n
+    rows = {w: i for i, w in enumerate(words_of_degree(n, k + 1))}
     out = []
-    for w in spec.block_words(*pq):
-        sign, cw = conj_word(w, spec.n)
-        out.append((sign, index[cw]))
+    for w in words_of_degree(n, k):
+        p = word_bidegree(w, n)[0]
+        col = [
+            (rows[m], x, x.conj())
+            for m, x in spec.d_word(w).coeffs.items()
+            if (word_bidegree(m, n)[0] - p) % 2 == 0
+        ]
+        col.sort(key=itemgetter(0))
+        out.append(col)
     return out
 
 
-def _is_mirror(mine, mirror, conj_tgt, conj_src) -> bool:
-    """Whether block ``mine`` is C ``mirror`` C, entry by entry: entry (u, w)
-    is s_u s_w conj(mirror[c(u)][c(w)]), and an entry missing on one side is
-    a difference."""
-    for row, (su, cu) in zip(mine, conj_tgt):
-        other = mirror[cu]
-        if len(row) != len(other):
-            return False
-        for w, x in row.items():
-            sw, cw = conj_src[w]
-            if other.get(cw) != (x.conj() if su == sw else -x.conj()):
-                return False
-    return True
+def _add_gram_sum(t: dict, vector: list, weight) -> None:
+    """t[a, b] += weight left_a right_b over the pairs a <= b of ``vector``,
+    a list [(a, left_a, right_a)] in the order of a; a weight None is 1."""
+    for i, (a, left, _) in enumerate(vector):
+        if weight is not None:
+            left = left * weight
+        for b, _, right in vector[i:]:
+            s = t.get((a, b))
+            t[a, b] = left * right if s is None else s + left * right
+
+
+def laplacian_gram(o_prev: list, o: list, g=None) -> dict:
+    """T = G L_deltabar on invariant k-forms, from O = O_k and O' = O_(k-1)
+    (see ``deltabar_operator``), as {(a, b): entry} for a <= b only.
+
+    L = O* O + O' O'*, and in an orthogonal coframe each Gram adjoint is
+    entrywise, so T is two Gram sums:
+
+        T[a][b] = sum_m g(m) conj(O[m][a]) O[m][b]
+                + g(a) g(b) sum_s O'[a][s] conj(O'[b][s]) / g(s).
+
+    L is self-adjoint, so T is Hermitian and T[b][a] = conj T[a][b] is not
+    formed.  ``g`` holds the word weights of degrees k-1, k and k+1, or is
+    None when all are 1.  An entry that no term reaches is absent (zero)."""
+    t: dict = {}
+    rows: dict = {}
+    for a, col in enumerate(o):
+        for m, x, xc in col:
+            rows.setdefault(m, []).append((a, xc, x))
+    for m, vector in rows.items():
+        _add_gram_sum(t, vector, None if g is None else g[2][m])
+    for s, col in enumerate(o_prev):
+        if g is not None:
+            col = [(a, y * g[1][a], yc * g[1][a]) for a, y, yc in col]
+        _add_gram_sum(t, col, None if g is None else g[0][s].inv())
+    return t
 
 
 def delta_laplacians_equal(h: HermitianData, spec: ManifoldSpec) -> bool:
     """Whether the two mixed Laplacians coincide on every invariant degree.
 
-    Only L_deltabar is built, in an orthogonal coframe.  d and the metric
-    are real, so L_delta = C L_deltabar C with C the signed conjugation of
-    words: block (t, s) of L_delta has entries s_u s_w conj(L_deltabar[(bar
-    t, bar s)][c(u)][c(w)]), where bar (p, q) = (q, p).  A block absent on
-    one side must be zero.  C is an involution, so block (t, s) decides
-    (bar t, bar s) too.
+    Only L_deltabar is built, in an orthogonal coframe, as T = G L_deltabar.
+    d and the metric are real, so L_delta = C L_deltabar C with C the
+    signed conjugation of words, and G commutes with C (g(c(w)) = g(w), g
+    real): the Laplacians agree at degree k exactly when T[a][b] = s_a s_b
+    conj(T[c(a)][c(b)]) for all a, b.  C is an involution, so each mirror
+    pair of entries is compared once, and an entry absent on one side is
+    zero.  O_k is built once and serves as O_(k-1) at degree k + 1.
 
     Only degrees 0..n are compared.  The complex-linear star maps (p, q) to
     (n-q, n-p), and on a unimodular group dbar* = -star del star and mu* =
     -star mubar star, so star L_deltabar = L_delta star from degree k to
     2n - k: the Laplacians agree at k exactly when they agree at 2n - k."""
-    frame = _Frame(h, spec)
-    conj: dict = {}
-    for k in range(spec.n + 1):
-        blocks = laplacian_blocks(frame, k)
-        for tgt, src in sorted(blocks.keys() | {(_bar(t), _bar(s)) for t, s in blocks}):
-            if (tgt, src) > (_bar(tgt), _bar(src)):
-                continue
-            mine = blocks.get((tgt, src))
-            mirror = blocks.get((_bar(tgt), _bar(src)))
-            if mine is None or mirror is None:
-                if any(mine or mirror):
-                    return False
-                continue
-            for pq in (tgt, src):
-                if pq not in conj:
-                    conj[pq] = _conjugation(spec, pq)
-            if not _is_mirror(mine, mirror, conj[tgt], conj[src]):
+    spec, weights = _frame(h, spec)
+    n = spec.n
+    g = None if weights is None else word_weights(weights, n)
+    o_prev: list = []
+    for k in range(n + 1):
+        o = deltabar_operator(spec, k)
+        t = laplacian_gram(o_prev, o, None if g is None else g[k : k + 3])
+        o_prev = o
+        words = words_of_degree(n, k)
+        index = {w: i for i, w in enumerate(words)}
+        conj = [(sign, index[cw]) for sign, cw in (conj_word(w, n) for w in words)]
+        for (a, b), x in t.items():
+            (sa, ca), (sb, cb) = conj[a], conj[b]
+            # T[c(a)][c(b)] is stored as conj T[c(b)][c(a)] when c(a) > c(b)
+            mirror = (ca, cb) if ca <= cb else (cb, ca)
+            y = t.get(mirror)
+            if y is None:
+                y = ZERO
+            elif mirror < (a, b):
+                continue  # compared from the other side
+            elif ca <= cb:
+                y = y.conj()
+            if x != (y if sa == sb else -y):
                 return False
     return True

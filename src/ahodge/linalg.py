@@ -47,12 +47,6 @@ def conj_transpose(a):
     return [[x.conj() for x in col] for col in zip(*a)] if a else []
 
 
-def mat_eq(a, b) -> bool:
-    """Same shape and equal entries; canonical scalars are equal exactly
-    when their forms are, so no difference is formed."""
-    return a == b
-
-
 def rref(a):
     """Reduced row echelon form; returns (matrix, pivot column list)."""
     m = [row[:] for row in a]

@@ -158,6 +158,16 @@ P_ZERO: tuple = ()
 P_ONE = (QQI_ONE,)
 
 
+def is_one(c: QQi) -> bool:
+    """c == 1 by identity, else by its triple: no ``__eq__`` dispatch."""
+    return c is QQI_ONE or (c.a == 1 and c.d == 1 and not c.b)
+
+
+def p_is_one(p) -> bool:
+    """p == P_ONE by identity, else by the triple of its one coefficient."""
+    return p is P_ONE or (len(p) == 1 and is_one(p[0]))
+
+
 def pnorm(coeffs) -> tuple:
     cs = list(coeffs)
     while cs and cs[-1].is_zero():
@@ -192,9 +202,9 @@ def pmul(p, q):
     if len(p) == 1 and len(q) == 1:
         c = p[0] * q[0]
         return P_ZERO if c.is_zero() else (c,)
-    if p == P_ONE:
+    if p_is_one(p):
         return q
-    if q == P_ONE:
+    if p_is_one(q):
         return p
     out = [QQI_ZERO] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
@@ -221,7 +231,7 @@ def pdivmod(p, q):
     if len(p) <= d:
         return P_ZERO, pnorm(p)
     r = list(p)
-    lead_inv = None if q[-1] == QQI_ONE else q[-1].inv()
+    lead_inv = None if is_one(q[-1]) else q[-1].inv()
     quot = [QQI_ZERO] * (len(p) - d)
     for k in range(len(p) - 1 - d, -1, -1):
         c = r[k + d]
@@ -240,7 +250,7 @@ def pmonic(p):
     if not p:
         return p
     lead = p[-1]
-    if lead == QQI_ONE:
+    if is_one(lead):
         return p
     return pscale(p, lead.inv())
 
@@ -259,7 +269,7 @@ def pgcd(p, q):
     -c0/c1, else 1.  Otherwise the Euclidean algorithm."""
     for lin, other in ((p, q), (q, p)):
         if len(lin) == 2:
-            c0 = lin[0] if lin[1] == QQI_ONE else lin[0] * lin[1].inv()
+            c0 = lin[0] if is_one(lin[1]) else lin[0] * lin[1].inv()
             return (c0, QQI_ONE) if peval(other, -c0).is_zero() else P_ONE
     a, b = p, q
     while b:
@@ -290,11 +300,11 @@ class Scalar:
         # a nonzero constant is a unit, so the monic gcd is then 1
         if len(num) > 1 and len(den) > 1:
             g = pgcd(num, den)
-            if len(g) > 1 or g[0] != QQI_ONE:
+            if not p_is_one(g):
                 num = pdivmod(num, g)[0]
                 den = pdivmod(den, g)[0]
         lead = den[-1]
-        if lead != QQI_ONE:
+        if not is_one(lead):
             inv = lead.inv()
             num = pscale(num, inv)
             den = pscale(den, inv)
@@ -341,12 +351,12 @@ class Scalar:
             total = padd(n1, n2)
             if not total:
                 return ZERO
-            if d1 == P_ONE:
+            if p_is_one(d1):
                 return Scalar(total, P_ONE, _canonical=True)
             return Scalar(total, d1)
         # a constant (monic) denominator is 1, coprime to the other one
         g = pgcd(d1, d2) if len(d1) > 1 and len(d2) > 1 else P_ONE
-        if g == P_ONE:
+        if p_is_one(g):
             # an irreducible factor of d1 divides n2 d1 but not n1 d2 (it
             # divides neither n1 nor d2), so not the sum; likewise for d2
             return Scalar(padd(pmul(n1, d2), pmul(n2, d1)), pmul(d1, d2), _canonical=True)
@@ -357,7 +367,7 @@ class Scalar:
         if not t:
             return ZERO
         g2 = pgcd(t, g) if len(t) > 1 else P_ONE
-        if g2 != P_ONE:
+        if not p_is_one(g2):
             t, d2 = pdivmod(t, g2)[0], pdivmod(d2, g2)[0]
         return Scalar(t, pmul(e1, d2), _canonical=True)
 
@@ -371,17 +381,17 @@ class Scalar:
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if not n1 or not n2:
             return ZERO
-        if d1 == P_ONE and d2 == P_ONE:
+        if p_is_one(d1) and p_is_one(d2):
             return Scalar(pmul(n1, n2), P_ONE, _canonical=True)
         # n1/d1 and n2/d2 are in lowest terms, so gcd(n1 n2, d1 d2) is
         # gcd(n1, d2) gcd(n2, d1); a constant side makes its factor 1
         if len(n1) > 1 and len(d2) > 1:
             g = pgcd(n1, d2)
-            if g != P_ONE:
+            if not p_is_one(g):
                 n1, d2 = pdivmod(n1, g)[0], pdivmod(d2, g)[0]
         if len(n2) > 1 and len(d1) > 1:
             g = pgcd(n2, d1)
-            if g != P_ONE:
+            if not p_is_one(g):
                 n2, d1 = pdivmod(n2, g)[0], pdivmod(d1, g)[0]
         return Scalar(pmul(n1, n2), pmul(d1, d2), _canonical=True)
 
@@ -391,7 +401,7 @@ class Scalar:
             raise DivisionByZero("inverse of zero scalar")
         # num and den stay coprime; only num's leading coefficient moves
         lead = num[-1]
-        if lead == QQI_ONE:
+        if is_one(lead):
             return Scalar(den, num, _canonical=True)
         c = lead.inv()
         return Scalar(pscale(den, c), pscale(num, c), _canonical=True)
@@ -477,7 +487,7 @@ def _poly_str(p) -> str:
             parts.append(_coeff_str(c))
             continue
         pi_part = "pi" if k == 1 else f"pi^{k}"
-        if c == QQI_ONE:
+        if is_one(c):
             parts.append(pi_part)
         elif c == QQi(-1):
             parts.append(f"-{pi_part}")
@@ -493,7 +503,7 @@ def _poly_str(p) -> str:
 
 
 def format_scalar(s: Scalar) -> str:
-    if s.den == P_ONE:
+    if p_is_one(s.den):
         body = _poly_str(s.num)
         return body
     num = _poly_str(s.num)

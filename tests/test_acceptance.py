@@ -28,6 +28,7 @@ from util import (
     gram_matrix,
     hodge_star,
     invariant,
+    mat_eq,
     mubar_mode,
     operator_matrix,
     spans_equal,
@@ -184,7 +185,7 @@ def test_criterion_8_structural_suites():
         for k in range(6):
             m = operator_matrix("dbar", spec, k)
             gs, gt = gram_matrix(h.gram, k), gram_matrix(h.gram, k + 1)
-            assert linalg.mat_eq(adjoint_matrix(adjoint_matrix(m, gs, gt), gt, gs), m)
+            assert mat_eq(adjoint_matrix(adjoint_matrix(m, gs, gt), gt, gs), m)
         # mode oracle: exhaustive |m| <= 25 scan matches the Diophantine search
         for p in (0, 1, 2, 3):
             reduced = reduce(build_dbar_system(p, spec), spec)

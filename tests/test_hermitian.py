@@ -16,7 +16,6 @@ from ahodge.algebra import (
 from ahodge.builtins import BUILTINS, builtin_names, get_builtin
 from ahodge.cli import RunConfig, compute_report, report_to_dict
 from ahodge.hermitian import (
-    _bidegrees,
     NotCompatible,
     delta_laplacians_equal,
     metric_for,
@@ -29,6 +28,7 @@ from util import (
     NotAlmostKahler,
     S,
     adjoint_matrix,
+    bidegrees,
     check_ak_identity,
     check_ldl,
     conj_block_inverse,
@@ -38,10 +38,10 @@ from util import (
     gram_matrix,
     hodge_star,
     inner_product,
-    laplacian_blocks,
     laplacian_invariant,
     laplacians_equal_all_degrees,
     laplacian_matrix,
+    mat_eq,
     mat_vec,
     operator_matrix,
     rebase,
@@ -60,13 +60,13 @@ def test_family_metric_is_unitary_in_the_chosen_coframe():
         spec = get_builtin("fls", overrides)
         h = metric_for(spec)
         expected = [[Scalar.integer(2 if i == j else 0) for j in range(N)] for i in range(N)]
-        assert linalg.mat_eq(h.gram.hermitian_block, expected)
+        assert mat_eq(h.gram.hermitian_block, expected)
 
 
 def test_iwasawa_metric_diagonal(iwasawa_ak_metric):
     h = iwasawa_ak_metric
     expected = [[Scalar.integer(2 if i == j else 0) for j in range(N)] for i in range(N)]
-    assert linalg.mat_eq(h.gram.hermitian_block, expected)
+    assert mat_eq(h.gram.hermitian_block, expected)
     assert h.is_almost_kahler
 
 
@@ -75,7 +75,7 @@ def test_gram_and_omega_routes_agree(iwasawa_std):
     # must give back the same Gram data
     h = metric_for(iwasawa_std)
     h2 = metric_from_pair(h.omega, iwasawa_std)
-    assert linalg.mat_eq(h.gram.hermitian_block, h2.gram.hermitian_block)
+    assert mat_eq(h.gram.hermitian_block, h2.gram.hermitian_block)
 
 
 def _other_route(name):
@@ -117,7 +117,7 @@ def test_every_builtin_gives_the_same_report_through_the_other_metric_route(
     other = load_spec(text)
     assert other.metric_source[0] != load_spec(BUILTINS[name]).metric_source[0]
     h2 = metric_for(other)
-    assert linalg.mat_eq(h.gram.hermitian_block, h2.gram.hermitian_block)
+    assert mat_eq(h.gram.hermitian_block, h2.gram.hermitian_block)
     assert h.omega == h2.omega and h.is_almost_kahler == h2.is_almost_kahler
     assert _report_summary(RunConfig(str(path))) == _report_summary(
         RunConfig(f"builtin:{name}")
@@ -173,7 +173,7 @@ def test_gram_to_omega_to_gram_round_trip(spec, diagonal, upper):
         hm[i][j], hm[j][i] = x, x.conj()
     h = metric_from_gram(hm, spec)
     back = metric_from_pair(h.omega, spec)
-    assert linalg.mat_eq(back.gram.hermitian_block, hm)
+    assert mat_eq(back.gram.hermitian_block, hm)
 
 
 def test_almost_kahler_flags(fls_metric, fls_nonak_metric, iwasawa_ak_metric):
@@ -243,7 +243,7 @@ def test_adjoint_involution_and_zero(fls_metric, fls):
         gs, gt = gram_matrix(h.gram, k), gram_matrix(h.gram, k + 1)
         adj = adjoint_matrix(m, gs, gt)
         back = adjoint_matrix(adj, gt, gs)
-        assert linalg.mat_eq(back, m)
+        assert mat_eq(back, m)
     zero = linalg.zeros(len(words_of_degree(N, 2)), len(words_of_degree(N, 1)))
     adj0 = adjoint_matrix(zero, gram_matrix(h.gram, 1), gram_matrix(h.gram, 2))
     assert all(x.is_zero() for row in adj0 for x in row)
@@ -424,7 +424,7 @@ def test_the_star_intertwines_the_two_laplacians(name, gram):
         star = star_matrix(h, k)
         lhs = linalg.mat_mul(star, laplacian_matrix("deltabar", h, spec, k))
         rhs = linalg.mat_mul(delta_laplacian(h, spec, 2 * n - k), star)
-        assert linalg.mat_eq(lhs, rhs), k
+        assert mat_eq(lhs, rhs), k
 
 
 # a diagonal Gram block that is not a multiple of the identity
@@ -464,23 +464,42 @@ def test_the_flag_is_kept_by_scaling_the_metric_and_changing_the_coframe(name, g
 
 
 @pytest.mark.parametrize("name, gram", METRIC_CASES)
-def test_the_sparse_blocks_are_the_dense_laplacian_in_the_orthogonal_coframe(name, gram):
+def test_the_gram_sums_are_g_times_the_dense_laplacian_in_the_orthogonal_coframe(name, gram):
     # in the coframe of H = L D L^H the metric is D / D_1, and the dense
     # oracle builds its Gram adjoints from compound matrices and inverses
     spec, h = _metric_case(name, gram)
-    frame = hermitian._Frame(h, spec)
+    frame, weights = hermitian._frame(h, spec)
     _l, d = h.gram.ldl()
     n = spec.n
     diagonal = [[d[i] / d[0] if i == j else ZERO for j in range(n)] for i in range(n)]
-    h_frame = metric_from_gram(diagonal, frame.spec)
+    h_frame = metric_from_gram(diagonal, frame)
+    g = None if weights is None else hermitian.word_weights(weights, n)
+    o_prev = []
     for k in range(n + 1):
-        sparse = hermitian.laplacian_blocks(frame, k)
-        dense = laplacian_blocks(("dbar", "mu"), h_frame, frame.spec, k)
-        assert sparse.keys() == dense.keys(), k
-        for (tgt, src), rows in sparse.items():
-            cols = range(len(block_words(n, *src)))
-            assert [[row.get(j, ZERO) for j in cols] for row in rows] == dense[tgt, src]
-            assert all(not x.is_zero() for row in rows for x in row.values())
+        o = hermitian.deltabar_operator(frame, k)
+        # O_k is the dbar + mu operator, its conjugates carried along
+        dense_o = linalg.zeros(len(words_of_degree(n, k + 1)), len(o))
+        for a, col in enumerate(o):
+            assert [m for m, _x, _xc in col] == sorted({m for m, _x, _xc in col})
+            for m, x, xc in col:
+                assert not x.is_zero() and xc == x.conj()
+                dense_o[m][a] = x
+        assert dense_o == operator_matrix("deltabar", frame, k), k
+        t = hermitian.laplacian_gram(o_prev, o, None if g is None else g[k : k + 3])
+        # the upper triangle only, of G L with G the oracle's Gram matrix
+        assert all(a <= b for a, b in t), k
+        expected = linalg.mat_mul(
+            gram_matrix(h_frame.gram, k), laplacian_matrix("deltabar", h_frame, frame, k)
+        )
+        assert {
+            (a, b): x for (a, b), x in t.items() if not x.is_zero()
+        } == {
+            (a, b): x
+            for a, row in enumerate(expected)
+            for b, x in enumerate(row)
+            if a <= b and not x.is_zero()
+        }, k
+        o_prev = o
 
 
 @pytest.mark.parametrize("name, gram", METRIC_CASES)
@@ -519,95 +538,80 @@ def test_conjugated_deltabar_laplacian_on_fls_points(a, b, c):
     _check_conjugation(get_builtin("fls", {"a": a, "b": b, "c": c}))
 
 
-def test_a_block_without_a_mirror_must_be_zero(fls, fls_metric, monkeypatch):
-    # the block sets built from real manifests are closed under conjugation;
-    # a lone block of sparse rows stands against the zero block of its
-    # absent mirror
-    for block, expected in (([{}], True), ([{1: ONE}], False)):
-        monkeypatch.setattr(
-            hermitian, "laplacian_blocks", lambda *args: {((1, 0), (2, 0)): block}
-        )
+def test_an_entry_without_its_mirror_clears_the_flag(fls, fls_metric, monkeypatch):
+    # the sums built from real manifests are closed under conjugation; a
+    # lone entry at degree 1 stands against the zero of its absent mirror,
+    # entry (n, n + 1) for the words phi^1 and phi^2
+    original = hermitian.laplacian_gram
+    for value, expected in ((ZERO, True), (ONE, False)):
+
+        def lone(o_prev, o, g=None, value=value):
+            t = original(o_prev, o, g)
+            return {(0, 1): value} if len(o) == 2 * N else t
+
+        monkeypatch.setattr(hermitian, "laplacian_gram", lone)
         assert delta_laplacians_equal(fls_metric, fls) is expected
 
 
+def _spy_operators(monkeypatch):
+    """Record each O_k built, as (k, O_k), and each (O_(k-1), O_k) summed."""
+    built, summed = [], []
+    build, gram = hermitian.deltabar_operator, hermitian.laplacian_gram
+
+    def build_spy(spec, k):
+        built.append((k, build(spec, k)))
+        return built[-1][1]
+
+    def gram_spy(o_prev, o, g=None):
+        summed.append((o_prev, o))
+        return gram(o_prev, o, g)
+
+    monkeypatch.setattr(hermitian, "deltabar_operator", build_spy)
+    monkeypatch.setattr(hermitian, "laplacian_gram", gram_spy)
+    return built, summed
+
+
 def test_a_report_never_builds_the_delta_laplacian(monkeypatch):
-    calls, pieces = [], set()
-    original_blocks, original_piece = hermitian.laplacian_blocks, hermitian._Frame.piece
-
-    def blocks_spy(frame, k):
-        calls.append(k)
-        return original_blocks(frame, k)
-
-    def piece_spy(frame, which, pq):
-        pieces.add(which)
-        return original_piece(frame, which, pq)
-
-    monkeypatch.setattr(hermitian, "laplacian_blocks", blocks_spy)
-    monkeypatch.setattr(hermitian._Frame, "piece", piece_spy)
+    built, summed = _spy_operators(monkeypatch)
     for name in builtin_names():
-        calls.clear()
+        built.clear()
+        summed.clear()
         flags = compute_report(RunConfig(f"builtin:{name}")).flags
-        # only L_deltabar, on degrees 0..n; a degree that differs ends the
+        # only dbar + mu, on degrees 0..n; a degree that differs ends the
         # comparison early
-        last = N if flags["delta_laplacians_equal"] else calls[-1]
-        assert calls == list(range(last + 1)), name
-    # L_deltabar reads only the dbar and mu pieces and their adjoints
-    assert pieces == {"dbar", "mu"}
+        last = N if flags["delta_laplacians_equal"] else built[-1][0]
+        assert [k for k, _o in built] == list(range(last + 1)), name
+        assert len(summed) == last + 1, name
 
 
 def test_a_difference_at_degree_n_alone_clears_the_flag(fls, fls_metric, monkeypatch):
     # catches a loop that stops short of the middle degree
-    original = hermitian.laplacian_blocks
+    original = hermitian.laplacian_gram
 
-    def perturbed(frame, k):
-        blocks = original(frame, k)
-        if k == frame.spec.n:
-            key = min(blocks)
-            blocks[key] = [dict(row) for row in blocks[key]]
-            blocks[key][0][0] = blocks[key][0].get(0, ZERO) + ONE
-        return blocks
+    def perturbed(o_prev, o, g=None):
+        t = original(o_prev, o, g)
+        if len(o) == len(words_of_degree(N, N)):
+            t[0, 0] = t.get((0, 0), ZERO) + ONE
+        return t
 
     assert delta_laplacians_equal(fls_metric, fls)
-    monkeypatch.setattr(hermitian, "laplacian_blocks", perturbed)
+    monkeypatch.setattr(hermitian, "laplacian_gram", perturbed)
     assert not delta_laplacians_equal(fls_metric, fls)
 
 
-def _mirror_pair(key):
-    """A Laplacian block key (t, s) with its mirror (bar t, bar s)."""
-    return frozenset((key, tuple(pq[::-1] for pq in key)))
-
-
 @pytest.mark.parametrize("name", builtin_names())
-def test_each_mirror_pair_of_blocks_is_compared_once(name, monkeypatch):
+def test_each_deltabar_operator_is_built_once_and_reused(name, monkeypatch):
     spec = get_builtin(name)
     h = metric_for(spec)
-    equal = laplacians_equal_all_degrees(h, spec)
-    built, compared = [], []
-    original_blocks, original_mirror = hermitian.laplacian_blocks, hermitian._is_mirror
-
-    def blocks_spy(*args):
-        built.append(original_blocks(*args))
-        return built[-1]
-
-    def mirror_spy(mine, *args):
-        compared.append(mine)
-        return original_mirror(mine, *args)
-
-    monkeypatch.setattr(hermitian, "laplacian_blocks", blocks_spy)
-    monkeypatch.setattr(hermitian, "_is_mirror", mirror_spy)
-    assert delta_laplacians_equal(h, spec) == equal
-    keys = [
-        key
-        for blocks in built
-        for key, block in blocks.items()
-        if any(block is c for c in compared)
-    ]
-    assert len(keys) == len(compared)
-    assert len({_mirror_pair(key) for key in keys}) == len(keys)
-    if equal:
-        # every pair present on both sides was compared
-        both = {_mirror_pair(key) for blocks in built for key in blocks}
-        assert len(keys) == sum(1 for pair in both if any(pair <= b.keys() for b in built))
+    built, summed = _spy_operators(monkeypatch)
+    assert delta_laplacians_equal(h, spec) == laplacians_equal_all_degrees(h, spec)
+    assert [k for k, _o in built] == list(range(len(built)))
+    # degree k sums O_k and the very O_(k-1) built for degree k - 1; there
+    # are no (-1)-forms
+    operators = [o for _k, o in built]
+    assert len(summed) == len(operators) and summed[0][0] == []
+    for k, (o_prev, o) in enumerate(summed):
+        assert o is operators[k] and (k == 0 or o_prev is operators[k - 1]), k
 
 
 def test_full_d_laplacian_on_functions(iwasawa_ak, iwasawa_ak_metric):
@@ -638,7 +642,7 @@ def test_non_diagonal_hermitian_gram(iwasawa_std):
         [ZERO, ZERO, ONE],
     ]
     h = metric_from_gram(h_matrix, iwasawa_std)
-    assert linalg.mat_eq(h.gram.hermitian_block, h_matrix)
+    assert mat_eq(h.gram.hermitian_block, h_matrix)
     # parity and the defining relation survive off-diagonal Gram data
     for k in range(7):
         for w in words_of_degree(N, k):
@@ -734,13 +738,13 @@ def test_gram_blocks_match_the_full_gram_matrix(source):
     for k in range(2 * n + 1):
         full = gram_matrix(gram, k)
         index = {w: i for i, w in enumerate(words_of_degree(n, k))}
-        for p, q in _bidegrees(n, k):
+        for p, q in bidegrees(n, k):
             words = block_words(n, p, q)
             block = gram_block(gram, p, q)
-            assert linalg.mat_eq(block, [[full[index[a]][index[b]] for b in words] for a in words])
+            assert mat_eq(block, [[full[index[a]][index[b]] for b in words] for a in words])
             conj = [[x.conj() for x in row] for row in block]
             product = linalg.mat_mul(conj, conj_block_inverse(gram, p, q))
-            assert linalg.mat_eq(product, linalg.identity(len(words))), (source, p, q)
+            assert mat_eq(product, linalg.identity(len(words))), (source, p, q)
 
 
 @pytest.mark.parametrize("name, gram", METRIC_CASES)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ahodge import linalg
 from ahodge.scalars import ONE, PI, Scalar, ZERO
+from util import mat_eq
 
 # off-diagonal entries of size at most 1/3, so rows stay diagonally dominant
 entries = st.sampled_from(
@@ -47,8 +48,8 @@ def permuted_block_diagonal(draw, singular=False):
 @given(permuted_block_diagonal())
 def test_inverse_is_two_sided(a):
     inv = linalg.inverse(a)
-    assert linalg.mat_eq(linalg.mat_mul(a, inv), linalg.identity(len(a)))
-    assert linalg.mat_eq(linalg.mat_mul(inv, a), linalg.identity(len(a)))
+    assert mat_eq(linalg.mat_mul(a, inv), linalg.identity(len(a)))
+    assert mat_eq(linalg.mat_mul(inv, a), linalg.identity(len(a)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,13 +94,13 @@ matrices = st.lists(rows, max_size=3)
 @settings(max_examples=150, deadline=None)
 @given(matrices, matrices, st.data())
 def test_mat_eq_matches_the_difference_rule(a, b, data):
-    assert linalg.mat_eq(a, b) == _equal_by_difference(a, b)
+    assert mat_eq(a, b) == _equal_by_difference(a, b)
     # an equal copy built by arithmetic, so its entries are new objects
     copy = [[(x + ONE) - ONE for x in row] for row in a]
-    assert linalg.mat_eq(a, copy) and _equal_by_difference(a, copy)
+    assert mat_eq(a, copy) and _equal_by_difference(a, copy)
     if a and a[0]:
         i = data.draw(st.integers(0, len(a[0]) - 1))
         changed = [row[:] for row in copy]
         changed[0][i] = changed[0][i] + PI
-        assert not linalg.mat_eq(a, changed) and not _equal_by_difference(a, changed)
-    assert not linalg.mat_eq(a, a + [[]])
+        assert not mat_eq(a, changed) and not _equal_by_difference(a, changed)
+    assert not mat_eq(a, a + [[]])

@@ -18,6 +18,8 @@ from ahodge.scalars import (
     _atan_inv_bounds,
     _pi_enclosure,
     format_scalar,
+    is_one,
+    p_is_one,
     parse_scalar,
     pconj,
     pdivmod,
@@ -282,6 +284,16 @@ def test_constant_operand_matches_reference(poly, const, constant_den):
         return
     value = Scalar(num, den)
     assert (value.num, value.den) == _reference(num, den)
+
+
+@settings(max_examples=80, deadline=None)
+@given(gaussian, polys)
+def test_the_tests_for_one_match_equality(c, poly):
+    # a one built by arithmetic is a new object, so only its triple says 1
+    for value in (c, c * c.inv() if not c.is_zero() else c, QQi(1)):
+        assert is_one(value) == (value == QQi(1))
+    for p in (poly, (c,), P_ONE, (QQi(1),), tuple(QQi(1) for _ in range(2))):
+        assert p_is_one(p) == (p == (QQi(1),))
 
 
 @settings(max_examples=80, deadline=None)

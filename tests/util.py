@@ -20,14 +20,8 @@ from ahodge.algebra import (
     words_of_degree,
 )
 from ahodge.fourier import ModeForm, ModeMatrix
-from ahodge.hermitian import (
-    _bidegrees,
-    _rebased,
-    _shift,
-    delta_laplacians_equal,
-    metric_from_gram,
-)
-from ahodge.manifold import D2_RELATIONS
+from ahodge.hermitian import _rebased, delta_laplacians_equal, metric_from_gram
+from ahodge.manifold import BIDEGREE_SHIFTS, D2_RELATIONS
 from ahodge.pdesolve import _remainder_annihilated
 from ahodge.scalars import ONE, ZERO, QQi, Scalar, parse_scalar
 
@@ -78,6 +72,12 @@ phi3 = e5 + i*e6
 
 
 # -- linear algebra and certificates only tests need ---------------------
+
+
+def mat_eq(a, b) -> bool:
+    """Same shape and equal entries; canonical scalars are equal exactly
+    when their forms are, so no difference is formed."""
+    return a == b
 
 
 def mat_vec(a, v):
@@ -198,6 +198,16 @@ def exhaustive_mode_scan(matrix: ModeMatrix, bound: int):
 # -- operator and Laplacian oracles --------------------------------------
 
 
+def bidegrees(n, k):
+    """The bidegrees (p, q) of the invariant k-forms, p ascending."""
+    return [(p, k - p) for p in range(max(0, k - n), min(k, n) + 1)]
+
+
+def _shift(pq, which, sign=1):
+    dp, dq = BIDEGREE_SHIFTS[which]
+    return (pq[0] + sign * dp, pq[1] + sign * dq)
+
+
 # each first-order operator as the pieces of d it sums
 OPERATOR_PARTS = {
     "dbar": ("dbar",),
@@ -279,7 +289,7 @@ def laplacian_blocks(parts, h, spec, k):
     the sum of the pieces of d named in ``parts``, as {(target bidegree,
     source bidegree): matrix}; blocks that no term reaches are absent."""
     blocks: dict = {}
-    for src in _bidegrees(spec.n, k):
+    for src in bidegrees(spec.n, k):
         for x in parts:
             for y in parts:
                 # X Y*: src -> mid = src - shift(Y) -> mid + shift(X)
@@ -325,7 +335,7 @@ def operator_matrix(which, spec, k):
     """Matrix of one first-order operator from degree k to degree k+1."""
     blocks = {
         (_shift(pq, part), pq): spec.piece_matrices(pq)[part]
-        for pq in _bidegrees(spec.n, k)
+        for pq in bidegrees(spec.n, k)
         for part in OPERATOR_PARTS[which]
         if part in spec.piece_matrices(pq)
     }
@@ -347,7 +357,7 @@ def laplacians_equal_all_degrees(h, spec):
     """The Laplacian flag by its definition: L_deltabar against a directly
     built L_delta, as whole matrices on every degree 0..2n."""
     return all(
-        linalg.mat_eq(laplacian_matrix("deltabar", h, spec, k), delta_laplacian(h, spec, k))
+        mat_eq(laplacian_matrix("deltabar", h, spec, k), delta_laplacian(h, spec, k))
         for k in range(2 * spec.n + 1)
     )
 

@@ -15,6 +15,7 @@ hand-coded sign tables.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from . import linalg
@@ -50,11 +51,12 @@ def block_words(n: int, p: int, q: int):
     return [i + j for i in combinations(first, p) for j in combinations(barred, q)]
 
 
-def merge_words(w1, w2):
+@lru_cache(maxsize=None)
+def merge_words(w1: tuple, w2: tuple):
     """Concatenate-and-sort two strictly increasing words.
 
-    Returns (sign, word) or None when an index repeats.
-    """
+    Returns (sign, word) or None when an index repeats.  Cached: there are
+    at most 4^(2n) pairs of words."""
     if not w1:
         return 1, tuple(w2)
     if not w2:
@@ -78,6 +80,18 @@ def merge_words(w1, w2):
     out.extend(w1[i:])
     out.extend(w2[j:])
     return sign, tuple(out)
+
+
+def leibniz(word, images):
+    """The terms (word, sign, coefficient) of a derivation of degree 1 on an
+    index word, D(w) = sum_t (-1)^t D(phi_{w_t}) ^ (w without w_t), from
+    ``images[j] = {2-word: coefficient}``; a 2-form moves without a sign."""
+    for t, j in enumerate(word):
+        rest = word[:t] + word[t + 1 :]
+        for head, c in images[j].items():
+            merged = merge_words(head, rest)
+            if merged is not None:
+                yield merged[1], merged[0] if t % 2 == 0 else -merged[0], c
 
 
 def sort_word(indices):

@@ -659,7 +659,7 @@ def harmonic_basis_deltabar(dbar: HarmonicSpace, spec: ManifoldSpec, h) -> Harmo
     mode.  mu* = conj(G_src)^-1 M^H conj(G_tgt) with G_src invertible, so
     ker mu* = ker M^H conj(G_tgt), G_tgt the Gram block of (p, 0): one
     product and no inverse."""
-    m = spec.piece_matrices((dbar.p - 2, 1)).get("mu")
+    m = spec.piece_matrix((dbar.p - 2, 1), "mu")
     if m is not None:
         m = linalg.mat_mul(linalg.conj_transpose(m), h.gram.conj_block(dbar.p, 0))
     return _filter_span(dbar, m, "deltabar", spec)
@@ -668,5 +668,5 @@ def harmonic_basis_deltabar(dbar: HarmonicSpace, spec: ManifoldSpec, h) -> Harmo
 def dolbeault_basis(dbar: HarmonicSpace, spec: ManifoldSpec) -> HarmonicSpace:
     """Dolbeault-type (p,0) space: the forms of the dbar space ``dbar``
     killed by mubar."""
-    mubar = spec.piece_matrices((dbar.p, 0)).get("mubar")
+    mubar = spec.piece_matrix((dbar.p, 0), "mubar")
     return _filter_span(dbar, mubar, "dol", spec)

@@ -16,13 +16,13 @@ spec is read as it is.  Each term of a Laplacian holds one adjoint, so a
 constant factor on the metric scales both Laplacians alike: D is divided
 by D_1, and on a metric proportional to the identity every weight is 1.
 
-Only the dbar+mu Laplacian is built, degree by degree from one operator
-O_k = dbar + mu per degree, read once from d and reused as O_(k-1) at the
-next degree.  T_k = G_k L_k is Hermitian, and it is formed on its upper
-triangle only, as two Gram sums of O_k and O_(k-1) (see
-``laplacian_gram``).  It is compared entry by entry with its mirror under
-the signed conjugation of words, on degrees 0..n (see
-``delta_laplacians_equal``).
+Only the dbar+mu Laplacian is built, as T_k = G_k L_k, from one operator
+O_k = dbar + mu per degree (reused as O_(k-1) at the next): the Leibniz
+rule on the images of the generators, whose coefficients are interned by
+value up to sign as symbols v_x.  So T is held as integer coefficients of
+the products conj(v_x) v_y and compared with its mirror under the signed
+conjugation of words as integers, on degrees 0..n.  Only an entry whose
+integers differ is evaluated exactly, and it decides the flag.
 
 The restriction of the L2 adjoint to invariant forms is the Gram adjoint;
 this uses that averaging over the compact quotient preserves invariant forms,
@@ -35,14 +35,14 @@ argument: their Gram adjoints are their pointwise adjoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
-from operator import itemgetter
 
 from . import linalg
-from .algebra import Form, GramData, NotPositive, conj_word, word_bidegree, words_of_degree
+from .algebra import Form, GramData, NotPositive, conj_word, leibniz, word_bidegree, words_of_degree
 from .manifold import ManifoldSpec, _parse_fibration, substitute, substitute_rows
 from .scalars import I as IMAG
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, Scalar
 
 
 class NotCompatible(ValueError):
@@ -148,63 +148,111 @@ def word_weights(weights, n: int) -> list:
     ]
 
 
-def deltabar_operator(spec: ManifoldSpec, k: int) -> list:
-    """O_k = dbar + mu from invariant k-forms to (k+1)-forms, words in
-    sorted order.  Column a is d(a) restricted to bidegrees (p, q+1) and
-    (p+2, q-1): the words whose count of unbarred letters differs from a's
-    by an even number.  Each column is [(row, x, conj x)] for the nonzero
-    entries x, in row order."""
+@lru_cache(maxsize=None)
+def _word_table(n: int, k: int):
+    """Words of degree k, sorted; their index; [(s_w, index of c(w))]."""
+    words = words_of_degree(n, k)
+    index = {w: i for i, w in enumerate(words)}
+    return words, index, [(sign, index[cw]) for sign, cw in (conj_word(w, n) for w in words)]
+
+
+def interned_images(spec: ManifoldSpec):
+    """({a: {2-word: (sign, symbol)}}, symbol values): the (1,1) part of d
+    phi^a and the (2,0) + (0,2) part of d conj phi^a, which are their images
+    under dbar + mu, with each coefficient interned by value up to sign."""
     n = spec.n
-    rows = {w: i for i, w in enumerate(words_of_degree(n, k + 1))}
+    symbols: dict = {}
+    images: dict = {}
+    for a in range(1, 2 * n + 1):
+        images[a] = {}
+        for head, c in spec.d_generator(a).coeffs.items():
+            if (word_bidegree(head, n)[0] - (a <= n)) % 2 == 0:
+                sign = -1 if c not in symbols and -c in symbols else 1
+                images[a][head] = (sign, symbols.setdefault(c if sign > 0 else -c, len(symbols)))
+    return images, list(symbols)
+
+
+def deltabar_operator(images, n: int, k: int) -> list:
+    """O_k = dbar + mu on invariant k-forms by the Leibniz rule on
+    ``interned_images``: column a is [(row, [(symbol, nonzero integer)])]
+    in row order, words in sorted order."""
+    rows = _word_table(n, k + 1)[1]
     out = []
-    for w in words_of_degree(n, k):
-        p = word_bidegree(w, n)[0]
-        col = [
-            (rows[m], x, x.conj())
-            for m, x in spec.d_word(w).coeffs.items()
-            if (word_bidegree(m, n)[0] - p) % 2 == 0
-        ]
-        col.sort(key=itemgetter(0))
-        out.append(col)
+    for w in _word_table(n, k)[0]:
+        terms: dict = {}
+        for m, sign, (s, x) in leibniz(w, images):
+            key = (rows[m], x)
+            terms[key] = terms.get(key, 0) + sign * s
+        col: dict = {}
+        for (m, x), c in sorted(terms.items()):
+            if c:
+                col.setdefault(m, []).append((x, c))
+        out.append(list(col.items()))
     return out
 
 
-def _add_gram_sum(t: dict, vector: list, weight) -> None:
-    """t[a, b] += weight left_a right_b over the pairs a <= b of ``vector``,
-    a list [(a, left_a, right_a)] in the order of a; a weight None is 1."""
-    for i, (a, left, _) in enumerate(vector):
-        if weight is not None:
-            left = left * weight
-        for b, _, right in vector[i:]:
-            s = t.get((a, b))
-            t[a, b] = left * right if s is None else s + left * right
-
-
 def laplacian_gram(o_prev: list, o: list, g=None) -> dict:
-    """T = G L_deltabar on invariant k-forms, from O = O_k and O' = O_(k-1)
-    (see ``deltabar_operator``), as {(a, b): entry} for a <= b only.
-
-    L = O* O + O' O'*, and in an orthogonal coframe each Gram adjoint is
-    entrywise, so T is two Gram sums:
+    """T = G L_deltabar, L = O* O + O' O'* for O = O_k and O' = O_(k-1), on
+    a <= b only (T is Hermitian), as integer coefficients {(a, b, x, y, w):
+    c} of conj(v_x) v_y.  Gram adjoints are entrywise, so T is two sums:
 
         T[a][b] = sum_m g(m) conj(O[m][a]) O[m][b]
                 + g(a) g(b) sum_s O'[a][s] conj(O'[b][s]) / g(s).
 
-    L is self-adjoint, so T is Hermitian and T[b][a] = conj T[a][b] is not
-    formed.  ``g`` holds the word weights of degrees k-1, k and k+1, or is
-    None when all are 1.  An entry that no term reaches is absent (zero)."""
-    t: dict = {}
+    ``g`` holds the word weights of degrees k-1..k+1, or None when all are
+    1; w is then None, else (0, g(m)) or (1, g(s)) (see ``gram_entry``)."""
     rows: dict = {}
     for a, col in enumerate(o):
-        for m, x, xc in col:
-            rows.setdefault(m, []).append((a, xc, x))
-    for m, vector in rows.items():
-        _add_gram_sum(t, vector, None if g is None else g[2][m])
-    for s, col in enumerate(o_prev):
-        if g is not None:
-            col = [(a, y * g[1][a], yc * g[1][a]) for a, y, yc in col]
-        _add_gram_sum(t, col, None if g is None else g[0][s].inv())
+        for m, entry in col:
+            rows.setdefault(m, []).append((a, entry))
+    sums = [(v, None if g is None else (0, g[2][m]), False) for m, v in rows.items()]
+    sums += [(v, None if g is None else (1, g[0][s]), True) for s, v in enumerate(o_prev)]
+    t: dict = {}
+    for vector, w, swap in sums:  # vector [(a, entry)] in the order of a
+        for i, (a, left) in enumerate(vector):
+            for b, right in vector[i:]:
+                for x, c in left:
+                    for y, d in right:
+                        key = (a, b, y, x, w) if swap else (a, b, x, y, w)
+                        t[key] = t.get(key, 0) + c * d
     return t
+
+
+def mirror_difference(t: dict, n: int, k: int) -> dict:
+    """The nonzero integer coefficients of T[a][b] - s_a s_b conj(T[c(a)]
+    [c(b)]) as {(a, b): [(x, y, w, c)]}, on one entry of each mirror pair.
+    T[c(b)][c(a)] is stored when c(a) > c(b), so the mirror of key (a, b,
+    x, y, w) is (c(a), c(b), y, x, w) if c(a) <= c(b), else (c(b), c(a), x,
+    y, w)."""
+    conj = _word_table(n, k)[2]
+    diff: dict = {}
+    for (a, b, x, y, w), c in t.items():
+        (sa, ca), (sb, cb) = conj[a], conj[b]
+        mirror = (ca, cb, y, x, w) if ca <= cb else (cb, ca, x, y, w)
+        if (a, b) <= mirror[:2]:
+            diff[a, b, x, y, w] = diff.get((a, b, x, y, w), 0) + c
+        if mirror[:2] <= (a, b):
+            diff[mirror] = diff.get(mirror, 0) - (c if sa == sb else -c)
+    out: dict = {}
+    for (a, b, x, y, w), c in diff.items():
+        if c:
+            out.setdefault((a, b), []).append((x, y, w, c))
+    return out
+
+
+def gram_entry(terms, values: list, products: dict, g_ab=None):
+    """Exactly, sum c conj(v_x) v_y W over ``terms`` [(x, y, w, c)]: W is 1,
+    g(m) or g_ab / g(s) for w None, (0, g(m)) or (1, g(s)), g_ab = g(a)
+    g(b).  ``products`` keeps each conj(v_x) v_y once formed."""
+    total = ZERO
+    for x, y, w, c in terms:
+        p = products.get((x, y))
+        if p is None:
+            p = products[x, y] = values[x].conj() * values[y]
+        if w is not None:
+            p = p * (g_ab / w[1] if w[0] else w[1])
+        total = total + (p if c == 1 else -p if c == -1 else p * Scalar.integer(c))
+    return total
 
 
 def delta_laplacians_equal(h: HermitianData, spec: ManifoldSpec) -> bool:
@@ -214,9 +262,8 @@ def delta_laplacians_equal(h: HermitianData, spec: ManifoldSpec) -> bool:
     d and the metric are real, so L_delta = C L_deltabar C with C the
     signed conjugation of words, and G commutes with C (g(c(w)) = g(w), g
     real): the Laplacians agree at degree k exactly when T[a][b] = s_a s_b
-    conj(T[c(a)][c(b)]) for all a, b.  C is an involution, so each mirror
-    pair of entries is compared once, and an entry absent on one side is
-    zero.  O_k is built once and serves as O_(k-1) at degree k + 1.
+    conj(T[c(a)][c(b)]) for all a, b, certified by equal integer
+    coefficients or, where those differ, by exact evaluation.
 
     Only degrees 0..n are compared.  The complex-linear star maps (p, q) to
     (n-q, n-p), and on a unimodular group dbar* = -star del star and mu* =
@@ -224,26 +271,15 @@ def delta_laplacians_equal(h: HermitianData, spec: ManifoldSpec) -> bool:
     2n - k: the Laplacians agree at k exactly when they agree at 2n - k."""
     spec, weights = _frame(h, spec)
     n = spec.n
+    images, values = interned_images(spec)
     g = None if weights is None else word_weights(weights, n)
-    o_prev: list = []
+    products, o_prev = {}, []  # conj(v_x) v_y once formed; O_(k-1)
     for k in range(n + 1):
-        o = deltabar_operator(spec, k)
+        o = deltabar_operator(images, n, k)
         t = laplacian_gram(o_prev, o, None if g is None else g[k : k + 3])
         o_prev = o
-        words = words_of_degree(n, k)
-        index = {w: i for i, w in enumerate(words)}
-        conj = [(sign, index[cw]) for sign, cw in (conj_word(w, n) for w in words)]
-        for (a, b), x in t.items():
-            (sa, ca), (sb, cb) = conj[a], conj[b]
-            # T[c(a)][c(b)] is stored as conj T[c(b)][c(a)] when c(a) > c(b)
-            mirror = (ca, cb) if ca <= cb else (cb, ca)
-            y = t.get(mirror)
-            if y is None:
-                y = ZERO
-            elif mirror < (a, b):
-                continue  # compared from the other side
-            elif ca <= cb:
-                y = y.conj()
-            if x != (y if sa == sb else -y):
+        for (a, b), terms in mirror_difference(t, n, k).items():
+            g_ab = None if g is None else g[k + 1][a] * g[k + 1][b]
+            if not gram_entry(terms, values, products, g_ab).is_zero():
                 return False
     return True

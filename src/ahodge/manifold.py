@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra import Form, block_words, merge_words, sort_word, word_bidegree, words_of_degree
+from .algebra import Form, block_words, leibniz, sort_word, word_bidegree, words_of_degree
 from .scalars import (
     I,
     ONE,
@@ -152,10 +152,7 @@ class ManifoldSpec:
         self._dword_cache: dict = {}
         self._piece_cache: dict = {}
         self._d2 = None  # d^2 of phi^1..phi^n, evaluated once
-        self._dgen = {}
-        for j in range(1, n + 1):
-            self._dgen[j] = dphi[j - 1]
-            self._dgen[j + n] = dphi[j - 1].conj()
+        self._dgen = dict(enumerate(dphi, 1)) | {j + n: f.conj() for j, f in enumerate(dphi, 1)}
         self.validate()
 
     # -- basic geometry -------------------------------------------------
@@ -167,26 +164,21 @@ class ManifoldSpec:
         """The real coframe element e^k expressed in the phi-basis."""
         return self._e_forms[k - 1]
 
+    def d_generator(self, a: int) -> Form:
+        """d phi^a for a in 1..2n, the conjugates after phi^1..phi^n."""
+        return self._dgen[a]
+
     def d_word(self, word) -> Form:
-        """d of one index word by the Leibniz rule, d(w) = sum_t (-1)^t
-        d phi_{w_t} ^ (w without w_t): a 2-form moves to the front without
-        a sign.  Each term merges a word of d phi_{w_t} with the rest of w,
-        so its coefficient is one of d phi_{w_t} up to sign and no scalar
-        is multiplied.  Cached per word."""
+        """d of one index word by ``leibniz``: each coefficient is one of d
+        phi_{w_t} up to sign, so no scalar is multiplied.  Cached per word."""
         cached = self._dword_cache.get(word)
         if cached is not None:
             return cached
         out: dict = {}
-        for t, j in enumerate(word):
-            rest = word[:t] + word[t + 1 :]
-            for head, c in self._dgen[j].coeffs.items():
-                merged = merge_words(head, rest)
-                if merged is None:
-                    continue
-                sign, w = merged
-                s = out.pop(w, ZERO) + (c if sign == (-1) ** t else -c)
-                if not s.is_zero():
-                    out[w] = s
+        for w, sign, c in leibniz(word, {j: self._dgen[j].coeffs for j in word}):
+            s = out.pop(w, ZERO) + (c if sign > 0 else -c)
+            if not s.is_zero():
+                out[w] = s
         self._dword_cache[word] = Form(self.n, out)
         return self._dword_cache[word]
 
@@ -209,39 +201,23 @@ class ManifoldSpec:
         """Sorted index words of bidegree (p, q); empty outside the range."""
         return block_words(self.n, p, q)
 
-    def piece_matrices(self, pq) -> dict:
-        """Matrices of the four pieces of d on the bidegree block pq, each
-        mapping block pq into block pq + shift (rows and columns follow
-        ``block_words``); a piece whose source or target block is empty is
-        absent.  Cached per spec."""
-        cached = self._piece_cache.get(pq)
-        if cached is not None:
-            return cached
-        p, q = pq
-        src = self.block_words(p, q)
-        out = {}
-        targets = {}
-        for which, (dp, dq) in BIDEGREE_SHIFTS.items():
-            tgt = self.block_words(p + dp, q + dq)
-            if src and tgt:
-                out[which] = linalg.zeros(len(tgt), len(src))
-                targets[(p + dp, q + dq)] = (out[which], {w: k for k, w in enumerate(tgt)})
-        for col, w in enumerate(src):
-            for iw, c in self.d_word(w).coeffs.items():
-                mat, rows = targets[word_bidegree(iw, self.n)]
-                mat[rows[iw]][col] = c
-        self._piece_cache[pq] = out
-        return out
+    def piece_matrix(self, pq, which: str):
+        """The matrix of one piece of d from block pq to block pq + shift,
+        rows and columns in ``block_words`` order, or None when either block
+        is empty.  Cached per block and piece."""
+        key = (pq, which)
+        if key not in self._piece_cache:
+            (p, q), (dp, dq) = pq, BIDEGREE_SHIFTS[which]
+            cols = [self.d_word(w).coeffs for w in self.block_words(p, q)]
+            rows = self.block_words(p + dp, q + dq)
+            matrix = [[c.get(u, ZERO) for c in cols] for u in rows]
+            self._piece_cache[key] = matrix if cols and rows else None
+        return self._piece_cache[key]
 
     def is_integrable(self) -> bool:
-        for a in range(1, 2 * self.n + 1):
-            img = self._dgen[a]
-            p, q = (1, 0) if a <= self.n else (0, 1)
-            if not img.component(p + 2, q - 1).is_zero():
-                return False
-            if not img.component(p - 1, q + 2).is_zero():
-                return False
-        return True
+        """mu and mubar vanish on the generators: no d phi^j has a (0,2)
+        part, nor, its conjugate, d conj phi^j a (2,0) part."""
+        return all(word_bidegree(w, self.n)[0] for f in self.dphi for w in f.coeffs)
 
     # -- validation -------------------------------------------------------
 

@@ -90,7 +90,7 @@ def build_dbar_system(p: int, spec: ManifoldSpec) -> PDESystem:
     if not 0 <= p <= n:
         raise ValueError(f"p must lie in 0..{n}")
     unknowns = spec.block_words(p, 0)
-    dbar = spec.piece_matrices((p, 0))["dbar"]
+    dbar = spec.piece_matrix((p, 0), "dbar")
     sign = -ONE if p % 2 else ONE
     equations = [
         Equation(

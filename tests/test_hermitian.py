@@ -463,6 +463,17 @@ def test_the_flag_is_kept_by_scaling_the_metric_and_changing_the_coframe(name, g
         assert delta_laplacians_equal(h_rebased, rebased) == expected, a
 
 
+def _evaluated(t, values, g_k=None):
+    """The entries of T from its integer coefficients over the symbols."""
+    grouped = {}
+    for (a, b, x, y, w), c in t.items():
+        grouped.setdefault((a, b), []).append((x, y, w, c))
+    return {
+        (a, b): hermitian.gram_entry(terms, values, {}, None if g_k is None else g_k[a] * g_k[b])
+        for (a, b), terms in grouped.items()
+    }
+
+
 @pytest.mark.parametrize("name, gram", METRIC_CASES)
 def test_the_gram_sums_are_g_times_the_dense_laplacian_in_the_orthogonal_coframe(name, gram):
     # in the coframe of H = L D L^H the metric is D / D_1, and the dense
@@ -474,26 +485,28 @@ def test_the_gram_sums_are_g_times_the_dense_laplacian_in_the_orthogonal_coframe
     diagonal = [[d[i] / d[0] if i == j else ZERO for j in range(n)] for i in range(n)]
     h_frame = metric_from_gram(diagonal, frame)
     g = None if weights is None else hermitian.word_weights(weights, n)
+    images, values = hermitian.interned_images(frame)
+    # one symbol per coefficient up to sign
+    assert len({x for x in values} | {-x for x in values}) == 2 * len(values)
     o_prev = []
     for k in range(n + 1):
-        o = hermitian.deltabar_operator(frame, k)
-        # O_k is the dbar + mu operator, its conjugates carried along
+        o = hermitian.deltabar_operator(images, n, k)
+        # O_k, evaluated on its symbols, is the dbar + mu operator
         dense_o = linalg.zeros(len(words_of_degree(n, k + 1)), len(o))
         for a, col in enumerate(o):
-            assert [m for m, _x, _xc in col] == sorted({m for m, _x, _xc in col})
-            for m, x, xc in col:
-                assert not x.is_zero() and xc == x.conj()
-                dense_o[m][a] = x
+            assert [m for m, _e in col] == sorted({m for m, _e in col})
+            for m, entry in col:
+                assert entry and all(c for _x, c in entry)
+                dense_o[m][a] = sum((values[x] * Scalar.integer(c) for x, c in entry), ZERO)
         assert dense_o == operator_matrix("deltabar", frame, k), k
         t = hermitian.laplacian_gram(o_prev, o, None if g is None else g[k : k + 3])
         # the upper triangle only, of G L with G the oracle's Gram matrix
-        assert all(a <= b for a, b in t), k
+        assert all(a <= b for a, b, _x, _y, _w in t), k
         expected = linalg.mat_mul(
             gram_matrix(h_frame.gram, k), laplacian_matrix("deltabar", h_frame, frame, k)
         )
-        assert {
-            (a, b): x for (a, b), x in t.items() if not x.is_zero()
-        } == {
+        evaluated = _evaluated(t, values, None if g is None else g[k + 1])
+        assert {key: x for key, x in evaluated.items() if not x.is_zero()} == {
             (a, b): x
             for a, row in enumerate(expected)
             for b, x in enumerate(row)
@@ -543,11 +556,11 @@ def test_an_entry_without_its_mirror_clears_the_flag(fls, fls_metric, monkeypatc
     # lone entry at degree 1 stands against the zero of its absent mirror,
     # entry (n, n + 1) for the words phi^1 and phi^2
     original = hermitian.laplacian_gram
-    for value, expected in ((ZERO, True), (ONE, False)):
+    for value, expected in ((0, True), (1, False)):
 
         def lone(o_prev, o, g=None, value=value):
             t = original(o_prev, o, g)
-            return {(0, 1): value} if len(o) == 2 * N else t
+            return {(0, 1, 0, 0, None): value} if len(o) == 2 * N else t
 
         monkeypatch.setattr(hermitian, "laplacian_gram", lone)
         assert delta_laplacians_equal(fls_metric, fls) is expected
@@ -558,8 +571,8 @@ def _spy_operators(monkeypatch):
     built, summed = [], []
     build, gram = hermitian.deltabar_operator, hermitian.laplacian_gram
 
-    def build_spy(spec, k):
-        built.append((k, build(spec, k)))
+    def build_spy(images, n, k):
+        built.append((k, build(images, n, k)))
         return built[-1][1]
 
     def gram_spy(o_prev, o, g=None):
@@ -585,13 +598,14 @@ def test_a_report_never_builds_the_delta_laplacian(monkeypatch):
 
 
 def test_a_difference_at_degree_n_alone_clears_the_flag(fls, fls_metric, monkeypatch):
-    # catches a loop that stops short of the middle degree
+    # catches a loop that stops short of the middle degree: 1 more on
+    # |v_0|^2 in T[0][0], the word phi^{123}, whose mirror is phi^{1b2b3b}
     original = hermitian.laplacian_gram
 
     def perturbed(o_prev, o, g=None):
         t = original(o_prev, o, g)
         if len(o) == len(words_of_degree(N, N)):
-            t[0, 0] = t.get((0, 0), ZERO) + ONE
+            t[0, 0, 0, 0, None] = t.get((0, 0, 0, 0, None), 0) + 1
         return t
 
     assert delta_laplacians_equal(fls_metric, fls)
@@ -612,6 +626,93 @@ def test_each_deltabar_operator_is_built_once_and_reused(name, monkeypatch):
     assert len(summed) == len(operators) and summed[0][0] == []
     for k, (o_prev, o) in enumerate(summed):
         assert o is operators[k] and (k == 0 or o_prev is operators[k - 1]), k
+
+
+def _spy_certificate(monkeypatch):
+    """Record, per flag, whether each degree's integer difference was empty,
+    and count Scalar products and sums made after ``_frame``."""
+    differences, arithmetic = [], []
+    frame, difference = hermitian._frame, hermitian.mirror_difference
+
+    def frame_spy(h, spec):
+        out = frame(h, spec)
+        arithmetic.append(0)
+        return out
+
+    def difference_spy(t, n, k):
+        out = difference(t, n, k)
+        differences.append(bool(out))
+        return out
+
+    def counted(name):
+        original = getattr(Scalar, name)
+
+        def count(self, other):
+            if arithmetic:
+                arithmetic[-1] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(Scalar, name, count)
+
+    monkeypatch.setattr(hermitian, "_frame", frame_spy)
+    monkeypatch.setattr(hermitian, "mirror_difference", difference_spy)
+    counted("__mul__")
+    counted("__add__")
+    return differences, arithmetic
+
+
+@pytest.mark.parametrize("name", ["fls", "iwasawa_ak"])
+def test_an_empty_integer_difference_certifies_the_flag_with_no_scalar_arithmetic(
+    name, monkeypatch
+):
+    spec = get_builtin(name)
+    h = metric_for(spec)
+    differences, arithmetic = _spy_certificate(monkeypatch)
+    assert delta_laplacians_equal(h, spec)
+    assert differences == [False] * (N + 1)
+    assert arithmetic == [0]
+
+
+@pytest.mark.parametrize("name", ["fls", "iwasawa_ak"])
+def test_a_true_flag_survives_the_exact_fallback(name, monkeypatch):
+    # in a coframe that is not unitary, T and its mirror differ as integer
+    # coefficients but agree once the symbols are evaluated
+    declared = get_builtin(name)
+    spec, h = rebase(declared, [[S(x) for x in row] for row in REBASES[0]], metric_for(declared))
+    differences, _arithmetic = _spy_certificate(monkeypatch)
+    assert delta_laplacians_equal(h, spec)
+    assert any(differences) and len(differences) == N + 1
+
+
+@pytest.mark.parametrize("name", ["fls_nonak", "iwasawa_std", "iwasawa_complex"])
+def test_a_false_flag_is_decided_by_the_exact_fallback(name, monkeypatch):
+    spec = get_builtin(name)
+    h = metric_for(spec)
+    differences, _arithmetic = _spy_certificate(monkeypatch)
+    assert not delta_laplacians_equal(h, spec)
+    # the degree that ends the comparison had a nonempty integer difference
+    assert differences[-1] and not any(differences[:-1])
+
+
+def _lower_triangular(draw, n):
+    """A random rational lower triangular matrix with nonzero diagonal."""
+    ratio = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    diagonal = ratio.filter(bool)
+    return [
+        [S(str(draw(diagonal) if i == j else draw(ratio) if j < i else 0)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@settings(max_examples=12, deadline=None)
+@given(name=st.sampled_from(builtin_names()), data=st.data())
+def test_the_flag_is_the_oracle_in_random_triangular_coframes(name, data):
+    # in phi' = A phi the Gram block A H A^H is not diagonal, and its
+    # factor D carries the squared diagonal of A: the flag rebases and
+    # reads weights that are not 1
+    spec = get_builtin(name)
+    rebased, h = rebase(spec, _lower_triangular(data.draw, N), metric_for(spec))
+    assert delta_laplacians_equal(h, rebased) == laplacians_equal_all_degrees(h, rebased)
 
 
 def test_full_d_laplacian_on_functions(iwasawa_ak, iwasawa_ak_metric):

@@ -199,7 +199,7 @@ def test_split_shifts_bidegree(fls_4pi):
 def test_split_block_matrices(iwasawa_std, fls):
     src = iwasawa_std.block_words(1, 0)
     tgt = iwasawa_std.block_words(0, 2)
-    mat = iwasawa_std.piece_matrices((1, 0))["mubar"]
+    mat = iwasawa_std.piece_matrix((1, 0), "mubar")
     assert src == [(1,), (2,), (3,)]
     # d psi^3 = -psi^{1bar 2bar} is the only (0,2) image
     col = src.index((3,))
@@ -213,7 +213,7 @@ def test_split_block_matrices(iwasawa_std, fls):
     )
     # a piece whose target block is empty has no matrix
     assert fls.block_words(3, -1) == []
-    assert "mu" not in fls.piece_matrices((1, 0))
+    assert fls.piece_matrix((1, 0), "mu") is None
 
 
 def test_operator_values_from_structure_equations(fls, iwasawa_std):

@@ -268,7 +268,7 @@ def piece_adjoint(which, pq, h, spec):
     """Dense Gram adjoint conj(G_src)^-1 M^H conj(G_tgt) of one piece of d on
     block pq, from block pq + shift back to pq, or None when the piece is
     absent."""
-    m = spec.piece_matrices(pq).get(which)
+    m = spec.piece_matrix(pq, which)
     if m is None:
         return None
     return linalg.mat_mul(
@@ -294,12 +294,12 @@ def laplacian_blocks(parts, h, spec, k):
             for y in parts:
                 # X Y*: src -> mid = src - shift(Y) -> mid + shift(X)
                 mid = _shift(src, y, -1)
-                x_mat = spec.piece_matrices(mid).get(x)
+                x_mat = spec.piece_matrix(mid, x)
                 y_adj = piece_adjoint(y, mid, h, spec)
                 if x_mat is not None and y_adj is not None:
                     _add_block(blocks, (_shift(mid, x), src), linalg.mat_mul(x_mat, y_adj))
                 # X* Y: src -> src + shift(Y) -> back by shift(X)
-                y_mat = spec.piece_matrices(src).get(y)
+                y_mat = spec.piece_matrix(src, y)
                 back = _shift(_shift(src, y), x, -1)
                 x_adj = piece_adjoint(x, back, h, spec)
                 if y_mat is not None and x_adj is not None:
@@ -334,10 +334,10 @@ def _dense(blocks, spec, k_tgt, k_src):
 def operator_matrix(which, spec, k):
     """Matrix of one first-order operator from degree k to degree k+1."""
     blocks = {
-        (_shift(pq, part), pq): spec.piece_matrices(pq)[part]
+        (_shift(pq, part), pq): m
         for pq in bidegrees(spec.n, k)
         for part in OPERATOR_PARTS[which]
-        if part in spec.piece_matrices(pq)
+        if (m := spec.piece_matrix(pq, part)) is not None
     }
     return _dense(blocks, spec, k + 1, k)
 

@@ -163,9 +163,6 @@ class Form:
             return Form(self.n)
         return Form(self.n, {w: c * s for w, c in self.coeffs.items()})
 
-    def __rmul__(self, s: Scalar) -> "Form":
-        return self.scale(s)
-
     def wedge(self, other: "Form") -> "Form":
         self._check(other)
         out: dict = {}

@@ -227,15 +227,13 @@ def mode_matrix(reduced: pdesolve.PDESystem, spec: ManifoldSpec) -> ModeMatrix:
     monomials = []
     for eq in reduced.equations:
         entries: dict = {}
-        for t in eq.zeros:
-            _poly_add(entries.setdefault(t.unknown, {}), const, t.coeff)
-        for t in eq.derivs:
-            st = statuses[t.unknown]
-            if st >= pdesolve.Status.CONSTANT or fib.pure_fiber.get(t.frame, False):
-                continue
-            for e, s in zip(units, fib.symbols[t.frame]):
+        for u, c in eq.zeros:
+            _poly_add(entries.setdefault(u, {}), const, c)
+        f, i = eq.unknown, eq.frame
+        if statuses[f] < pdesolve.Status.CONSTANT and not fib.pure_fiber.get(i, False):
+            for e, s in zip(units, fib.symbols[i]):
                 if not s.is_zero():
-                    _poly_add(entries.setdefault(t.unknown, {}), e, t.coeff * s)
+                    _poly_add(entries.setdefault(f, {}), e, eq.coeff * s)
         entries = {u: poly for u, poly in entries.items() if poly}
         if entries:
             rows.append(entries)

@@ -11,8 +11,9 @@ The flag is decided in the coframe phi' = L^-1 phi of H = L D L^H (L unit
 lower triangular, D_k = m_k / m_(k-1)), where the Gram matrix of words is
 diagonal with entries g(w), the product of D over the letters of w, so
 every Gram adjoint is entrywise.  The flag is an operator identity and the
-conjugation of words is the same in every (1,0)-coframe; when L = I the
-spec is read as it is.  Each term of a Laplacian holds one adjoint, so a
+conjugation of words is the same in every (1,0)-coframe, so only the
+images d phi'^a of the generators are rewritten, and when L = I they are
+read as declared.  Each term of a Laplacian holds one adjoint, so a
 constant factor on the metric scales both Laplacians alike: D is divided
 by D_1, and on a metric proportional to the identity every weight is 1.
 
@@ -40,7 +41,7 @@ from math import prod
 
 from . import linalg
 from .algebra import Form, GramData, NotPositive, conj_word, leibniz, word_bidegree, words_of_degree
-from .manifold import ManifoldSpec, _parse_fibration, substitute, substitute_rows
+from .manifold import ManifoldSpec, substitute_rows
 from .scalars import I as IMAG
 from .scalars import ONE, ZERO, Scalar
 
@@ -113,29 +114,28 @@ def metric_for(spec: ManifoldSpec) -> HermitianData:
 # -- the Laplacian flag in an orthogonal coframe ---------------------------
 
 
-def _rebased(spec: ManifoldSpec, l) -> ManifoldSpec:
-    """The spec in the coframe phi' = L^-1 phi: phi = L phi' substituted into
-    each d phi^j, and L^-1 applied outside.  The flag reads neither metric
-    nor fibration, so it keeps none."""
+def _rebased(spec: ManifoldSpec, l) -> list:
+    """d phi'^a for a in 1..2n, the conjugates after phi'^1..phi'^n, in the
+    coframe phi' = L^-1 phi: phi = L phi' substituted into each d phi^j, and
+    L^-1 applied outside.  d^2 = 0 and unimodularity hold in every constant
+    coframe once they hold in one, so nothing is validated again."""
     n = spec.n
     images = [Form(n, {(c,): x for c, x in enumerate(row, 1) if not x.is_zero()}) for row in l]
     images += [phi.conj() for phi in images]
     dphi = substitute_rows(linalg.inverse(l), dict(enumerate(spec.dphi, 1)), images)
-    e_forms = [substitute(images, spec.e_form(k)) for k in range(1, 2 * n + 1)]
-    return ManifoldSpec(
-        spec.name, n, spec.params, dphi, e_forms, None,
-        _parse_fibration((), spec.params, n), spec.section, spec.symbol,
-    )
+    return dphi + [f.conj() for f in dphi]
 
 
 def _frame(h: HermitianData, spec: ManifoldSpec):
-    """The spec read in a coframe where its metric is diagonal, and the
+    """d phi^1..d phi^2n in a coframe where the metric is diagonal, and the
     weights D / D_1 of that diagonal, or None when all are 1."""
     l, d = h.gram.ldl()
     if any(not x.is_zero() for i, row in enumerate(l) for x in row[:i]):
-        spec = _rebased(spec, l)
+        dgen = _rebased(spec, l)
+    else:
+        dgen = [spec.d_generator(a) for a in range(1, 2 * spec.n + 1)]
     weights = [x / d[0] for x in d]
-    return spec, None if all(x == ONE for x in weights) else weights
+    return dgen, None if all(x == ONE for x in weights) else weights
 
 
 def word_weights(weights, n: int) -> list:
@@ -156,16 +156,16 @@ def _word_table(n: int, k: int):
     return words, index, [(sign, index[cw]) for sign, cw in (conj_word(w, n) for w in words)]
 
 
-def interned_images(spec: ManifoldSpec):
-    """({a: {2-word: (sign, symbol)}}, symbol values): the (1,1) part of d
-    phi^a and the (2,0) + (0,2) part of d conj phi^a, which are their images
-    under dbar + mu, with each coefficient interned by value up to sign."""
-    n = spec.n
+def interned_images(dgen: list, n: int):
+    """({a: {2-word: (sign, symbol)}}, symbol values) from ``dgen`` = [d
+    phi^1, ..., d phi^2n]: the (1,1) part of d phi^a and the (2,0) + (0,2)
+    part of d conj phi^a, which are their images under dbar + mu, with each
+    coefficient interned by value up to sign."""
     symbols: dict = {}
     images: dict = {}
-    for a in range(1, 2 * n + 1):
+    for a, f in enumerate(dgen, 1):
         images[a] = {}
-        for head, c in spec.d_generator(a).coeffs.items():
+        for head, c in f.coeffs.items():
             if (word_bidegree(head, n)[0] - (a <= n)) % 2 == 0:
                 sign = -1 if c not in symbols and -c in symbols else 1
                 images[a][head] = (sign, symbols.setdefault(c if sign > 0 else -c, len(symbols)))
@@ -269,9 +269,9 @@ def delta_laplacians_equal(h: HermitianData, spec: ManifoldSpec) -> bool:
     (n-q, n-p), and on a unimodular group dbar* = -star del star and mu* =
     -star mubar star, so star L_deltabar = L_delta star from degree k to
     2n - k: the Laplacians agree at k exactly when they agree at 2n - k."""
-    spec, weights = _frame(h, spec)
     n = spec.n
-    images, values = interned_images(spec)
+    dgen, weights = _frame(h, spec)
+    images, values = interned_images(dgen, n)
     g = None if weights is None else word_weights(weights, n)
     products, o_prev = {}, []  # conj(v_x) v_y once formed; O_(k-1)
     for k in range(n + 1):

@@ -38,10 +38,10 @@ from .scalars import (
 class JacobiViolation(ValueError):
     """d of d is nonzero on a coframe element."""
 
-    def __init__(self, index: str, residue: Form, prefix: str = ""):
+    def __init__(self, index: str, residue: Form, symbol: str, prefix: str = ""):
         self.index = index
         self.residue = residue
-        super().__init__(f"{prefix}d^2 {index} = {residue.pretty()} != 0")
+        super().__init__(f"{prefix}d^2 {index} = {residue.pretty(symbol)} != 0")
 
 
 class NotUnimodular(ValueError):
@@ -60,25 +60,16 @@ BIDEGREE_SHIFTS = {
     "mubar": (-1, 2),
 }
 
-# the seven bidegree components of d^2 = 0, each as (name, [(outer, inner)])
-D2_RELATIONS = [
-    ("mu mu", [("mu", "mu")]),
-    ("mu del + del mu", [("mu", "del"), ("del", "mu")]),
-    (
-        "del del + mu dbar + dbar mu",
-        [("del", "del"), ("mu", "dbar"), ("dbar", "mu")],
-    ),
-    (
-        "del dbar + dbar del + mu mubar + mubar mu",
-        [("del", "dbar"), ("dbar", "del"), ("mu", "mubar"), ("mubar", "mu")],
-    ),
-    (
-        "dbar dbar + mubar del + del mubar",
-        [("dbar", "dbar"), ("mubar", "del"), ("del", "mubar")],
-    ),
-    ("mubar dbar + dbar mubar", [("mubar", "dbar"), ("dbar", "mubar")]),
-    ("mubar mubar", [("mubar", "mubar")]),
-]
+# the seven bidegree components of d^2 = 0
+D2_RELATIONS = (
+    "mu mu",
+    "mu del + del mu",
+    "del del + mu dbar + dbar mu",
+    "del dbar + dbar del + mu mubar + mubar mu",
+    "dbar dbar + mubar del + del mubar",
+    "mubar dbar + dbar mubar",
+    "mubar mubar",
+)
 
 
 @dataclass(frozen=True)
@@ -151,7 +142,6 @@ class ManifoldSpec:
         self.section = section
         self._dword_cache: dict = {}
         self._piece_cache: dict = {}
-        self._d2 = None  # d^2 of phi^1..phi^n, evaluated once
         self._dgen = dict(enumerate(dphi, 1)) | {j + n: f.conj() for j, f in enumerate(dphi, 1)}
         self.validate()
 
@@ -223,20 +213,12 @@ class ManifoldSpec:
 
     def validate(self):
         """Each d phi^j is a 2-form, d^2 vanishes on the generators, d on
-        every (2n-1)-form, and the fibration data is consistent.  A nonzero
-        d^2 is named by the first e^k on [coframe], else the first phi^a."""
+        every (2n-1)-form, and the fibration data is consistent."""
         n = self.n
         for j in range(1, n + 1):
             if any(len(w) != 2 for w in self.dphi[j - 1].coeffs):
                 raise ParseError(f"d phi{j} is not a 2-form")
-        if not all(ok for _name, ok, _w in self.check_d2_relations()):
-            if self.section == "coframe":
-                for k in range(1, 2 * n + 1):
-                    residue = self.exterior_d(self.exterior_d(self.e_form(k)))
-                    if not residue.is_zero():
-                        raise JacobiViolation(f"e{k}", residue)
-            a, residue = next((a, r) for a, r in enumerate(self._d2, 1) if not r.is_zero())
-            raise JacobiViolation(f"phi{a}", residue, f"[{self.section}]: ")
+        self.check_d2_relations()
         for w in words_of_degree(n, 2 * n - 1):
             residue = self.d_word(w)
             if not residue.is_zero():
@@ -248,30 +230,24 @@ class ManifoldSpec:
         self.fibration.validate()
 
     def check_d2_relations(self):
-        """The seven bidegree components of d^2 = 0 as (name, holds, witness
-        word or None), from d^2 of the generators, evaluated once per spec:
-        its component in bidegree bideg(a) + s is the relation shifting by s
-        applied to phi^a; the witness is the smallest failing degree-1 word.
-        Each component is a derivation, as d is one, so it vanishes on every
-        invariant form once it vanishes on the degree-1 words.  d is real, so
-        d^2 conj phi^a is the conjugate of d^2 phi^a, whose words have the
-        swapped bidegrees: only phi^1..phi^n are evaluated."""
+        """d^2 = 0 on the generators, hence all seven bidegree components of
+        d^2 = 0 (``D2_RELATIONS``) on every invariant form: each component
+        is a derivation, as d is one, and d^2 on a generator is the sum of
+        their values there, one per bidegree.  d is real, so d^2 conj phi^a
+        is the conjugate of d^2 phi^a: only phi^1..phi^n are evaluated.  A
+        nonzero d^2 raises JacobiViolation, named by the first e^k on
+        [coframe], else the first phi^a."""
         n = self.n
-        if self._d2 is None:
-            self._d2 = [self.exterior_d(self._dgen[a]) for a in range(1, n + 1)]
-        first: dict = {}  # bidegree shift -> smallest failing word
-        for bar in (0, 1):
-            for a, residue in enumerate(self._d2, 1):
-                # phi^a has bidegree (1, 0); conj phi^a has (0, 1), and the
-                # words of its residue have the swapped bidegrees (s, r)
-                for r, s in {word_bidegree(w, n) for w in residue.coeffs}:
-                    first.setdefault((s, r - 1) if bar else (r - 1, s), (a + bar * n,))
-        report = []
-        for name, ((outer, inner), *_rest) in D2_RELATIONS:
-            (dp, dq), (ep, eq) = BIDEGREE_SHIFTS[outer], BIDEGREE_SHIFTS[inner]
-            witness = first.get((dp + ep, dq + eq))
-            report.append((name, witness is None, witness))
-        return report
+        d2 = [self.exterior_d(self._dgen[a]) for a in range(1, n + 1)]
+        if all(residue.is_zero() for residue in d2):
+            return
+        if self.section == "coframe":
+            for k in range(1, 2 * n + 1):
+                residue = self.exterior_d(self.exterior_d(self.e_form(k)))
+                if not residue.is_zero():
+                    raise JacobiViolation(f"e{k}", residue, self.symbol)
+        a, residue = next((a, r) for a, r in enumerate(d2, 1) if not r.is_zero())
+        raise JacobiViolation(f"phi{a}", residue, self.symbol, f"[{self.section}]: ")
 
 
 # ---------------------------------------------------------------------------

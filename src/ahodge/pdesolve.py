@@ -42,22 +42,14 @@ RULES = {
 
 
 @dataclass(frozen=True)
-class DerivTerm:
+class Equation:
+    """coeff * Vbar_frame(f_unknown) + sum c f_u over ``zeros`` ((u, c), ...)
+    = 0, the coefficient of phi^monomial, a (p,1) word, in dbar psi."""
+
+    monomial: tuple
     frame: int
     unknown: tuple
-    coeff: Scalar  # coeff * Vbar_frame(f_unknown)
-
-
-@dataclass(frozen=True)
-class ZeroTerm:
-    unknown: tuple
-    coeff: Scalar
-
-
-@dataclass(frozen=True)
-class Equation:
-    monomial: tuple  # the (p,1) output word this equation is the coefficient of
-    derivs: tuple
+    coeff: Scalar  # +-1
     zeros: tuple
 
 
@@ -94,9 +86,8 @@ def build_dbar_system(p: int, spec: ManifoldSpec) -> PDESystem:
     sign = -ONE if p % 2 else ONE
     equations = [
         Equation(
-            w,
-            (DerivTerm(w[-1] - n, w[:-1], sign),),
-            tuple(ZeroTerm(u, c) for u, c in zip(unknowns, row) if not c.is_zero()),
+            w, w[-1] - n, w[:-1], sign,
+            tuple((u, c) for u, c in zip(unknowns, row) if not c.is_zero()),
         )
         for w, row in zip(spec.block_words(p, 1), dbar)
     ]
@@ -106,8 +97,8 @@ def build_dbar_system(p: int, spec: ManifoldSpec) -> PDESystem:
 def _remainder_annihilated(sys: PDESystem, eq: Equation, frame: int, spec) -> bool:
     """Whether V_frame kills every unknown in the zero-order remainder."""
     pure_fiber = spec.fibration.pure_fiber.get(frame, False)
-    for t in eq.zeros:
-        st = sys.statuses[t.unknown]
+    for u, _c in eq.zeros:
+        st = sys.statuses[u]
         if st >= Status.CONSTANT or (pure_fiber and st >= Status.BASE_ONLY):
             continue
         return False
@@ -118,15 +109,7 @@ def _certificate(sys: PDESystem, f, frame: int, spec):
     """Index of the first equation Vbar_frame(f) + r = 0 whose remainder r
     V_frame annihilates, or None."""
     for idx, eq in enumerate(sys.equations):
-        if len(eq.derivs) != 1:
-            continue
-        t = eq.derivs[0]
-        if (
-            t.frame == frame
-            and t.unknown == f
-            and not t.coeff.is_zero()
-            and _remainder_annihilated(sys, eq, frame, spec)
-        ):
+        if eq.frame == frame and eq.unknown == f and _remainder_annihilated(sys, eq, frame, spec):
             return idx
     return None
 

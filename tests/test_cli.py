@@ -6,7 +6,7 @@ import pytest
 from ahodge import fourier
 from ahodge.builtins import BUILTINS
 from ahodge.cli import RunConfig, check, compute_report, main, report_to_dict, run
-from util import TOY
+from util import D2_COMPONENTS, TOY
 
 
 def _table(report_dict, theory):
@@ -121,6 +121,13 @@ def test_check_subcommand(tmp_path):
     with pytest.raises(Exception):
         check(str(bad))
     assert main(["check", str(bad)]) == 1
+
+
+def test_check_lists_the_seven_relations_of_the_oracle():
+    out, code = check("builtin:iwasawa_std")
+    assert code == 0
+    relations = [line for line in out.splitlines() if line.startswith("relation ")]
+    assert relations == [f"relation {name}: ok" for name, _pairs in D2_COMPONENTS]
 
 
 CHECK_TORUS6 = """\
@@ -472,8 +479,13 @@ gram = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         # the residue of the first generator the manifest declares, not of
         # the implicit real coframe element e3 = Re phi2
         (D2_FAILS_COMPLEX, "[complex_coframe]: d^2 phi2 = -phi^{2 1b2b} != 0"),
+        # the residue is written in the manifest's symbol
+        (
+            BUILTINS["fls_nonak"].replace("d e5 = -e15", "d e5 = e15"),
+            "d^2 e3 = ((1/2)*i)*Phi^{13 1b} - ((1/2)*i)*Phi^{1 1b3b} != 0",
+        ),
     ],
-    ids=["toy", "fls", "complex_coframe"],
+    ids=["toy", "fls", "complex_coframe", "symbol"],
 )
 def test_a_nonzero_d_squared_names_a_declared_coframe_element(tmp_path, capsys, text, message):
     path = tmp_path / "d2.am"

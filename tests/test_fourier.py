@@ -29,11 +29,9 @@ from ahodge.fourier import (
 )
 from ahodge.hermitian import metric_for, metric_from_gram
 from ahodge.pdesolve import (
-    DerivTerm,
     Equation,
     PDESystem,
     Status,
-    ZeroTerm,
     build_dbar_system,
     reduce,
 )
@@ -157,8 +155,8 @@ def test_mode_matrix_columns_are_dbar_of_one_mode():
 def test_mode_matrix_requires_resolved_unknowns(fls):
     u1, u2 = (1,), (2,)
     eqs = [
-        Equation((9,), (DerivTerm(2, u1, ONE),), (ZeroTerm(u2, ONE),)),
-        Equation((10,), (DerivTerm(2, u2, ONE),), (ZeroTerm(u1, ONE),)),
+        Equation((9,), 2, u1, ONE, ((u2, ONE),)),
+        Equation((10,), 2, u2, ONE, ((u1, ONE),)),
     ]
     sys = PDESystem([u1, u2], eqs, {u1: Status.FREE, u2: Status.FREE})
     rs = reduce(sys, fls)

@@ -11,6 +11,7 @@ from ahodge.cli import RunConfig, compute_report, report_to_dict, run
 from ahodge.hermitian import metric_for
 from ahodge.manifold import (
     BIDEGREE_SHIFTS,
+    D2_RELATIONS,
     JacobiViolation,
     ManifoldSpec,
     NonInvertibleCoframe,
@@ -236,43 +237,68 @@ def test_operator_values_from_structure_equations(fls, iwasawa_std):
     assert img == expected
 
 
-def test_seven_relations_hold_on_builtins(any_builtin):
-    report = any_builtin.check_d2_relations()
-    assert len(report) == 7
-    for name, ok, witness in report:
-        assert ok, (name, witness)
+MANIFESTS = Path(__file__).resolve().parents[1] / "manifests"
+D2_CASES = (
+    [(name, {}) for name in builtin_names()]
+    + [("fls", {"c": "4*pi"})]
+    + [(path.name, None) for path in sorted(MANIFESTS.glob("*.am"))]
+)
 
 
-def test_degree_one_d2_relations_match_the_all_degree_oracle(any_builtin):
-    assert any_builtin.check_d2_relations() == d2_relations_all_degrees(any_builtin)
+@pytest.mark.parametrize("source, overrides", D2_CASES)
+def test_all_seven_relations_hold_in_every_degree(source, overrides):
+    # loading certifies d^2 = 0 on the generators only; the oracle applies
+    # each relation to every invariant monomial
+    if overrides is None:
+        spec = load_spec((MANIFESTS / source).read_text(encoding="utf-8"))
+    else:
+        spec = get_builtin(source, overrides)
+    report = d2_relations_all_degrees(spec)
+    assert [name for name, _ok, _w in report] == list(D2_RELATIONS)
+    assert all(ok for _name, ok, _w in report), report
 
 
-def test_degree_one_d2_relations_match_the_oracle_on_torus6():
-    from pathlib import Path
+D2_FAILS_COMPLEX = """
+[manifold]
+name = d2fails
+dim = 6
 
-    path = Path(__file__).resolve().parents[1] / "manifests" / "torus6.am"
-    spec = load_spec(path.read_text(encoding="utf-8"))
-    assert spec.check_d2_relations() == d2_relations_all_degrees(spec)
+[complex_coframe]
+d phi1 = 0
+d phi2 = phi[2 3b]
+d phi3 = phi[1 2]
+"""
 
 
-def test_degree_one_d2_witnesses_match_the_oracle_where_d2_fails(monkeypatch):
-    # with validation skipped, d e3 = e12 and d e4 = e34 give d^2 e4 = e124:
-    # every failing relation already fails on a degree-1 word, and it is the
-    # first failing word in degree-then-word order
-    monkeypatch.setattr(ManifoldSpec, "validate", lambda self: None)
-    spec = load_spec(TOY.replace("{DE4}", "e34"))
-    report = spec.check_d2_relations()
-    assert not all(ok for _name, ok, _w in report)
-    assert report == d2_relations_all_degrees(spec)
+@pytest.mark.parametrize(
+    "text, letter", [(TOY.replace("{DE4}", "e34"), "e"), (D2_FAILS_COMPLEX, "phi")]
+)
+def test_a_failing_relation_is_rejected_at_load(monkeypatch, text, letter):
+    # with validation skipped, the all-degree oracle sees a relation fail
+    with monkeypatch.context() as patched:
+        patched.setattr(ManifoldSpec, "validate", lambda self: None)
+        spec = load_spec(text)
+    assert not all(ok for _name, ok, _w in d2_relations_all_degrees(spec))
+    n = spec.n
+    if letter == "e":
+        first = [spec.exterior_d(spec.exterior_d(spec.e_form(k))) for k in range(1, 2 * n + 1)]
+    else:
+        first = [spec.exterior_d(spec.exterior_d(spec.generator(a))) for a in range(1, n + 1)]
+    k, residue = next((k, r) for k, r in enumerate(first, 1) if not r.is_zero())
+    # with validation, loading names the first element whose d^2 fails
+    with pytest.raises(JacobiViolation) as err:
+        load_spec(text)
+    assert (err.value.index, err.value.residue) == (f"{letter}{k}", residue)
 
 
 def test_a_run_evaluates_d_squared_on_the_generators_once(monkeypatch):
-    # validation and the d2_relations_hold flag share one evaluation, and
-    # loading takes no matrix product
+    # d^2 is evaluated once per spec, at load, and loading takes no matrix
+    # product
     from ahodge import linalg
 
-    evaluated, products = [], []
+    evaluated, products, checks = [], [], []
     original_d, original_mul = ManifoldSpec.exterior_d, linalg.mat_mul
+    original_check = ManifoldSpec.check_d2_relations
 
     def d_spy(self, alpha):
         evaluated.extend(a for a in range(1, 2 * self.n + 1) if alpha is self._dgen[a])
@@ -282,8 +308,13 @@ def test_a_run_evaluates_d_squared_on_the_generators_once(monkeypatch):
         products.append(len(a))
         return original_mul(a, b)
 
+    def check_spy(self):
+        checks.append(self.name)
+        return original_check(self)
+
     monkeypatch.setattr(ManifoldSpec, "exterior_d", d_spy)
     monkeypatch.setattr(linalg, "mat_mul", mul_spy)
+    monkeypatch.setattr(ManifoldSpec, "check_d2_relations", check_spy)
     get_builtin("fls")
     # d is real: d^2 of the conjugate generators is read off phi^1..phi^3
     assert evaluated == list(range(1, 4))
@@ -293,6 +324,7 @@ def test_a_run_evaluates_d_squared_on_the_generators_once(monkeypatch):
     assert code == 0
     assert json.loads(out)["flags"]["d2_relations_hold"] is True
     assert evaluated == list(range(1, 4))
+    assert checks == ["fls", "fls"]
 
 
 def test_integrability_flags(fls, iwasawa_std, iwasawa_complex):

@@ -1,10 +1,8 @@
 from ahodge.pdesolve import (
-    DerivTerm,
     Equation,
     PDESystem,
     RULES,
     Status,
-    ZeroTerm,
     apply_rule,
     build_dbar_system,
     reduce,
@@ -15,21 +13,15 @@ from util import S, recheck_promotion
 
 
 def _find_equation(system, frame, unknown):
-    """The equation whose single derivative term is Vbar_frame(unknown)."""
-    hits = [
-        eq
-        for eq in system.equations
-        if len(eq.derivs) == 1
-        and eq.derivs[0].frame == frame
-        and eq.derivs[0].unknown == unknown
-    ]
+    """The equation whose derivative term is Vbar_frame(unknown)."""
+    hits = [eq for eq in system.equations if eq.frame == frame and eq.unknown == unknown]
     assert len(hits) == 1, (frame, unknown, hits)
     return hits[0]
 
 
 def _zero_coeffs(eq, normalize_by):
     inv = normalize_by.inv()
-    return {t.unknown: t.coeff * inv for t in eq.zeros}
+    return {u: c * inv for u, c in eq.zeros}
 
 
 def test_top_degree_system_is_pure(fls):
@@ -37,9 +29,8 @@ def test_top_degree_system_is_pure(fls):
     assert sys.unknowns == [(1, 2, 3)]
     assert len(sys.equations) == 3
     for eq in sys.equations:
-        assert len(eq.derivs) == 1 and not eq.zeros
-        assert eq.derivs[0].unknown == (1, 2, 3)
-    frames = sorted(eq.derivs[0].frame for eq in sys.equations)
+        assert eq.unknown == (1, 2, 3) and eq.coeff == -ONE and not eq.zeros
+    frames = sorted(eq.frame for eq in sys.equations)
     assert frames == [1, 2, 3]
 
 
@@ -65,11 +56,11 @@ def test_family_one_form_system(fls):
     assert sys.unknowns == [A, B, D]
     assert len(sys.equations) == 9
     eq = _find_equation(sys, 1, B)
-    assert _zero_coeffs(eq, eq.derivs[0].coeff) == {D: S("-c/4", fls)}
+    assert _zero_coeffs(eq, eq.coeff) == {D: S("-c/4", fls)}
     eq = _find_equation(sys, 1, D)
-    assert _zero_coeffs(eq, eq.derivs[0].coeff) == {B: S("-c/4", fls)}
+    assert _zero_coeffs(eq, eq.coeff) == {B: S("-c/4", fls)}
     eq = _find_equation(sys, 2, A)
-    assert _zero_coeffs(eq, eq.derivs[0].coeff) == {
+    assert _zero_coeffs(eq, eq.coeff) == {
         B: S("1/(2*a)", fls),
         D: S("c/4", fls),
     }
@@ -83,11 +74,11 @@ def test_family_two_form_system(fls):
     A, B, D = (1, 2), (1, 3), (2, 3)
     assert sys.unknowns == [A, B, D]
     eq = _find_equation(sys, 1, A)
-    assert _zero_coeffs(eq, eq.derivs[0].coeff) == {B: S("-c/4", fls)}
+    assert _zero_coeffs(eq, eq.coeff) == {B: S("-c/4", fls)}
     eq = _find_equation(sys, 1, B)
-    assert _zero_coeffs(eq, eq.derivs[0].coeff) == {A: S("-c/4", fls)}
+    assert _zero_coeffs(eq, eq.coeff) == {A: S("-c/4", fls)}
     eq = _find_equation(sys, 3, A)
-    assert _zero_coeffs(eq, eq.derivs[0].coeff) == {D: S("1/(2*a)", fls)}
+    assert _zero_coeffs(eq, eq.coeff) == {D: S("1/(2*a)", fls)}
     for frame in (1, 2, 3):
         eq = _find_equation(sys, frame, D)
         assert not eq.zeros
@@ -98,12 +89,12 @@ def test_iwasawa_one_form_system(iwasawa_ak):
     A, B, C = (1,), (2,), (3,)
     eq = _find_equation(sys, 3, A)
     # -Vbar_3(A) + (1/4)A - (i/4)B = 0 up to overall sign
-    assert _zero_coeffs(eq, eq.derivs[0].coeff) == {
+    assert _zero_coeffs(eq, eq.coeff) == {
         A: S("-1/4"),
         B: S("i/4"),
     }
     eq = _find_equation(sys, 1, C)
-    assert _zero_coeffs(eq, eq.derivs[0].coeff) == {A: S("-1/4"), B: S("-i/4")}
+    assert _zero_coeffs(eq, eq.coeff) == {A: S("-1/4"), B: S("-i/4")}
 
 
 def test_reduction_statuses_match_expected_classifications(
@@ -180,8 +171,8 @@ def test_fiber_rule_needs_annihilated_remainder(fls):
     # a coupled pair along a fiber direction with free remainders never tightens
     u1, u2 = (1,), (2,)
     eqs = [
-        Equation((9,), (DerivTerm(2, u1, ONE),), (ZeroTerm(u2, ONE),)),
-        Equation((10,), (DerivTerm(2, u2, ONE),), (ZeroTerm(u1, ONE),)),
+        Equation((9,), 2, u1, ONE, ((u2, ONE),)),
+        Equation((10,), 2, u2, ONE, ((u1, ONE),)),
     ]
     for rule in RULES:
         sys = PDESystem([u1, u2], eqs, {u1: Status.FREE, u2: Status.FREE})
@@ -195,8 +186,8 @@ def test_fiber_rule_needs_annihilated_remainder(fls):
 def test_fiber_rule_accepts_constant_remainder(fls):
     u1, u2 = (1,), (2,)
     eqs = [
-        Equation((9,), (DerivTerm(2, u1, ONE),), (ZeroTerm(u2, ONE),)),
-        Equation((10,), (DerivTerm(3, u1, ONE),), ()),
+        Equation((9,), 2, u1, ONE, ((u2, ONE),)),
+        Equation((10,), 3, u1, ONE, ()),
     ]
     sys = PDESystem([u1, u2], eqs, {u1: Status.FREE, u2: Status.CONSTANT})
     apply_rule(sys, "fiber_maximum_principle", fls)

@@ -21,7 +21,7 @@ from ahodge.algebra import (
 )
 from ahodge.fourier import ModeForm, ModeMatrix
 from ahodge.hermitian import _rebased, delta_laplacians_equal, metric_from_gram
-from ahodge.manifold import BIDEGREE_SHIFTS, D2_RELATIONS
+from ahodge.manifold import BIDEGREE_SHIFTS, ManifoldSpec, _parse_fibration, substitute
 from ahodge.pdesolve import _remainder_annihilated
 from ahodge.scalars import ONE, ZERO, QQi, Scalar, parse_scalar
 
@@ -117,10 +117,7 @@ def recheck_promotion(sys, promo, spec) -> bool:
         return False
     for frame, idx in zip(frames, promo.equations):
         eq = sys.equations[idx]
-        if len(eq.derivs) != 1:
-            return False
-        t = eq.derivs[0]
-        if t.frame != frame or t.unknown != promo.unknown or t.coeff.is_zero():
+        if eq.frame != frame or eq.unknown != promo.unknown or eq.coeff.is_zero():
             return False
         if not _remainder_annihilated(sys, eq, frame, spec):
             return False
@@ -377,8 +374,16 @@ def check_ak_identity(h, spec):
 def rebase(spec, a, h):
     """The spec and its metric h in the coframe phi' = A phi, whose Gram
     block is H' = A H A^H.  The spec declares no metric and a fibration of
-    rank 0, so only its flags and its d^2 are meaningful."""
-    rebased = _rebased(spec, linalg.inverse(a))
+    rank 0, so only its flags and its d^2 are meaningful; building it
+    validates it, so d^2 = 0 and unimodularity are checked again."""
+    n, l = spec.n, linalg.inverse(a)
+    images = [Form(n, {(c,): x for c, x in enumerate(row, 1) if not x.is_zero()}) for row in l]
+    images += [phi.conj() for phi in images]
+    rebased = ManifoldSpec(
+        spec.name, n, spec.params, _rebased(spec, l)[:n],
+        [substitute(images, spec.e_form(k)) for k in range(1, 2 * n + 1)],
+        None, _parse_fibration((), spec.params, n), spec.section, spec.symbol,
+    )
     h_block = linalg.mat_mul(a, linalg.mat_mul(h.gram.hermitian_block, linalg.conj_transpose(a)))
     return rebased, metric_from_gram(h_block, rebased)
 
@@ -443,13 +448,34 @@ def laplacian_invariant(which, h, spec):
     return out
 
 
+# the seven bidegree components of d^2 = 0, each as (name, [(outer, inner)])
+D2_COMPONENTS = [
+    ("mu mu", [("mu", "mu")]),
+    ("mu del + del mu", [("mu", "del"), ("del", "mu")]),
+    (
+        "del del + mu dbar + dbar mu",
+        [("del", "del"), ("mu", "dbar"), ("dbar", "mu")],
+    ),
+    (
+        "del dbar + dbar del + mu mubar + mubar mu",
+        [("del", "dbar"), ("dbar", "del"), ("mu", "mubar"), ("mubar", "mu")],
+    ),
+    (
+        "dbar dbar + mubar del + del mubar",
+        [("dbar", "dbar"), ("mubar", "del"), ("del", "mubar")],
+    ),
+    ("mubar dbar + dbar mubar", [("mubar", "dbar"), ("dbar", "mubar")]),
+    ("mubar mubar", [("mubar", "mubar")]),
+]
+
+
 def d2_relations_all_degrees(spec):
     """The seven bidegree components of d^2 = 0 evaluated on every
     invariant monomial, as (name, holds, first failing word in
-    degree-then-word order or None), in ``check_d2_relations`` order."""
+    degree-then-word order or None), in ``D2_COMPONENTS`` order."""
     report = []
     n = spec.n
-    for name, pairs in D2_RELATIONS:
+    for name, pairs in D2_COMPONENTS:
         witness = None
         for k in range(2 * n + 1):
             failing = []

@@ -5,7 +5,8 @@ enumeration of contributing modes, and assembly of the three harmonic
 A reduced dbar system (``pdesolve``) with only base-only and constant
 unknowns turns, mode by mode, into a matrix whose entries are polynomials of
 degree at most 1 in the integer mode vector m over Q(pi)(i).  The kernel is
-nontrivial exactly where all maximal minors vanish; each minor splits
+nontrivial exactly where all maximal minors vanish, so nowhere if one is a
+nonzero constant in m, which ends the search.  Otherwise each minor splits
 (clearing denominators, separating real and imaginary parts, grading by
 powers of pi, all exact by transcendence) into integer-coefficient
 polynomial conditions on m, which are solved by resultant elimination and
@@ -541,7 +542,11 @@ def contributing_modes(matrix: ModeMatrix, cap: int = MODES_BOUND):
             rows.append(polys)
     if len(rows) < ncols or comb(len(rows), ncols) > _MINOR_BUDGET:
         return None
-    minors = [_poly_det(list(pick)) for pick in combinations(rows, ncols)]
+    minors = []
+    for pick in combinations(rows, ncols):
+        minors.append(_poly_det(list(pick)))
+        if minors[-1].keys() == {(0,) * rank}:
+            return []  # a nonzero constant minor: full column rank at every nonzero mode
     constraints = _split_constraints(minors)
     if not constraints:
         return None

@@ -67,15 +67,21 @@ def _dual(m, what: str):
     return [[IMAG * x for x in row] for row in inv]
 
 
-def _metric(spec: ManifoldSpec, h, omega: Form) -> HermitianData:
-    """The metric with Gram block h and fundamental form omega."""
-    closed = spec.exterior_d(omega).is_zero()
+def _metric(spec: ManifoldSpec, h, omega: Form, closed: bool | None = None) -> HermitianData:
+    """The metric with Gram block h and fundamental form omega; d omega = 0
+    is decided here unless ``closed`` holds the verdict already."""
+    closed = spec.exterior_d(omega).is_zero() if closed is None else closed
     return HermitianData(gram=GramData(spec.n, h), omega=omega, is_almost_kahler=closed)
 
 
 def metric_from_pair(omega: Form, spec: ManifoldSpec) -> HermitianData:
     """Metric g(u, v) = omega(u, Jv) from a compatible fundamental 2-form
-    omega = sum W_jk phi^j ^ conj phi^k; its Gram block is H = i (W^T)^-1."""
+    omega = sum W_jk phi^j ^ conj phi^k."""
+    return _metric(spec, _pair_gram(omega, spec), omega)
+
+
+def _pair_gram(omega: Form, spec: ManifoldSpec):
+    """The Gram block H = i (W^T)^-1 of a compatible fundamental form."""
     if omega.degree() != 2:
         raise NotCompatible("fundamental form must be a 2-form")
     if not (omega - omega.conj()).is_zero():
@@ -86,7 +92,7 @@ def metric_from_pair(omega: Form, spec: ManifoldSpec) -> HermitianData:
     n = spec.n
     idx = range(1, n + 1)
     w = [[omega.coefficient((j, n + k)) for k in idx] for j in idx]
-    return _metric(spec, _dual(w, "omega"), omega)
+    return _dual(w, "omega")
 
 
 def metric_from_gram(h, spec: ManifoldSpec) -> HermitianData:
@@ -107,7 +113,9 @@ def metric_for(spec: ManifoldSpec) -> HermitianData:
         raise ValueError(f"manifest {spec.name!r} declares no metric")
     kind, payload = spec.metric_source
     if kind == "omega":
-        return metric_from_pair(payload, spec)
+        real = spec.real_omega  # on [coframe], d omega = 0 is read on the declared form
+        closed = None if real is None else spec.real_closed([real.coeffs])
+        return _metric(spec, _pair_gram(payload, spec), payload, closed)
     return metric_from_gram(payload, spec)
 
 
@@ -116,8 +124,8 @@ def metric_for(spec: ManifoldSpec) -> HermitianData:
 
 def _rebased(spec: ManifoldSpec, l) -> list:
     """d phi'^a for a in 1..2n, the conjugates after phi'^1..phi'^n, in the
-    coframe phi' = L^-1 phi: phi = L phi' substituted into each d phi^j, and
-    L^-1 applied outside.  d^2 = 0 and unimodularity hold in every constant
+    coframe phi' = L^-1 phi: L^-1 applied to the d phi^j, and phi = L phi'
+    substituted into each sum.  d^2 = 0 and unimodularity hold in every constant
     coframe once they hold in one, so nothing is validated again."""
     n = spec.n
     images = [Form(n, {(c,): x for c, x in enumerate(row, 1) if not x.is_zero()}) for row in l]

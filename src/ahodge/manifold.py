@@ -5,8 +5,10 @@ A manifest declares structure equations either for a real coframe e^1..e^2n
 together with a (1,0)-coframe (the complex equations are then derived), or
 directly for the (1,0)-coframe; when both are present they are
 cross-validated.  All downstream forms live in the complexified phi-basis.
-Everything is validated at load: d of d vanishes on every generator, the
-coframe change of basis is invertible, and fibration data is consistent.
+Everything is validated at load: d of d vanishes on every generator, d on
+every (2n-1)-form, the coframe change of basis is invertible, and fibration
+data is consistent.  On [coframe], whose right-hand sides must be real, d^2,
+unimodularity and d omega read the declared real structure constants.
 
 Frame vectors are never represented as coordinate vector fields.  Only their
 structural role is kept: duality to the coframe, a pure-fiber flag, and the
@@ -117,7 +119,9 @@ class ManifoldSpec:
     """Validated manifold data: structure equations, coframe, metric source,
     fibration.  ``e_forms`` are the real coframe elements in the phi-basis,
     which ``_coframe_basis`` computes once per load.  Validation errors name
-    ``section``, where the manifest wrote the structure equations."""
+    ``section``, where the manifest wrote the structure equations.  On
+    [coframe], ``real_d`` and ``real_omega`` hold the declared {k: d e^k}
+    and omega over e^1..e^2n; else both are None."""
 
     def __init__(
         self,
@@ -130,6 +134,8 @@ class ManifoldSpec:
         fibration: FibrationData,
         section: str,
         symbol: str = "phi",
+        real_d: dict | None = None,
+        real_omega: Form | None = None,
     ):
         self.name = name
         self.n = n
@@ -140,6 +146,8 @@ class ManifoldSpec:
         self.fibration = fibration
         self.symbol = symbol
         self.section = section
+        self.real_d = real_d
+        self.real_omega = real_omega
         self._dword_cache: dict = {}
         self._piece_cache: dict = {}
         self._dgen = dict(enumerate(dphi, 1)) | {j + n: f.conj() for j, f in enumerate(dphi, 1)}
@@ -164,13 +172,14 @@ class ManifoldSpec:
         cached = self._dword_cache.get(word)
         if cached is not None:
             return cached
-        out: dict = {}
-        for w, sign, c in leibniz(word, {j: self._dgen[j].coeffs for j in word}):
-            s = out.pop(w, ZERO) + (c if sign > 0 else -c)
-            if not s.is_zero():
-                out[w] = s
+        out = _derive({word: ONE}, {j: self._dgen[j].coeffs for j in word})
         self._dword_cache[word] = Form(self.n, out)
         return self._dword_cache[word]
+
+    def real_closed(self, forms) -> bool:
+        """Whether d vanishes on each of ``forms``, {word: coefficient} over
+        e^1..e^2n, read on the declared ``real_d``; [coframe] only."""
+        return not any(_derive(f, self.real_d) for f in forms)
 
     def exterior_d(self, alpha: Form) -> Form:
         out = Form.zero(self.n)
@@ -213,41 +222,48 @@ class ManifoldSpec:
 
     def validate(self):
         """Each d phi^j is a 2-form, d^2 vanishes on the generators, d on
-        every (2n-1)-form, and the fibration data is consistent."""
+        every (2n-1)-form (on [coframe] read on the e-words, which span the
+        same forms; the phi-words name a failure), and the fibration data
+        is consistent."""
         n = self.n
         for j in range(1, n + 1):
             if any(len(w) != 2 for w in self.dphi[j - 1].coeffs):
                 raise ParseError(f"d phi{j} is not a 2-form")
         self.check_d2_relations()
-        for w in words_of_degree(n, 2 * n - 1):
-            residue = self.d_word(w)
-            if not residue.is_zero():
-                raise NotUnimodular(
-                    f"[{self.section}]: the structure equations are not unimodular: "
-                    f"d {Form.monomial(n, w).pretty(self.symbol)} = "
-                    f"{residue.pretty(self.symbol)} != 0, so no compact quotient exists"
-                )
+        top = words_of_degree(n, 2 * n - 1)
+        if self.real_d is None or not self.real_closed({w: ONE} for w in top):
+            for w in top:
+                residue = self.d_word(w)
+                if not residue.is_zero():
+                    raise NotUnimodular(
+                        f"[{self.section}]: the structure equations are not unimodular: "
+                        f"d {Form.monomial(n, w).pretty(self.symbol)} = "
+                        f"{residue.pretty(self.symbol)} != 0, so no compact quotient exists"
+                    )
         self.fibration.validate()
 
     def check_d2_relations(self):
         """d^2 = 0 on the generators, hence all seven bidegree components of
         d^2 = 0 (``D2_RELATIONS``) on every invariant form: each component
         is a derivation, as d is one, and d^2 on a generator is the sum of
-        their values there, one per bidegree.  d is real, so d^2 conj phi^a
-        is the conjugate of d^2 phi^a: only phi^1..phi^n are evaluated.  A
+        their values there, one per bidegree.  On [coframe] d^2 is evaluated
+        on the declared e^1..e^2n, which span the same forms as the phi^a,
+        and a nonzero residue is rewritten in the phi-basis; otherwise on
+        phi^1..phi^n, as d^2 conj phi^a is the conjugate of d^2 phi^a.  A
         nonzero d^2 raises JacobiViolation, named by the first e^k on
         [coframe], else the first phi^a."""
         n = self.n
-        d2 = [self.exterior_d(self._dgen[a]) for a in range(1, n + 1)]
-        if all(residue.is_zero() for residue in d2):
-            return
-        if self.section == "coframe":
-            for k in range(1, 2 * n + 1):
-                residue = self.exterior_d(self.exterior_d(self.e_form(k)))
-                if not residue.is_zero():
+        if self.real_d is not None:
+            for k, f in sorted(self.real_d.items()):
+                residue = _derive(f, self.real_d)
+                if residue:
+                    residue = substitute(self._e_forms, Form(n, residue))
                     raise JacobiViolation(f"e{k}", residue, self.symbol)
-        a, residue = next((a, r) for a, r in enumerate(d2, 1) if not r.is_zero())
-        raise JacobiViolation(f"phi{a}", residue, self.symbol, f"[{self.section}]: ")
+            return
+        for a in range(1, n + 1):
+            residue = self.exterior_d(self._dgen[a])
+            if not residue.is_zero():
+                raise JacobiViolation(f"phi{a}", residue, self.symbol, f"[{self.section}]: ")
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +449,8 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
         if k in de:
             raise ParseError(f"d e{k} is given twice", lineno)
         de[k] = _parse_form_expr(m.group(2), params, n, "e", lineno)
+        if any(not c.is_real() for c in de[k].coeffs.values()):
+            raise ParseError(f"d e{k} is not a real form", lineno)
     if de and len(de) != 2 * n:
         raise ParseError("[coframe] must give d e for every coframe index")
 
@@ -498,7 +516,7 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
     else:
         dphi = [declared_dphi[j] for j in range(1, n + 1)]
 
-    metric_source = None
+    metric_source = real_omega = None
     for lineno, line in sections.get("metric", []):
         m = _ASSIGN_RE.match(line)
         if not m:
@@ -509,6 +527,7 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
         if key == "omega":
             omega = _parse_form_expr(value, params, n, "e", lineno)
             metric_source = ("omega", substitute(e_forms, omega))
+            real_omega = omega if de else None
         elif key == "gram":
             h = _parse_list(value, params, lineno, lambda p: p.bracketed(p.expr))
             if len(h) != n or any(len(r) != n for r in h):
@@ -519,7 +538,8 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
 
     fibration = _parse_fibration(sections.get("fibration", []), params, n)
     section = "coframe" if real_route else "complex_coframe"
-    return ManifoldSpec(name, n, params, dphi, e_forms, metric_source, fibration, section, symbol)
+    args = (name, n, params, dphi, e_forms, metric_source, fibration, section, symbol)
+    return ManifoldSpec(*args, {k: f.coeffs for k, f in de.items()} or None, real_omega)
 
 
 def _coframe_basis(cmatrix):
@@ -535,17 +555,28 @@ def _coframe_basis(cmatrix):
 
 
 def substitute_rows(rows, forms: dict, images) -> list:
-    """sum_k row[k] forms[k + 1] for each row, with each form rewritten by
+    """sum_k row[k] forms[k + 1] for each row, rewritten once by
     ``substitute``: d phi^j from the real structure equations and the acs
     rows, or the structure equations in another (1,0)-coframe."""
-    d_images = {k: substitute(images, form) for k, form in forms.items()}
     out = []
     for row in rows:
         total = Form.zero(len(rows))
         for k, c in enumerate(row, start=1):
             if not c.is_zero():
-                total = total + d_images[k].scale(c)
-        out.append(total)
+                total = total + forms[k].scale(c)
+        out.append(substitute(images, total))
+    return out
+
+
+def _derive(alpha: dict, images) -> dict:
+    """D alpha by ``leibniz`` for D(generator j) = ``images[j]``."""
+    out: dict = {}
+    for word, a in alpha.items():
+        for w, sign, c in leibniz(word, images):
+            c = c if a is ONE else c * a
+            s = out.pop(w, ZERO) + (c if sign > 0 else -c)
+            if not s.is_zero():
+                out[w] = s
     return out
 
 

@@ -6,7 +6,7 @@ import pytest
 from ahodge import fourier
 from ahodge.builtins import BUILTINS
 from ahodge.cli import RunConfig, check, compute_report, main, report_to_dict, run
-from util import D2_COMPONENTS, TOY
+from util import D2_COMPONENTS, NON_REAL, TOY
 
 
 def _table(report_dict, theory):
@@ -495,6 +495,21 @@ def test_a_nonzero_d_squared_names_a_declared_coframe_element(tmp_path, capsys, 
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+def test_a_non_real_structure_equation_is_bad_input(tmp_path, capsys):
+    declared, by_param = tmp_path / "declared.am", tmp_path / "by_param.am"
+    declared.write_text(NON_REAL)
+    by_param.write_text(NON_REAL.replace("i*e12", "k*e12"))
+    for argv in (
+        ["run", str(declared)],
+        ["check", str(declared)],
+        ["run", str(by_param), "--param", "k=i"],
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 12: d e3 is not a real form\n"
 
 
 MIXED_DEGREE_COMPLEX = """

@@ -1,14 +1,18 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ahodge import linalg
+from ahodge import fourier, linalg
 from ahodge.algebra import Form
 from ahodge.builtins import builtin_names, get_builtin
+from ahodge.cli import _load_source
 from ahodge.fourier import (
     EXACT,
     ModeForm,
@@ -38,6 +42,7 @@ from ahodge.pdesolve import (
 from ahodge.scalars import ONE, Scalar
 from util import (
     S,
+    all_minors_modes,
     basis_independent,
     exhaustive_mode_scan,
     form,
@@ -203,6 +208,69 @@ def test_mode_loci_insensitive_to_lattice_period():
 def test_contributing_modes_respects_cap():
     spec = get_builtin("fls", {"c": "4*pi"})
     assert contributing_modes(_mode_matrix(spec, 2), cap=0) is None
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _benchmark_cases(seeds, monkeypatch):
+    """The distinct (source, params) of every benchmark workload over
+    ``seeds``, from the benchmark's own case generators; the module is
+    registered for the calling test only."""
+    path = ROOT / "perfbench" / "workloads.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(module_spec)
+    monkeypatch.setitem(sys.modules, module_spec.name, workloads)  # its dataclasses look it up
+    module_spec.loader.exec_module(workloads)
+    cases = {}
+    for make in workloads.WORKLOADS.values():
+        for seed in seeds:
+            for case in make(seed):
+                cases[case.source, tuple(sorted(case.params.items()))] = None
+    return list(cases)
+
+
+def test_the_mode_search_ends_early_only_where_all_minors_agree(monkeypatch):
+    # every built-in, every manifest and every distinct benchmark case of
+    # seeds 1-3, at every degree with a mode matrix; a cap of 0 bits makes
+    # every search that reaches root isolation undetermined
+    sources = [(f"builtin:{name}", ()) for name in builtin_names()]
+    sources += [(str(path), ()) for path in sorted((ROOT / "manifests").glob("*.am"))]
+    sources += _benchmark_cases((1, 2, 3), monkeypatch)
+    outcomes = set()
+    for source, params in sources:
+        spec = _load_source(source if ":" in source else str(ROOT / source), dict(params))
+        for p in range(spec.n + 1):
+            reduced = _reduced(spec, p)
+            if reduced.has_free:
+                continue
+            matrix = mode_matrix(reduced, spec)
+            for cap in (fourier.MODES_BOUND, 0):
+                modes = contributing_modes(matrix, cap)
+                assert modes == all_minors_modes(matrix, cap), (source, params, p, cap)
+                outcomes.add("none" if modes is None else "modes" if modes else "empty")
+    assert outcomes == {"none", "modes", "empty"}
+
+
+def test_a_constant_minor_ends_the_mode_search(monkeypatch):
+    # on fls at p = 1 the first maximal minor is a nonzero constant, so no
+    # other minor is formed and no condition is split
+    matrix = _mode_matrix(get_builtin("fls"), 1)
+    ncols = len(matrix.base_cols)
+    formed, split = [], []
+    original_det = fourier._poly_det
+
+    def det_spy(rows):
+        if len(rows) == ncols:
+            formed.append(original_det(rows))
+            return formed[-1]
+        return original_det(rows)
+
+    monkeypatch.setattr(fourier, "_poly_det", det_spy)
+    monkeypatch.setattr(fourier, "_split_constraints", lambda polys: split.append(polys))
+    assert contributing_modes(matrix) == []
+    assert len(formed) == 1 and list(formed[0]) == [(0,) * matrix.rank]
+    assert split == []
 
 
 def test_exhaustive_scan_agrees_on_small_window():

@@ -176,10 +176,17 @@ def test_gram_to_omega_to_gram_round_trip(spec, diagonal, upper):
     assert mat_eq(back.gram.hermitian_block, hm)
 
 
-def test_almost_kahler_flags(fls_metric, fls_nonak_metric, iwasawa_ak_metric):
+def test_almost_kahler_flags(
+    fls, fls_nonak, iwasawa_ak, fls_metric, fls_nonak_metric, iwasawa_ak_metric
+):
     assert fls_metric.is_almost_kahler
     assert not fls_nonak_metric.is_almost_kahler
     assert iwasawa_ak_metric.is_almost_kahler
+    # metric_for reads d omega on a declared real omega, metric_from_pair
+    # in the phi-basis
+    pairs = ((fls, fls_metric), (fls_nonak, fls_nonak_metric), (iwasawa_ak, iwasawa_ak_metric))
+    for spec, h in pairs:
+        assert metric_from_pair(h.omega, spec).is_almost_kahler == h.is_almost_kahler
 
 
 def test_non_positive_pair_rejected(fls):

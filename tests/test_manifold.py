@@ -1,9 +1,12 @@
 import json
 import random
 import re
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ahodge.algebra import Form, words_of_degree
 from ahodge.builtins import BUILTINS, builtin_names, get_builtin
@@ -15,10 +18,11 @@ from ahodge.manifold import (
     JacobiViolation,
     ManifoldSpec,
     NonInvertibleCoframe,
+    NotUnimodular,
     load_spec,
 )
 from ahodge.scalars import ONE, ParseError, Scalar, format_scalar
-from util import TOY, S, d2_relations_all_degrees, form, word
+from util import NON_REAL, TOY, S, d2_relations_all_degrees, form, phi_side_verdicts, word
 
 ALL_BUILTINS = ["fls", "fls_nonak", "iwasawa_ak", "iwasawa_std", "iwasawa_complex"]
 
@@ -293,16 +297,22 @@ def test_a_failing_relation_is_rejected_at_load(monkeypatch, text, letter):
 
 def test_a_run_evaluates_d_squared_on_the_generators_once(monkeypatch):
     # d^2 is evaluated once per spec, at load, and loading takes no matrix
-    # product
-    from ahodge import linalg
+    # product: on [coframe] on the declared d e^1..d e^6, whose constants
+    # are rational, and on [complex_coframe] on phi^1..phi^3 (d is real, so
+    # d^2 of the conjugate generators is read off those)
+    from ahodge import linalg, manifold
 
     evaluated, products, checks = [], [], []
     original_d, original_mul = ManifoldSpec.exterior_d, linalg.mat_mul
-    original_check = ManifoldSpec.check_d2_relations
+    original_check, original_derive = ManifoldSpec.check_d2_relations, manifold._derive
 
     def d_spy(self, alpha):
-        evaluated.extend(a for a in range(1, 2 * self.n + 1) if alpha is self._dgen[a])
+        evaluated.extend(f"phi{a}" for a in range(1, 2 * self.n + 1) if alpha is self._dgen[a])
         return original_d(self, alpha)
+
+    def derive_spy(alpha, images):
+        evaluated.extend(f"e{k}" for k, f in images.items() if alpha is f)
+        return original_derive(alpha, images)
 
     def mul_spy(a, b):
         products.append(len(a))
@@ -313,18 +323,122 @@ def test_a_run_evaluates_d_squared_on_the_generators_once(monkeypatch):
         return original_check(self)
 
     monkeypatch.setattr(ManifoldSpec, "exterior_d", d_spy)
+    monkeypatch.setattr(manifold, "_derive", derive_spy)
     monkeypatch.setattr(linalg, "mat_mul", mul_spy)
     monkeypatch.setattr(ManifoldSpec, "check_d2_relations", check_spy)
-    get_builtin("fls")
-    # d is real: d^2 of the conjugate generators is read off phi^1..phi^3
-    assert evaluated == list(range(1, 4))
-    assert products == []
-    evaluated.clear()
-    out, code = run(RunConfig("builtin:fls", report_format="json"))
-    assert code == 0
-    assert json.loads(out)["flags"]["d2_relations_hold"] is True
-    assert evaluated == list(range(1, 4))
-    assert checks == ["fls", "fls"]
+    for name, section, pinned in [
+        ("fls", "coframe", [f"e{k}" for k in range(1, 7)]),
+        ("iwasawa_std", "complex_coframe", ["phi1", "phi2", "phi3"]),
+    ]:
+        for spied in (evaluated, products, checks):
+            spied.clear()
+        assert get_builtin(name).section == section
+        assert evaluated == pinned
+        assert products == []
+        evaluated.clear()
+        out, code = run(RunConfig(f"builtin:{name}", report_format="json"))
+        assert code == 0
+        assert json.loads(out)["flags"]["d2_relations_hold"] is True
+        assert evaluated == pinned
+        assert checks == [name, name]
+
+
+# real structure equations {k: {word: coefficient}} with d^2 = 0: the flat
+# 4-torus, Kodaira-Thurston, a unimodular solvable algebra, one that is not
+# unimodular (d e3 = e13), and the real equations of three 6-manifolds
+KNOWN_EQUATIONS = {
+    2: [
+        {},
+        {4: {(1, 2): ONE}},
+        {2: {(1, 2): ONE}, 3: {(1, 3): -ONE}},
+        {3: {(1, 3): ONE}},
+    ],
+    3: [
+        load_spec(text).real_d
+        for text in (BUILTINS["fls"], BUILTINS["iwasawa_ak"], TOY.replace("{DE4}", "e13"))
+    ],
+}
+RATIONALS = [Scalar.rational(p, q) for p, q in ((1, 1), (-1, 1), (2, 1), (-1, 2), (3, 2))]
+ACS_COEFFS = ("1", "-1", "2", "i", "1/2 + i", "pi", "i*pi", "1/pi", "pi - 1")
+
+
+@st.composite
+def real_coframes(draw):
+    """(n, {k: d e^k}, acs rows, a real 2-form) over e^1..e^2n: the
+    equations are a known algebra scaled by a rational, or drawn at random,
+    which mostly breaks d^2 = 0; the 2-form mixes the d e^k, which are
+    closed when d^2 = 0, with a random word."""
+    n = draw(st.sampled_from((2, 3)))
+    pairs = list(combinations(range(1, 2 * n + 1), 2))
+    coeffs = st.dictionaries(st.sampled_from(pairs), st.sampled_from(RATIONALS), max_size=2)
+    if draw(st.booleans()):
+        t = draw(st.sampled_from(RATIONALS))
+        known = draw(st.sampled_from(KNOWN_EQUATIONS[n]))
+        de = {k: {w: c * t for w, c in f.items()} for k, f in known.items()}
+    else:
+        de = {k: draw(coeffs) for k in range(1, 2 * n + 1)}
+    extra = st.lists(st.tuples(st.integers(1, 2 * n), st.sampled_from(ACS_COEFFS)), max_size=2)
+    rows = [
+        " + ".join([f"e{2 * j - 1}", f"i*e{2 * j}"] + [f"({c})*e{k}" for k, c in draw(extra)])
+        for j in range(1, n + 1)
+    ]
+    omega = Form(n, draw(coeffs))
+    for k in draw(st.lists(st.integers(1, 2 * n), max_size=2)):
+        omega = omega + Form(n, dict(de.get(k, {})))
+    return n, de, rows, omega
+
+
+def _real_manifest(n, de, rows):
+    def rhs(f):
+        return " + ".join(f"({format_scalar(c)})*e{i}{j}" for (i, j), c in f.items()) or "0"
+
+    lines = ["[manifold]", "name = drawn", f"dim = {2 * n}", "[coframe]"]
+    lines += [f"d e{k} = {rhs(de.get(k, {}))}" for k in range(1, 2 * n + 1)]
+    lines += ["[acs]"] + [f"phi{j} = {row}" for j, row in enumerate(rows, 1)]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(real_coframes())
+def test_the_declared_real_coframe_decides_as_the_phi_basis_does(drawn):
+    # d^2 = 0, unimodularity and d omega = 0 read on the declared real
+    # equations agree with the phi-basis after any constant change of
+    # coframe, pi-bearing ones included; a failure of d^2 names the same
+    # e^k with the same residue
+    n, de, rows, omega = drawn
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(ManifoldSpec, "validate", lambda self: None)
+        try:
+            spec = load_spec(_real_manifest(n, de, rows))
+        except NonInvertibleCoframe:
+            assume(False)
+    d2, unimodular, closed = phi_side_verdicts(spec, omega)
+    try:
+        spec.check_d2_relations()
+        raised = None
+    except JacobiViolation as exc:
+        raised = (exc.index, exc.residue)
+    assert raised == d2
+    assert spec.real_closed({w: ONE} for w in words_of_degree(n, 2 * n - 1)) == unimodular
+    assert spec.real_closed([omega.coeffs]) == closed
+    if d2 is None:
+        try:
+            spec.validate()
+        except NotUnimodular:
+            assert not unimodular
+        else:
+            assert unimodular
+
+
+def test_a_non_real_structure_equation_is_rejected_after_overrides():
+    # d conj phi is read as conj(d phi), which holds only for real d e^k;
+    # d e3 = i*e12 once loaded as an integrable EXACT manifold
+    with pytest.raises(ParseError, match=r"^line 12: d e3 is not a real form$"):
+        load_spec(NON_REAL)
+    by_param = NON_REAL.replace("i*e12", "k*e12")
+    assert load_spec(by_param).real_d[3] == {(1, 2): ONE}
+    with pytest.raises(ParseError, match=r"^line 12: d e3 is not a real form$"):
+        load_spec(by_param, {"k": "1 + i"})
 
 
 def test_integrability_flags(fls, iwasawa_std, iwasawa_complex):

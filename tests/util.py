@@ -1,14 +1,16 @@
 """Shared test helpers: compact word/form builders, span comparison, the
-linear-algebra and promotion checks only tests need, dense and all-degree
-oracles for the Gram blocks, the Gram adjoints, the operator and Laplacian
-code and the Laplacian flag, a constant change of coframe, the Hodge star
-oracle for the Gram adjoints and the star duality of the Laplacians, and
-the Fraction-pair reference and Euclidean gcd for the scalar arithmetic."""
+linear-algebra and promotion checks only tests need, the all-minors oracle
+for the mode search, dense and all-degree oracles for the Gram blocks, the
+Gram adjoints, the operator and Laplacian code and the Laplacian flag, a
+constant change of coframe, the phi-basis oracle for d^2 = 0,
+unimodularity and d omega = 0, the Hodge star oracle for the Gram adjoints
+and the star duality of the Laplacians, and the Fraction-pair reference and
+Euclidean gcd for the scalar arithmetic."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import comb, factorial
 
 from ahodge import linalg
 from ahodge.algebra import (
@@ -19,7 +21,15 @@ from ahodge.algebra import (
     word_bidegree,
     words_of_degree,
 )
-from ahodge.fourier import ModeForm, ModeMatrix
+from ahodge.fourier import (
+    _MINOR_BUDGET,
+    MODES_BOUND,
+    ModeForm,
+    ModeMatrix,
+    _poly_det,
+    _solve_integer_system,
+    _split_constraints,
+)
 from ahodge.hermitian import _rebased, delta_laplacians_equal, metric_from_gram
 from ahodge.manifold import BIDEGREE_SHIFTS, ManifoldSpec, _parse_fibration, substitute
 from ahodge.pdesolve import _remainder_annihilated
@@ -68,6 +78,26 @@ d e6 = 0
 phi1 = e1 + i*e2
 phi2 = e3 + i*e4
 phi3 = e5 + i*e6
+"""
+
+# A dim-4 [coframe] manifest whose d e3 is not real.
+NON_REAL = """
+[manifold]
+name = nonreal
+dim = 4
+
+[params]
+k = 1
+
+[coframe]
+d e1 = 0
+d e2 = 0
+d e3 = i*e12
+d e4 = 0
+
+[acs]
+phi1 = e1 + i*e2
+phi2 = e3 + i*e4
 """
 
 
@@ -166,6 +196,33 @@ def basis_independent(basis) -> bool:
         return True
     rows = _mode_basis_matrix(basis, keys)
     return rank(rows) == len(basis)
+
+
+def all_minors_modes(matrix: ModeMatrix, cap: int = MODES_BOUND):
+    """``contributing_modes`` without its early end: every maximal minor is
+    formed and split, and the integer system of all their conditions is
+    solved."""
+    rank = matrix.rank
+    if rank == 0 or not matrix.base_cols:
+        return []
+    ncols = len(matrix.base_cols)
+    rows = []
+    for row in matrix.rows:
+        polys = [row.get(u, {}) for u in matrix.base_cols]
+        if any(polys):
+            rows.append(polys)
+    if len(rows) < ncols or comb(len(rows), ncols) > _MINOR_BUDGET:
+        return None
+    minors = [_poly_det(list(pick)) for pick in combinations(rows, ncols)]
+    constraints = _split_constraints(minors)
+    if not constraints:
+        return None
+    solutions = _solve_integer_system(constraints, rank, cap)
+    if solutions is None:
+        return None
+    return [
+        m for m in solutions if any(m) and linalg.kernel_nontrivial(matrix.eval(m), ncols)
+    ]
 
 
 def exhaustive_mode_scan(matrix: ModeMatrix, bound: int):
@@ -386,6 +443,25 @@ def rebase(spec, a, h):
     )
     h_block = linalg.mat_mul(a, linalg.mat_mul(h.gram.hermitian_block, linalg.conj_transpose(a)))
     return rebased, metric_from_gram(h_block, rebased)
+
+
+def phi_side_verdicts(spec, omega):
+    """d^2 = 0, unimodularity and d omega = 0 decided in the phi-basis, as
+    loading did before it read the declared real coframe: d^2 on phi^1..
+    phi^n, d on every (2n-1)-word, and d of ``omega``, a form over e^1..e^2n
+    rewritten in the phi-basis.  The d^2 verdict is None when d^2 = 0, else
+    the name and residue of the first e^k with d^2 e^k != 0."""
+    n = spec.n
+    d2 = None
+    if not all(spec.exterior_d(spec.d_generator(a)).is_zero() for a in range(1, n + 1)):
+        for k in range(1, 2 * n + 1):
+            residue = spec.exterior_d(spec.exterior_d(spec.e_form(k)))
+            if not residue.is_zero():
+                d2 = (f"e{k}", residue)
+                break
+    unimodular = all(spec.d_word(w).is_zero() for w in words_of_degree(n, 2 * n - 1))
+    images = [spec.e_form(k) for k in range(1, 2 * n + 1)]
+    return d2, unimodular, spec.exterior_d(substitute(images, omega)).is_zero()
 
 
 def check_ldl(gram):

@@ -12,7 +12,7 @@ from .fourier import (
     harmonic_basis_dbar,
     harmonic_basis_deltabar,
 )
-from .hermitian import HermitianData, metric_for, metric_from_pair
+from .hermitian import HermitianData, metric_for
 from .manifold import ManifoldSpec, load_spec
 from .obstruction import ObstructionVerdict, coframe_obstruction, symplectic_obstruction
 from .scalars import Scalar, parse_scalar
@@ -38,7 +38,6 @@ __all__ = [
     "harmonic_basis_deltabar",
     "load_spec",
     "metric_for",
-    "metric_from_pair",
     "parse_scalar",
     "symplectic_obstruction",
 ]

@@ -25,6 +25,11 @@ the products conj(v_x) v_y and compared with its mirror under the signed
 conjugation of words as integers, on degrees 0..n.  Only an entry whose
 integers differ is evaluated exactly, and it decides the flag.
 
+Those integers depend on n, the weights and the pattern of the images
+(which symbol each holds, with which sign), not on the symbols' values, so
+the last SKELETONS keys (n, pattern, weights) keep them, each degree built
+when the flag first reaches it; a new key costs what no memo would.
+
 The restriction of the L2 adjoint to invariant forms is the Gram adjoint;
 this uses that averaging over the compact quotient preserves invariant forms,
 which holds on unimodular groups, the only ones with a lattice (Milnor,
@@ -38,6 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import prod
+from threading import Lock
 
 from . import linalg
 from .algebra import Form, GramData, NotPositive, conj_word, leibniz, word_bidegree, words_of_degree
@@ -67,17 +73,10 @@ def _dual(m, what: str):
     return [[IMAG * x for x in row] for row in inv]
 
 
-def _metric(spec: ManifoldSpec, h, omega: Form, closed: bool | None = None) -> HermitianData:
-    """The metric with Gram block h and fundamental form omega; d omega = 0
-    is decided here unless ``closed`` holds the verdict already."""
-    closed = spec.exterior_d(omega).is_zero() if closed is None else closed
+def _metric(spec: ManifoldSpec, h, omega: Form, closed: bool) -> HermitianData:
+    """The metric with Gram block h, fundamental form omega and the verdict
+    ``closed`` on d omega = 0."""
     return HermitianData(gram=GramData(spec.n, h), omega=omega, is_almost_kahler=closed)
-
-
-def metric_from_pair(omega: Form, spec: ManifoldSpec) -> HermitianData:
-    """Metric g(u, v) = omega(u, Jv) from a compatible fundamental 2-form
-    omega = sum W_jk phi^j ^ conj phi^k."""
-    return _metric(spec, _pair_gram(omega, spec), omega)
 
 
 def _pair_gram(omega: Form, spec: ManifoldSpec):
@@ -104,7 +103,7 @@ def metric_from_gram(h, spec: ManifoldSpec) -> HermitianData:
     for j, row in enumerate(w, start=1):
         for k, c in enumerate(row, start=n + 1):
             omega = omega + Form.monomial(n, (j, k), c)
-    return _metric(spec, h, omega)
+    return _metric(spec, h, omega, spec.exterior_d(omega).is_zero())
 
 
 def metric_for(spec: ManifoldSpec) -> HermitianData:
@@ -114,7 +113,10 @@ def metric_for(spec: ManifoldSpec) -> HermitianData:
     kind, payload = spec.metric_source
     if kind == "omega":
         real = spec.real_omega  # on [coframe], d omega = 0 is read on the declared form
-        closed = None if real is None else spec.real_closed([real.coeffs])
+        if real is None:
+            closed = spec.exterior_d(payload).is_zero()
+        else:
+            closed = spec.real_closed([real.coeffs])
         return _metric(spec, _pair_gram(payload, spec), payload, closed)
     return metric_from_gram(payload, spec)
 
@@ -263,6 +265,42 @@ def gram_entry(terms, values: list, products: dict, g_ab=None):
     return total
 
 
+# keys kept, each a few KB; a `tables` pass meets 7
+SKELETONS = 32
+
+
+class _Skeleton:
+    """The value-free part of the flag for one pattern of generator images
+    and one set of weights: for each degree k, [(g(a) g(b), terms)] over
+    the nonzero mirror differences of T_k (g(a) g(b) is None when every
+    weight is 1), built in degree order when the flag first reaches k."""
+
+    def __init__(self, n: int, pattern: tuple, weights):
+        self.n = n
+        self.images = {a: dict(image) for a, image in enumerate(pattern, 1)}
+        self.g = None if weights is None else word_weights(weights, n)
+        self.degrees: list = []
+        self.o_prev: list = []  # O_(k-1) until degree n is built
+        self.lock = Lock()  # reports in several threads may share a key
+
+    def degree(self, k: int) -> list:
+        n, g = self.n, self.g
+        with self.lock:
+            while len(self.degrees) <= k:
+                j = len(self.degrees)
+                o = deltabar_operator(self.images, n, j)
+                t = laplacian_gram(self.o_prev, o, None if g is None else g[j : j + 3])
+                self.o_prev = o if j < n else []
+                self.degrees.append([
+                    (None if g is None else g[j + 1][a] * g[j + 1][b], terms)
+                    for (a, b), terms in mirror_difference(t, n, j).items()
+                ])
+        return self.degrees[k]
+
+
+_skeleton = lru_cache(maxsize=SKELETONS)(_Skeleton)  # one per (n, pattern, weights)
+
+
 def delta_laplacians_equal(h: HermitianData, spec: ManifoldSpec) -> bool:
     """Whether the two mixed Laplacians coincide on every invariant degree.
 
@@ -271,7 +309,8 @@ def delta_laplacians_equal(h: HermitianData, spec: ManifoldSpec) -> bool:
     signed conjugation of words, and G commutes with C (g(c(w)) = g(w), g
     real): the Laplacians agree at degree k exactly when T[a][b] = s_a s_b
     conj(T[c(a)][c(b)]) for all a, b, certified by equal integer
-    coefficients or, where those differ, by exact evaluation.
+    coefficients or, where those differ, by exact evaluation on this
+    point's symbol values.
 
     Only degrees 0..n are compared.  The complex-linear star maps (p, q) to
     (n-q, n-p), and on a unimodular group dbar* = -star del star and mu* =
@@ -280,14 +319,11 @@ def delta_laplacians_equal(h: HermitianData, spec: ManifoldSpec) -> bool:
     n = spec.n
     dgen, weights = _frame(h, spec)
     images, values = interned_images(dgen, n)
-    g = None if weights is None else word_weights(weights, n)
-    products, o_prev = {}, []  # conj(v_x) v_y once formed; O_(k-1)
+    pattern = tuple(tuple(sorted(images[a].items())) for a in range(1, 2 * n + 1))
+    skeleton = _skeleton(n, pattern, None if weights is None else tuple(weights))
+    products: dict = {}  # conj(v_x) v_y once formed
     for k in range(n + 1):
-        o = deltabar_operator(images, n, k)
-        t = laplacian_gram(o_prev, o, None if g is None else g[k : k + 3])
-        o_prev = o
-        for (a, b), terms in mirror_difference(t, n, k).items():
-            g_ab = None if g is None else g[k + 1][a] * g[k + 1][b]
+        for g_ab, terms in skeleton.degree(k):
             if not gram_entry(terms, values, products, g_ab).is_zero():
                 return False
     return True

@@ -158,10 +158,6 @@ class ManifoldSpec:
     def generator(self, a: int) -> Form:
         return Form.monomial(self.n, (a,))
 
-    def e_form(self, k: int) -> Form:
-        """The real coframe element e^k expressed in the phi-basis."""
-        return self._e_forms[k - 1]
-
     def d_generator(self, a: int) -> Form:
         """d phi^a for a in 1..2n, the conjugates after phi^1..phi^n."""
         return self._dgen[a]

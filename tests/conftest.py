@@ -4,6 +4,13 @@ from ahodge import hermitian
 from ahodge.builtins import get_builtin
 
 
+@pytest.fixture(autouse=True)
+def cold_flag_memo():
+    """Every test starts with no skeleton of the Laplacian flag kept, so a
+    spy on the operators sees them built."""
+    hermitian._skeleton.cache_clear()
+
+
 @pytest.fixture(scope="session")
 def fls():
     return get_builtin("fls")

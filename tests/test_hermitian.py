@@ -1,4 +1,8 @@
+import os
 import re
+import sys
+import threading
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +24,6 @@ from ahodge.hermitian import (
     delta_laplacians_equal,
     metric_for,
     metric_from_gram,
-    metric_from_pair,
 )
 from ahodge.manifold import ManifoldSpec, load_spec
 from ahodge.scalars import I, ONE, Scalar, ZERO, format_scalar
@@ -34,6 +37,7 @@ from util import (
     conj_block_inverse,
     conjugated,
     delta_laplacian,
+    e_form,
     gram_block,
     gram_matrix,
     hodge_star,
@@ -43,6 +47,7 @@ from util import (
     laplacian_matrix,
     mat_eq,
     mat_vec,
+    metric_from_pair,
     operator_matrix,
     rebase,
     row_space_equal,
@@ -92,7 +97,7 @@ def _other_route(name):
         # sum over its words (a, b) of c (P[a][k] P[b][l] - P[a][l] P[b][k]);
         # P inverts the matrix of the e^k in the phi-basis
         idx = range(1, 2 * N + 1)
-        P = linalg.inverse([[spec.e_form(k).coefficient((a,)) for a in idx] for k in idx])
+        P = linalg.inverse([[e_form(spec, k).coefficient((a,)) for a in idx] for k in idx])
         terms = []
         for k in range(2 * N):
             for l in range(k + 1, 2 * N):
@@ -190,7 +195,7 @@ def test_almost_kahler_flags(
 
 
 def test_non_positive_pair_rejected(fls):
-    e = fls.e_form
+    e = partial(e_form, fls)
     # flip the sign on the base block while keeping J: indefinite metric
     omega = -e(1).wedge(e(2)) + e(3).wedge(e(6)) + e(4).wedge(e(5))
     with pytest.raises(NotPositive):
@@ -199,14 +204,14 @@ def test_non_positive_pair_rejected(fls):
 
 def test_incompatible_pair_rejected(fls):
     # e^{13} has a (2,0) component for every family parameter point
-    e = fls.e_form
+    e = partial(e_form, fls)
     omega = e(1).wedge(e(3)) + e(2).wedge(e(5)) + e(4).wedge(e(6))
     with pytest.raises(NotCompatible):
         metric_from_pair(omega, fls)
 
 
 def test_degenerate_pair_rejected(fls):
-    e = fls.e_form
+    e = partial(e_form, fls)
     with pytest.raises((NotCompatible, ValueError)):
         metric_from_pair(e(1).wedge(e(2)), fls)
 
@@ -573,6 +578,7 @@ def test_an_entry_without_its_mirror_clears_the_flag(fls, fls_metric, monkeypatc
             return {(0, 1, 0, 0, None): value} if len(o) == 2 * N else t
 
         monkeypatch.setattr(hermitian, "laplacian_gram", lone)
+        hermitian._skeleton.cache_clear()  # the sums of the last value are kept
         assert delta_laplacians_equal(fls_metric, fls) is expected
 
 
@@ -620,6 +626,7 @@ def test_a_difference_at_degree_n_alone_clears_the_flag(fls, fls_metric, monkeyp
 
     assert delta_laplacians_equal(fls_metric, fls)
     monkeypatch.setattr(hermitian, "laplacian_gram", perturbed)
+    hermitian._skeleton.cache_clear()  # the unperturbed sums are kept
     assert not delta_laplacians_equal(fls_metric, fls)
 
 
@@ -723,6 +730,144 @@ def test_the_flag_is_the_oracle_in_random_triangular_coframes(name, data):
     spec = get_builtin(name)
     rebased, h = rebase(spec, _lower_triangular(data.draw, N), metric_for(spec))
     assert delta_laplacians_equal(h, rebased) == laplacians_equal_all_degrees(h, rebased)
+
+
+def _rebased_fls(point):
+    """fls at ``point`` in the coframe REBASES[0] applied to phi: T and its
+    mirror differ as integers there, with one pattern of images at every
+    point and weights 1, 1, 9."""
+    spec = get_builtin("fls", point)
+    return rebase(spec, [[S(x) for x in row] for row in REBASES[0]], metric_for(spec))
+
+
+def test_a_kept_pattern_builds_no_operator_and_evaluates_the_new_point(monkeypatch):
+    first = _rebased_fls({})
+    second = _rebased_fls({"a": "2", "b": "1", "c": "4*pi"})
+    built, _summed = _spy_operators(monkeypatch)
+    evaluated, entry = [], hermitian.gram_entry
+
+    def entry_spy(terms, values, products, g_ab=None):
+        evaluated.append(values)
+        return entry(terms, values, products, g_ab)
+
+    monkeypatch.setattr(hermitian, "gram_entry", entry_spy)
+    assert delta_laplacians_equal(first[1], first[0])
+    assert [k for k, _o in built] == list(range(N + 1)) and evaluated
+    built.clear()
+    evaluated.clear()
+    assert delta_laplacians_equal(second[1], second[0])
+    assert built == [] and hermitian._skeleton.cache_info().hits == 1
+    values = hermitian.interned_images(hermitian._frame(second[1], second[0])[0], N)[1]
+    first_values = hermitian.interned_images(hermitian._frame(first[1], first[0])[0], N)[1]
+    assert evaluated and all(v == values for v in evaluated) and values != first_values
+
+
+def test_threads_sharing_a_key_keep_its_degrees_in_order(monkeypatch):
+    # more threads than cores, released together and switching often, from
+    # a cold memo: a degree appended twice, or built from the wrong
+    # O_(k-1), is a lost update.  Two threads missing the memo at once may
+    # each build a skeleton; every one must hold the single-thread degrees
+    cases = [_rebased_fls({}), _rebased_fls({"a": "2", "b": "1", "c": "4*pi"})]
+    kept, lookup = [], hermitian._skeleton
+
+    def lookup_spy(*key):
+        kept.append(lookup(*key))
+        return kept[-1]
+
+    monkeypatch.setattr(hermitian, "_skeleton", lookup_spy)
+    assert delta_laplacians_equal(cases[0][1], cases[0][0])
+    expected = kept[0].degrees
+    assert len(expected) == N + 1
+    workers = min((os.cpu_count() or 1) + 1, 8)
+    start, verdicts = threading.Barrier(workers), []
+
+    def work(spec, h):
+        start.wait(timeout=60)
+        verdicts.append(delta_laplacians_equal(h, spec))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(10):
+            lookup.cache_clear()
+            kept.clear()
+            verdicts.clear()
+            threads = [threading.Thread(target=work, args=cases[i % 2]) for i in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert verdicts == [True] * workers and len(kept) == workers
+            assert all(skeleton.degrees == expected for skeleton in kept)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@lru_cache(maxsize=None)
+def _sweep_cases():
+    """Each of METRIC_CASES, as declared and in each coframe of REBASES, with
+    the all-degree verdict of the declared case (the flag is kept by a
+    change of coframe)."""
+    cases = []
+    for name, gram in METRIC_CASES:
+        spec, h = _metric_case(name, gram)
+        expected = laplacians_equal_all_degrees(h, spec)
+        cases.append((spec, h, expected))
+        for a in REBASES:
+            cases.append((*rebase(spec, [[S(x) for x in row] for row in a], h), expected))
+    return cases
+
+
+# each example sweeps every fixed case twice: two pi-bearing rebases cost
+# about 0.2 s each per sweep, in exact arithmetic a warm memo does not skip
+@settings(max_examples=2, deadline=None)
+@given(
+    points=st.lists(
+        st.fixed_dictionaries(
+            {"a": _fls_parameter(True), "b": _fls_parameter(), "c": _fls_parameter(True)}
+        ),
+        min_size=2,
+        max_size=3,
+    )
+)
+def test_a_warm_memo_gives_the_oracle_in_either_order(points):
+    # the memo stays warm across examples; a kept skeleton may be extended
+    # by a later point whose verdict reaches further degrees
+    cases = list(_sweep_cases())
+    for point in points:
+        spec = get_builtin("fls", point)
+        h = metric_for(spec)
+        cases.append((spec, h, laplacians_equal_all_degrees(h, spec)))
+        cases.append((*_rebased_fls(point), cases[-1][2]))
+    for order in (cases, cases[::-1]):
+        for spec, h, expected in order:
+            assert delta_laplacians_equal(h, spec) == expected, spec.name
+
+
+@pytest.mark.parametrize("unit_first", [True, False])
+def test_weights_that_are_not_one_never_share_a_kept_pattern(unit_first):
+    # diag(1, 2, 3) keeps the declared images of fls, so only the weights
+    # tell its key from that of the declared metric; the verdicts differ
+    spec = get_builtin("fls")
+    diagonal = [[S(str(i + 1) if i == j else "0") for j in range(N)] for i in range(N)]
+    metrics = [(metric_for(spec), True), (metric_from_gram(diagonal, spec), False)]
+    for h, expected in metrics if unit_first else metrics[::-1]:
+        assert laplacians_equal_all_degrees(h, spec) is expected
+        assert delta_laplacians_equal(h, spec) is expected
+    assert hermitian._skeleton.cache_info().currsize == 2
+
+
+def test_the_memo_keeps_a_fixed_number_of_patterns():
+    bound = hermitian.SKELETONS
+    assert type(bound) is int and hermitian._skeleton.cache_info().maxsize == bound
+    # iwasawa_ak under diag(1, 1, j): one pattern, bound + 1 distinct weights
+    spec = get_builtin("iwasawa_ak")
+    for j in range(2, bound + 3):
+        gram = [[S(str(j) if i == k == 2 else "1" if i == k else "0") for k in range(N)] for i in range(N)]
+        assert delta_laplacians_equal(metric_from_gram(gram, spec), spec)
+    info = hermitian._skeleton.cache_info()
+    assert info.currsize == bound and info.misses == bound + 1 and info.hits == 0
 
 
 def test_full_d_laplacian_on_functions(iwasawa_ak, iwasawa_ak_metric):

@@ -3,7 +3,8 @@ linear-algebra and promotion checks only tests need, the all-minors oracle
 for the mode search, dense and all-degree oracles for the Gram blocks, the
 Gram adjoints, the operator and Laplacian code and the Laplacian flag, a
 constant change of coframe, the phi-basis oracle for d^2 = 0,
-unimodularity and d omega = 0, the Hodge star oracle for the Gram adjoints
+unimodularity and d omega = 0 (with the metric of a fundamental form
+decided in the phi-basis), the Hodge star oracle for the Gram adjoints
 and the star duality of the Laplacians, and the Fraction-pair reference and
 Euclidean gcd for the scalar arithmetic."""
 
@@ -30,7 +31,7 @@ from ahodge.fourier import (
     _solve_integer_system,
     _split_constraints,
 )
-from ahodge.hermitian import _rebased, delta_laplacians_equal, metric_from_gram
+from ahodge.hermitian import _metric, _pair_gram, _rebased, delta_laplacians_equal, metric_from_gram
 from ahodge.manifold import BIDEGREE_SHIFTS, ManifoldSpec, _parse_fibration, substitute
 from ahodge.pdesolve import _remainder_annihilated
 from ahodge.scalars import ONE, ZERO, QQi, Scalar, parse_scalar
@@ -54,6 +55,11 @@ def form(spec, terms):
         c = parse_scalar(coeff, spec.params) if isinstance(coeff, str) else coeff
         total = total + Form.monomial(spec.n, word(spec.n, *tokens), c)
     return total
+
+
+def e_form(spec, k):
+    """The real coframe element e^k in the phi-basis, as loading computed it."""
+    return spec._e_forms[k - 1]
 
 
 def S(expr, spec=None):
@@ -438,7 +444,7 @@ def rebase(spec, a, h):
     images += [phi.conj() for phi in images]
     rebased = ManifoldSpec(
         spec.name, n, spec.params, _rebased(spec, l)[:n],
-        [substitute(images, spec.e_form(k)) for k in range(1, 2 * n + 1)],
+        [substitute(images, e_form(spec, k)) for k in range(1, 2 * n + 1)],
         None, _parse_fibration((), spec.params, n), spec.section, spec.symbol,
     )
     h_block = linalg.mat_mul(a, linalg.mat_mul(h.gram.hermitian_block, linalg.conj_transpose(a)))
@@ -455,13 +461,20 @@ def phi_side_verdicts(spec, omega):
     d2 = None
     if not all(spec.exterior_d(spec.d_generator(a)).is_zero() for a in range(1, n + 1)):
         for k in range(1, 2 * n + 1):
-            residue = spec.exterior_d(spec.exterior_d(spec.e_form(k)))
+            residue = spec.exterior_d(spec.exterior_d(e_form(spec, k)))
             if not residue.is_zero():
                 d2 = (f"e{k}", residue)
                 break
     unimodular = all(spec.d_word(w).is_zero() for w in words_of_degree(n, 2 * n - 1))
-    images = [spec.e_form(k) for k in range(1, 2 * n + 1)]
+    images = [e_form(spec, k) for k in range(1, 2 * n + 1)]
     return d2, unimodular, spec.exterior_d(substitute(images, omega)).is_zero()
+
+
+def metric_from_pair(omega, spec):
+    """The metric g(u, v) = omega(u, Jv) of a compatible fundamental form
+    omega = sum W_jk phi^j ^ conj phi^k, with d omega = 0 decided in the
+    phi-basis."""
+    return _metric(spec, _pair_gram(omega, spec), omega, spec.exterior_d(omega).is_zero())
 
 
 def check_ldl(gram):

@@ -177,8 +177,13 @@ def interned_images(dgen: list, n: int):
         images[a] = {}
         for head, c in f.coeffs.items():
             if (word_bidegree(head, n)[0] - (a <= n)) % 2 == 0:
-                sign = -1 if c not in symbols and -c in symbols else 1
-                images[a][head] = (sign, symbols.setdefault(c if sign > 0 else -c, len(symbols)))
+                x = symbols.get(c)
+                if x is not None:
+                    images[a][head] = (1, x)
+                elif (x := symbols.get(-c)) is not None:
+                    images[a][head] = (-1, x)
+                else:
+                    images[a][head] = (1, symbols.setdefault(c, len(symbols)))
     return images, list(symbols)
 
 

@@ -48,7 +48,9 @@ def conj_transpose(a):
 
 
 def rref(a):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
+    """Reduced row echelon form; returns (matrix, pivot column list).  Row
+    operations touch only the nonzero columns of the pivot row, since
+    0 * inv = 0 and x - f * 0 = x."""
     m = [row[:] for row in a]
     rows = len(m)
     cols = len(m[0]) if rows else 0
@@ -63,12 +65,17 @@ def rref(a):
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c].inv()
-        m[r] = [x * inv for x in m[r]]
+        prow = m[r]
+        support = [j for j, x in enumerate(prow) if not x.is_zero()]
+        inv = prow[c].inv()
+        for j in support:
+            prow[j] = prow[j] * inv
         for i in range(rows):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+            f = m[i][c]
+            if i != r and not f.is_zero():
+                row = m[i]
+                for j in support:
+                    row[j] = row[j] - f * prow[j]
         pivots.append(c)
         r += 1
         if r == rows:

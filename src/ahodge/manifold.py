@@ -10,6 +10,11 @@ every (2n-1)-form, the coframe change of basis is invertible, and fibration
 data is consistent.  On [coframe], whose right-hand sides must be real, d^2,
 unimodularity and d omega read the declared real structure constants.
 
+A process parses each manifest text once: its section split and each
+expression's compiled tree are kept, and a load evaluates the trees under
+its own parameters.  d^2 = 0 and unimodularity are certified once per
+distinct declared real structure.
+
 Frame vectors are never represented as coordinate vector fields.  Only their
 structural role is kept: duality to the coframe, a pure-fiber flag, and the
 scalar symbol by which each conjugated frame vector acts on base torus
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import linalg
 from .algebra import Form, block_words, leibniz, sort_word, word_bidegree, words_of_degree
@@ -32,7 +38,7 @@ from .scalars import (
     ZERO,
     format_scalar,
     parse_scalar,
-    tokenize,
+    parse_text,
     _ScalarParser,
 )
 
@@ -61,6 +67,8 @@ BIDEGREE_SHIFTS = {
     "dbar": (0, 1),
     "mubar": (-1, 2),
 }
+
+CERTIFIED = 32  # declared real structures kept as certified by ``_certify``
 
 # the seven bidegree components of d^2 = 0
 D2_RELATIONS = (
@@ -220,23 +228,38 @@ class ManifoldSpec:
         """Each d phi^j is a 2-form, d^2 vanishes on the generators, d on
         every (2n-1)-form (on [coframe] read on the e-words, which span the
         same forms; the phi-words name a failure), and the fibration data
-        is consistent."""
+        is consistent.  On [coframe] the middle two are certified once per
+        distinct declared real structure (``_certify``)."""
         n = self.n
         for j in range(1, n + 1):
             if any(len(w) != 2 for w in self.dphi[j - 1].coeffs):
                 raise ParseError(f"d phi{j} is not a 2-form")
-        self.check_d2_relations()
-        top = words_of_degree(n, 2 * n - 1)
-        if self.real_d is None or not self.real_closed({w: ONE} for w in top):
-            for w in top:
-                residue = self.d_word(w)
-                if not residue.is_zero():
-                    raise NotUnimodular(
-                        f"[{self.section}]: the structure equations are not unimodular: "
-                        f"d {Form.monomial(n, w).pretty(self.symbol)} = "
-                        f"{residue.pretty(self.symbol)} != 0, so no compact quotient exists"
-                    )
+        if not self._certified():
+            self.check_d2_relations()
+            top = words_of_degree(n, 2 * n - 1)
+            if self.real_d is None or not self.real_closed({w: ONE} for w in top):
+                for w in top:
+                    residue = self.d_word(w)
+                    if not residue.is_zero():
+                        raise NotUnimodular(
+                            f"[{self.section}]: the structure equations are not unimodular: "
+                            f"d {Form.monomial(n, w).pretty(self.symbol)} = "
+                            f"{residue.pretty(self.symbol)} != 0, so no compact quotient exists"
+                        )
         self.fibration.validate()
+
+    def _certified(self) -> bool:
+        """Whether d^2 = 0 and unimodularity hold on the declared real
+        structure constants, by this load or an earlier one; False on
+        [complex_coframe] and on a failure, which the full checks name."""
+        if self.real_d is None:
+            return False
+        key = tuple((k, tuple(sorted(f.items()))) for k, f in sorted(self.real_d.items()))
+        try:
+            _certify(self.n, key)
+        except _Uncertified:
+            return False
+        return True
 
     def check_d2_relations(self):
         """d^2 = 0 on the generators, hence all seven bidegree components of
@@ -262,10 +285,27 @@ class ManifoldSpec:
                 raise JacobiViolation(f"phi{a}", residue, self.symbol, f"[{self.section}]: ")
 
 
+class _Uncertified(Exception):
+    """A declared real structure fails d^2 = 0 or unimodularity."""
+
+
+@lru_cache(maxsize=CERTIFIED)
+def _certify(n: int, real_d: tuple) -> None:
+    """Return when d^2 = 0 and d on every (2n-1)-form vanish on the real
+    structure constants ``real_d`` = ((k, ((word, c), ...)), ...) of d e^k;
+    raise _Uncertified otherwise, so that only successes are kept."""
+    images = {k: dict(f) for k, f in real_d}
+    if any(_derive(f, images) for f in images.values()) or any(
+        _derive({w: ONE}, images) for w in words_of_degree(n, 2 * n - 1)
+    ):
+        raise _Uncertified
+
+
 # ---------------------------------------------------------------------------
 # Manifest parsing
 # ---------------------------------------------------------------------------
 
+DOCUMENTS = 16  # manifest texts whose section split is kept
 _SECTION_RE = re.compile(r"^\[([a-z_]+)\]$")
 _COFRAME_RE = re.compile(r"^d\s+e(\d+)\s*=\s*(.+)$")
 _CPLX_RE = re.compile(r"^d\s+phi(\d+)\s*=\s*(.+)$")
@@ -281,8 +321,8 @@ class _FormParser(_ScalarParser):
     ``e13`` or (1,0)-coframe monomials like ``phi12`` / ``phi[1 2b]``.
     """
 
-    def __init__(self, tokens, params, n, mode, lineno=None):
-        super().__init__(tokens, params, lineno)
+    def __init__(self, tokens, names, lineno, n, mode):
+        super().__init__(tokens, names, lineno)
         self.n = n
         self.mode = mode
 
@@ -362,7 +402,7 @@ class _FormParser(_ScalarParser):
 
 
 def _parse_form_expr(text, params, n, mode, lineno):
-    value = _FormParser(tokenize(text, lineno), params, n, mode, lineno).parse()
+    value = parse_text((_FormParser, n, mode), text, params, lineno)
     if isinstance(value, Scalar):
         if value.is_zero():
             return Form.zero(n)
@@ -370,15 +410,16 @@ def _parse_form_expr(text, params, n, mode, lineno):
     return value
 
 
-def _parse_list(text, params, lineno, item):
-    """Parse ``[entry, ...]``; ``item`` maps the parser to one entry."""
-    parser = _ScalarParser(tokenize(text, lineno), params, lineno)
-    return parser.parse(lambda: parser.bracketed(lambda: item(parser)))
+def _parse_list(text, params, lineno, item: str):
+    """Parse ``[entry, ...]``; ``item`` names the rule of one entry."""
+    return parse_text((_ScalarParser,), text, params, lineno, f"[{item}]")
 
 
-def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
-    """Parse and validate a manifest; ``overrides`` rebinds [params] entries
-    (values may be scalar expression strings or Scalars)."""
+@lru_cache(maxsize=DOCUMENTS)
+def _sections(document: str) -> tuple:
+    """((section, ((lineno, line), ...)), ...) of a manifest, without
+    comments and blank lines; a repeated header continues its section.
+    Kept per document text."""
     sections: dict = {}
     current = None
     for lineno, raw in enumerate(document.splitlines(), start=1):
@@ -393,6 +434,13 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
         if current is None:
             raise ParseError(f"content before any [section]: {line!r}", lineno)
         sections[current].append((lineno, line))
+    return tuple((name, tuple(lines)) for name, lines in sections.items())
+
+
+def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
+    """Parse and validate a manifest; ``overrides`` rebinds [params] entries
+    (values may be scalar expression strings or Scalars)."""
+    sections = dict(_sections(document))
     if not sections:
         raise ParseError("empty manifest")
     if "manifold" not in sections:
@@ -525,7 +573,7 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
             metric_source = ("omega", substitute(e_forms, omega))
             real_omega = omega if de else None
         elif key == "gram":
-            h = _parse_list(value, params, lineno, lambda p: p.bracketed(p.expr))
+            h = _parse_list(value, params, lineno, "[expr]")
             if len(h) != n or any(len(r) != n for r in h):
                 raise ParseError(f"gram must be {n}x{n}", lineno)
             metric_source = ("gram", h)
@@ -625,7 +673,7 @@ def _parse_fibration(lines, params, n) -> FibrationData:
                 m = _ASSIGN_RE.match(rest)
                 if not m or m.group(1) != "symbol":
                     raise ParseError(f"expected 'symbol = [...]' in {line!r}", lineno)
-                symbols[i] = tuple(_parse_list(m.group(2), params, lineno, _ScalarParser.expr))
+                symbols[i] = tuple(_parse_list(m.group(2), params, lineno, "expr"))
                 symbol_lines[i] = lineno
             else:
                 raise ParseError(f"bad vector kind in {line!r}", lineno)
@@ -642,10 +690,10 @@ def _parse_fibration(lines, params, n) -> FibrationData:
             if rank < 0:
                 raise ParseError("fibration rank must be nonnegative", lineno)
         elif key == "coords":
-            coords = tuple(_parse_list(value, params, lineno, _ScalarParser.name))
+            coords = tuple(_parse_list(value, params, lineno, "name"))
         elif key == "fiber_span":
             span = []
-            for item in _parse_list(value, params, lineno, _ScalarParser.name):
+            for item in _parse_list(value, params, lineno, "name"):
                 if not re.fullmatch(r"V\d+", item):
                     raise ParseError(f"bad fiber_span entry {item!r}", lineno)
                 span.append(int(item[1:]))

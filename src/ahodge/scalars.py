@@ -23,12 +23,17 @@ the two polynomials exactly in integers on an interval enclosure of pi from
 Machin's formula, doubling the precision until zero is excluded.
 Transcendence of pi guarantees termination for nonzero inputs, and the
 package uses no approximate arithmetic.
+
+Manifest expressions are compiled, not interpreted: ``compile_text`` parses
+a text once per process into a tree whose parameter-free parts are already
+values, and ``parse_text`` evaluates that tree under the bound parameters,
+raising the errors a value causes where the parse would have met them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache, partial
 from math import gcd, lcm
 
 
@@ -546,19 +551,39 @@ def tokenize(text: str, lineno: int | None = None):
     return tokens
 
 
+EXPRESSIONS = 256  # compiled expressions kept per process
+
+
+class _Node:
+    """An operation that waits for bound parameters: ``op`` is "name" (``a``
+    the parameter name), "neg" (``a`` the operand) or one of + - * / ^
+    (``b`` an int for ^)."""
+
+    __slots__ = ("op", "a", "b")
+
+    def __init__(self, op, a, b=None):
+        self.op, self.a, self.b = op, a, b
+
+
 class _ScalarParser:
     """Recursive descent over +, -, *, /, ^, parentheses, pi, i, rationals,
-    bound parameter names and bracketed lists.
+    parameter names and bracketed lists.
 
-    This is the one expression grammar of the manifest.  Subclasses change
-    the values it builds by overriding ``atom`` and ``combine``.
+    This is the one expression grammar of the manifest.  It compiles text to
+    a tree: a subtree that reads no parameter is folded to its value while
+    parsing, and the rest are ``_Node``s, which ``evaluate`` computes under
+    bound parameters by the same ``combine``, in the order the parse met
+    them.  ``names`` are the parameters in scope.  Subclasses change the
+    values by overriding ``atom`` and ``combine``.  A parser that finished
+    is kept by ``compile_text`` and never changes again.
     """
 
-    def __init__(self, tokens, params, lineno=None):
+    def __init__(self, tokens, names, lineno):
         self.tokens = tokens
         self.pos = 0
-        self.params = params or {}
+        self.names = names
         self.lineno = lineno
+        self.read = []  # operation nodes in the order the parse built them
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -577,12 +602,39 @@ class _ScalarParser:
         if kind != "op" or val != op:
             raise ParseError(f"expected {op!r}, got {val!r}", self.lineno)
 
-    def parse(self, rule=None):
-        """Apply ``rule`` (default: ``expr``) to the whole token list."""
-        value = (rule or self.expr)()
+    def parse(self, rule: str = "expr"):
+        """The tree of the whole token list read by ``rule``: a method name,
+        or ``[item]`` for a bracketed list of ``item`` (a tuple of trees)."""
+        tree = self.rule(rule)()
         if self.pos != len(self.tokens):
             raise ParseError(f"trailing input {self.peek()[1]!r}", self.lineno)
-        return value
+        return tree
+
+    def rule(self, name: str):
+        if name.startswith("["):
+            return partial(self.bracketed, self.rule(name[1:-1]))
+        return getattr(self, name)
+
+    def operation(self, a, op: str, b):
+        """``a op b``, folded to its value unless a side reads a parameter."""
+        if isinstance(a, _Node) or isinstance(b, _Node):
+            node = _Node(op, a, b)
+            self.read.append(node)
+            return node
+        return self.combine(a, op, b)
+
+    def evaluate(self, tree, params: dict):
+        """The value of ``tree`` with ``params`` bound; a tuple is a list."""
+        if isinstance(tree, _Node):
+            if tree.op == "name":
+                return params[tree.a]
+            a = self.evaluate(tree.a, params)
+            if tree.op == "neg":
+                return -a
+            return self.combine(a, tree.op, self.evaluate(tree.b, params))
+        if isinstance(tree, tuple):
+            return [self.evaluate(item, params) for item in tree]
+        return tree
 
     def combine(self, a, op: str, b):
         """Value of ``a op b`` for op in + - * / ^; ``b`` is an int for ^."""
@@ -607,21 +659,23 @@ class _ScalarParser:
         value = self.term()
         while self.at_op("+-"):
             op = self.take()[1]
-            value = self.combine(value, op, self.term())
+            value = self.operation(value, op, self.term())
         return value
 
     def term(self):
         value = self.factor()
         while self.at_op("*/"):
             op = self.take()[1]
-            value = self.combine(value, op, self.factor())
+            value = self.operation(value, op, self.factor())
         return value
 
     def factor(self):
         if self.at_op("+-"):
             op = self.take()[1]
             inner = self.factor()
-            return inner if op == "+" else -inner
+            if op == "+":
+                return inner
+            return _Node("neg", inner) if isinstance(inner, _Node) else -inner
         return self.power()
 
     def power(self):
@@ -635,7 +689,7 @@ class _ScalarParser:
         kind, val = self.take()
         if kind != "int":
             raise ParseError("exponent must be an integer", self.lineno)
-        return self.combine(base, "^", -int(val) if negative else int(val))
+        return self.operation(base, "^", -int(val) if negative else int(val))
 
     def atom(self):
         kind, val = self.take()
@@ -646,8 +700,8 @@ class _ScalarParser:
                 return PI
             if val == "i":
                 return I
-            if val in self.params:
-                return self.params[val]
+            if val in self.names:
+                return _Node("name", val)
             raise ParseError(f"unknown name {val!r}", self.lineno)
         if kind == "op" and val == "(":
             inner = self.expr()
@@ -661,25 +715,53 @@ class _ScalarParser:
             raise ParseError(f"expected a name, got {val!r}", self.lineno)
         return val
 
-    def bracketed(self, item) -> list:
+    def bracketed(self, item) -> tuple:
         """``[item, item, ...]``, possibly empty; ``item`` is a rule."""
         self.expect_op("[")
         if self.at_op("]"):
             self.take()
-            return []
+            return ()
         out = [item()]
         while self.at_op(","):
             self.take()
             out.append(item())
         self.expect_op("]")
-        return out
+        return tuple(out)
+
+
+@lru_cache(maxsize=EXPRESSIONS)
+def compile_text(grammar: tuple, text: str, lineno, names: tuple, rule: str):
+    """(parser, tree): the parser ``grammar[0](tokens, names, lineno,
+    *grammar[1:])`` and the tree it read from ``text`` by ``rule``.  Kept
+    per key, so each text is parsed once per process; an error is never
+    kept, and carries the parser as ``reader`` once the parse began."""
+    parser = grammar[0](tokenize(text, lineno), names, lineno, *grammar[1:])
+    try:
+        return parser, parser.parse(rule)
+    except ParseError as exc:
+        exc.reader = parser
+        raise
+
+
+def parse_text(grammar: tuple, text: str, params: dict, lineno, rule: str = "expr"):
+    """The value of ``text`` with ``params`` bound: the tree of
+    ``compile_text``, evaluated."""
+    try:
+        parser, tree = compile_text(grammar, text, lineno, tuple(params), rule)
+    except ParseError as exc:
+        # a value error left of the syntax error is raised first, as it was
+        # when values were built while reading
+        reader = getattr(exc, "reader", None)
+        for node in reader.read if reader else ():
+            reader.evaluate(node, params)
+        raise
+    return parser.evaluate(tree, params)
 
 
 def parse_scalar(text: str, params: dict | None = None, lineno: int | None = None) -> Scalar:
-    tokens = tokenize(text, lineno)
-    if not tokens:
+    if not text.strip():
         raise ParseError("empty scalar expression", lineno)
-    return _ScalarParser(tokens, params, lineno).parse()
+    return parse_text((_ScalarParser,), text, params or {}, lineno)
 
 
 # -- certified signs at tau = pi ---------------------------------------

@@ -2,13 +2,15 @@ import pytest
 
 from ahodge import hermitian
 from ahodge.builtins import get_builtin
+from util import clear_memos
 
 
 @pytest.fixture(autouse=True)
-def cold_flag_memo():
-    """Every test starts with no skeleton of the Laplacian flag kept, so a
-    spy on the operators sees them built."""
-    hermitian._skeleton.cache_clear()
+def cold_memos():
+    """Every test starts with nothing kept across loads and reports, so a
+    spy sees each text parsed, each structure certified and each operator
+    of the flag built."""
+    clear_memos()
 
 
 @pytest.fixture(scope="session")

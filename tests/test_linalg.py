@@ -1,13 +1,15 @@
-"""Exact Gauss-Jordan inverse on matrices whose blocks are interleaved, and
-matrix equality."""
+"""Exact Gauss-Jordan inverse on matrices whose blocks are interleaved,
+sparse row reduction against the dense oracle, and matrix equality."""
+
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ahodge import linalg
-from ahodge.scalars import ONE, PI, Scalar, ZERO
-from util import mat_eq
+from ahodge.scalars import I, ONE, PI, Scalar, ZERO
+from util import dense_rref, mat_eq
 
 # off-diagonal entries of size at most 1/3, so rows stay diagonally dominant
 entries = st.sampled_from(
@@ -104,3 +106,50 @@ def test_mat_eq_matches_the_difference_rule(a, b, data):
         changed[0][i] = changed[0][i] + PI
         assert not mat_eq(a, changed) and not _equal_by_difference(a, changed)
     assert not mat_eq(a, a + [[]])
+
+
+# mostly zero, with pi-bearing and non-real entries among the nonzero ones
+sparse_entries = st.sampled_from(
+    [ZERO] * 6
+    + [
+        ONE,
+        -Scalar.integer(2),
+        Scalar.rational(1, 3),
+        PI,
+        PI.inv() + Scalar.rational(1, 2),
+        I * PI - ONE,
+        (PI + ONE) / (PI - Scalar.integer(3)),
+    ]
+)
+
+
+@st.composite
+def sparse_matrices(draw, square=False):
+    """A sparse matrix of 1..6 rows and columns, sometimes with a repeated
+    row so that rank drops."""
+    r = draw(st.integers(1, 6))
+    c = r if square else draw(st.integers(1, 6))
+    a = [[draw(sparse_entries) for _ in range(c)] for _ in range(r)]
+    if r > 1 and draw(st.booleans()):
+        a[draw(st.integers(1, r - 1))] = a[0][:]
+    return a
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_matrices(), sparse_matrices(square=True))
+def test_sparse_row_reduction_matches_the_dense_oracle(a, square):
+    before = [row[:] for row in a]
+    assert linalg.rref(a) == dense_rref(a)
+    assert a == before  # the input is left as it was
+    with mock.patch.object(linalg, "rref", dense_rref):
+        kernel = linalg.nullspace(a)
+        try:
+            inverse = linalg.inverse(square)
+        except ValueError:
+            inverse = None
+    assert linalg.nullspace(a) == kernel
+    if inverse is None:
+        with pytest.raises(ValueError):
+            linalg.inverse(square)
+    else:
+        assert linalg.inverse(square) == inverse

@@ -307,10 +307,12 @@ def test_a_failing_relation_is_rejected_at_load(monkeypatch, text, letter):
 
 
 def test_a_run_evaluates_d_squared_on_the_generators_once(monkeypatch):
-    # d^2 is evaluated once per spec, at load, and loading takes no matrix
-    # product: on [coframe] on the declared d e^1..d e^6, whose constants
-    # are rational, and on [complex_coframe] on phi^1..phi^3 (d is real, so
-    # d^2 of the conjugate generators is read off those)
+    # d^2 is evaluated at load and takes no matrix product.  On [coframe] it
+    # is read on the declared d e^1..d e^6, whose constants are rational,
+    # once per distinct real structure in a process: a second load, a run
+    # and another point of the same equations reuse the certificate.  On
+    # [complex_coframe] it is read on phi^1..phi^3 at every load (d is real,
+    # so d^2 of the conjugate generators is read off those)
     from ahodge import linalg, manifold
 
     evaluated, products, checks = [], [], []
@@ -337,21 +339,46 @@ def test_a_run_evaluates_d_squared_on_the_generators_once(monkeypatch):
     monkeypatch.setattr(manifold, "_derive", derive_spy)
     monkeypatch.setattr(linalg, "mat_mul", mul_spy)
     monkeypatch.setattr(ManifoldSpec, "check_d2_relations", check_spy)
-    for name, section, pinned in [
-        ("fls", "coframe", [f"e{k}" for k in range(1, 7)]),
-        ("iwasawa_std", "complex_coframe", ["phi1", "phi2", "phi3"]),
+    e_words = [f"e{k}" for k in range(1, 7)]
+    phi_words = ["phi1", "phi2", "phi3"]
+    for name, overrides, section, pinned, checked in [
+        ("fls", {}, "coframe", e_words, []),
+        ("fls", {}, "coframe", [], []),
+        ("fls", {"a": "2", "c": "pi"}, "coframe", [], []),
+        ("fls_nonak", {}, "coframe", [], []),  # the same d e^k as fls
+        ("iwasawa_ak", {}, "coframe", e_words, []),
+        ("iwasawa_std", {}, "complex_coframe", phi_words, ["iwasawa_std"]),
+        ("iwasawa_std", {}, "complex_coframe", phi_words, ["iwasawa_std"]),
     ]:
         for spied in (evaluated, products, checks):
             spied.clear()
-        assert get_builtin(name).section == section
-        assert evaluated == pinned
+        assert get_builtin(name, overrides).section == section
+        assert (evaluated, checks) == (pinned, checked)
         assert products == []
+    for name, pinned in [("fls", []), ("iwasawa_std", phi_words)]:
         evaluated.clear()
         out, code = run(RunConfig(f"builtin:{name}", report_format="json"))
         assert code == 0
         assert json.loads(out)["flags"]["d2_relations_hold"] is True
         assert evaluated == pinned
-        assert checks == [name, name]
+
+
+def test_a_failed_certificate_is_not_kept_and_names_its_generator():
+    # only successes are kept: a structure that fails d^2 = 0 or
+    # unimodularity raises the full check's error at every load, with the
+    # same text, and a valid structure loaded between them stays certified
+    from ahodge import manifold
+
+    broken = TOY.replace("{DE4}", "e34")
+    not_unimodular = TOY.replace("{DE4}", "e14")
+    for text, error in [(broken, JacobiViolation), (not_unimodular, NotUnimodular)]:
+        with pytest.raises(error) as cold:
+            load_spec(text)
+        get_builtin("fls")
+        with pytest.raises(error) as warm:
+            load_spec(text)
+        assert str(warm.value) == str(cold.value)
+    assert manifold._certify.cache_info().currsize == 1
 
 
 # real structure equations {k: {word: coefficient}} with d^2 = 0: the flat

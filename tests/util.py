@@ -1,6 +1,8 @@
-"""Shared test helpers: compact word/form builders, span comparison, the
-linear-algebra and promotion checks only tests need, the all-minors oracle
-for the mode search, dense and all-degree oracles for the Gram blocks, the
+"""Shared test helpers: clearing what a process keeps across loads, compact
+word/form builders, span comparison, the linear-algebra and promotion
+checks only tests need (the dense row reduction among them), the
+all-minors oracle for the mode search, dense and all-degree oracles for
+the Gram blocks, the
 Gram adjoints, the operator and Laplacian code and the Laplacian flag, a
 constant change of coframe, the phi-basis oracle for d^2 = 0,
 unimodularity and d omega = 0 (with the metric of a fundamental form
@@ -13,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
 
-from ahodge import linalg
+from ahodge import hermitian, linalg, manifold
 from ahodge.algebra import (
     Form,
     block_words,
@@ -34,7 +36,16 @@ from ahodge.fourier import (
 from ahodge.hermitian import _metric, _pair_gram, _rebased, delta_laplacians_equal, metric_from_gram
 from ahodge.manifold import BIDEGREE_SHIFTS, ManifoldSpec, _parse_fibration, substitute
 from ahodge.pdesolve import _remainder_annihilated
-from ahodge.scalars import ONE, ZERO, QQi, Scalar, parse_scalar
+from ahodge.scalars import ONE, ZERO, QQi, Scalar, compile_text, parse_scalar
+
+
+def clear_memos():
+    """Forget every compiled expression, section split, certified real
+    structure and skeleton of the Laplacian flag kept in this process."""
+    compile_text.cache_clear()
+    manifold._sections.cache_clear()
+    manifold._certify.cache_clear()
+    hermitian._skeleton.cache_clear()
 
 
 def word(n, *tokens):
@@ -120,6 +131,32 @@ def mat_vec(a, v):
     return [
         sum((c * x for c, x in zip(row, v) if not c.is_zero()), ZERO) for row in a
     ]
+
+
+def dense_rref(a):
+    """Reduced row echelon form with whole-row operations: the oracle of
+    ``linalg.rref``, which updates only the pivot row's nonzero columns."""
+    m = [row[:] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if not m[i][c].is_zero()), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = m[r][c].inv()
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and not m[i][c].is_zero():
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
 
 
 def rank(a) -> int:

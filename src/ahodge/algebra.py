@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import linalg
-from .scalars import ONE, ZERO, Scalar, format_scalar, is_positive
+from .scalars import ONE, ZERO, Scalar, format_scalar, is_positive, join_terms
 
 
 class DimensionMismatch(ValueError):
@@ -236,13 +236,7 @@ class Form:
             body = _word_str(w, self.n, symbol)
             prefix = _coeff_prefix(c)
             parts.append(prefix + body if body else format_scalar(c))
-        out = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                out += " - " + part[1:]
-            else:
-                out += " + " + part
-        return out
+        return join_terms(parts)
 
     def __repr__(self):
         return f"Form({self.pretty()})"

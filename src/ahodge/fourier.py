@@ -9,10 +9,11 @@ nontrivial exactly where all maximal minors vanish, so nowhere if one is a
 nonzero constant in m, which ends the search.  Otherwise each minor splits
 (clearing denominators, separating real and imaginary parts, grading by
 powers of pi, all exact by transcendence) into integer-coefficient
-polynomial conditions on m, which are solved by resultant elimination and
-exact integer root isolation (bisection between the integer breaks where a
-polynomial is monotone).  Matrix entries, minors and resultants are all
-polynomials of one sparse type (see "Symbolic minors" below).
+polynomial conditions on m, which are solved by resultant elimination, a
+gcd (``scalars.pgcd``) and exact integer root isolation (bisection between
+the integer breaks where a polynomial is monotone).  Matrix entries, minors
+and resultants are all polynomials of one sparse type (see "Symbolic
+minors" below).
 
 The other two spaces cut the dbar space by the kernel of one operator on
 the (p,0) block: mubar for the Dolbeault-type space, and the Gram adjoint of
@@ -28,14 +29,25 @@ rendered as UNDETERMINED, never a guess.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from . import linalg, pdesolve
 from .algebra import Form
 from .manifold import ManifoldSpec
-from .scalars import ONE, P_ONE, Scalar, ZERO, pdivmod, pgcd, pmul
+from .scalars import (
+    ONE,
+    P_ONE,
+    QQi,
+    Scalar,
+    ZERO,
+    integer_coeffs,
+    join_terms,
+    pdivmod,
+    pgcd,
+    pmul,
+    pnorm,
+)
 
 # The two rendered statuses of a space and of a report.
 EXACT = "EXACT"
@@ -118,13 +130,7 @@ class ModeForm:
                 parts.append(f"{mode_label(m, coords)}*{body}")
             else:
                 parts.append(body)
-        out = parts[0]
-        for part in parts[1:]:
-            if part.startswith("-"):
-                out += " - " + part[1:]
-            else:
-                out += " + " + part
-        return out
+        return join_terms(parts)
 
     def __repr__(self):
         return f"ModeForm({self.pretty()})"
@@ -137,13 +143,10 @@ def mode_label(m, coords) -> str:
         if mk == 0:
             continue
         mag = f"{abs(mk)}*{labels[k]}" if abs(mk) != 1 else labels[k]
-        terms.append((mk < 0, mag))
+        terms.append(f"-{mag}" if mk < 0 else mag)
     if not terms:
         return "1"
-    out = ("-" if terms[0][0] else "") + terms[0][1]
-    for neg, mag in terms[1:]:
-        out += f" - {mag}" if neg else f" + {mag}"
-    return f"e^{{2 pi i ({out})}}"
+    return f"e^{{2 pi i ({join_terms(terms)})}}"
 
 
 def dbar_mode(mf: ModeForm, spec: ManifoldSpec) -> ModeForm:
@@ -247,9 +250,10 @@ def mode_matrix(reduced: pdesolve.PDESystem, spec: ManifoldSpec) -> ModeMatrix:
 # ---------------------------------------------------------------------------
 # A polynomial in the mode vector is a dict mapping exponent tuples (one slot
 # per mode coordinate) to nonzero coefficients: Scalars in the mode-matrix
-# entries and their maximal minors, Fractions in the split conditions and
-# their resultants.  The empty dict is the zero polynomial.  Every routine
-# below serves both coefficient types.
+# entries and their maximal minors, ints in the split conditions and their
+# resultants.  The empty dict is the zero polynomial.  Every routine below
+# serves both coefficient types.  Conditions in one coordinate meet in their
+# gcd, taken by ``scalars.pgcd`` with that coordinate in the place of tau.
 
 
 def _poly_add(poly: dict, e: tuple, c) -> None:
@@ -353,19 +357,12 @@ def _split_constraints(mode_polys) -> list:
 def _rp_normalize(poly: dict) -> dict:
     """Primitive integer multiple of a Fraction polynomial, leading
     coefficient positive."""
-    dens = 1
-    for c in poly.values():
-        dens = dens * c.denominator // gcd(dens, c.denominator)
-    scaled = {e: int(c * dens) for e, c in poly.items()}
-    g = 0
-    for v in scaled.values():
-        g = gcd(g, abs(v))
-    if g > 1:
-        scaled = {e: v // g for e, v in scaled.items()}
-    lead = scaled[max(scaled)]
-    if lead < 0:
-        scaled = {e: -v for e, v in scaled.items()}
-    return {e: Fraction(v) for e, v in scaled.items()}
+    den = lcm(*(c.denominator for c in poly.values()))
+    scaled = {e: c.numerator * (den // c.denominator) for e, c in poly.items()}
+    g = gcd(*scaled.values())
+    if scaled[max(scaled)] < 0:
+        g = -g
+    return {e: v // g for e, v in scaled.items()}
 
 
 def _resultant(p: dict, q: dict, var: int) -> dict:
@@ -376,24 +373,6 @@ def _resultant(p: dict, q: dict, var: int) -> dict:
     rows = [[{}] * shift + cp + [{}] * (dq - 1 - shift) for shift in range(dq)]
     rows += [[{}] * shift + cq + [{}] * (dp - 1 - shift) for shift in range(dp)]
     return _poly_det(rows)
-
-
-def _uni_gcd(a, b):
-    a, b = list(a), list(b)
-    while b:
-        # remainder of a mod b over Q
-        while len(a) >= len(b) and a:
-            f = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for k in range(len(b)):
-                a[shift + k] -= f * b[k]
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
 
 
 # Integer roots are isolated exactly, without scanning: a polynomial is
@@ -447,15 +426,12 @@ def _monotone_breaks(coeffs, lo: int, hi: int) -> list:
 
 
 def _integer_roots(coeffs, cap: int):
-    """Integer roots of a nonzero univariate polynomial over Q (lowest
+    """Integer roots of a nonzero univariate integer polynomial (lowest
     degree first), isolated exactly inside its Cauchy bound; None when the
     bound has more than ``cap`` bits."""
     if len(coeffs) == 1:
         return []
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    coeffs = [int(c * den) for c in coeffs]
+    coeffs = list(coeffs)
     zero_root = coeffs[0] == 0
     while coeffs[0] == 0:  # strip the x^v factor
         coeffs.pop(0)
@@ -472,9 +448,9 @@ def _common_roots(polys, var: int, cap: int):
     roots of their gcd), or None when the root bound exceeds the cap."""
     g = None
     for p in polys:
-        coeffs = [sum(c.values(), Fraction(0)) for c in _poly_coeffs(p, var)]
-        g = coeffs if g is None else _uni_gcd(g, coeffs)
-    return _integer_roots(g, cap)
+        coeffs = pnorm(QQi(sum(c.values())) for c in _poly_coeffs(p, var))
+        g = coeffs if g is None else pgcd(g, coeffs)
+    return _integer_roots(integer_coeffs(g), cap)
 
 
 def _solve_integer_system(polys, rank: int, cap: int):

@@ -108,12 +108,9 @@ class FibrationData:
         return total
 
     def tau(self, i: int, mode) -> Scalar:
-        """Symbol of the unconjugated frame vector i at an integer mode."""
-        total = ZERO
-        for s, m in zip(self.symbols[i], mode):
-            if m and not s.is_zero():
-                total = total - s.conj() * Scalar.integer(m)
-        return total
+        """Symbol of the unconjugated frame vector i at an integer mode: the
+        conjugate of sigma at -mode, as the conjugate character has -mode."""
+        return -self.sigma(i, mode).conj()
 
     def validate(self):
         if len(self.coords) != self.rank:
@@ -226,26 +223,25 @@ class ManifoldSpec:
 
     def validate(self):
         """Each d phi^j is a 2-form, d^2 vanishes on the generators, d on
-        every (2n-1)-form (on [coframe] read on the e-words, which span the
-        same forms; the phi-words name a failure), and the fibration data
-        is consistent.  On [coframe] the middle two are certified once per
-        distinct declared real structure (``_certify``)."""
+        every (2n-1)-form, and the fibration data is consistent.  On
+        [coframe] the middle two are certified once per distinct declared
+        real structure (``_certify``, on the e-words).  Without a
+        certificate both are checked here, d on the phi-words, which span
+        the same forms and so decide and name a failure."""
         n = self.n
         for j in range(1, n + 1):
             if any(len(w) != 2 for w in self.dphi[j - 1].coeffs):
                 raise ParseError(f"d phi{j} is not a 2-form")
         if not self._certified():
             self.check_d2_relations()
-            top = words_of_degree(n, 2 * n - 1)
-            if self.real_d is None or not self.real_closed({w: ONE} for w in top):
-                for w in top:
-                    residue = self.d_word(w)
-                    if not residue.is_zero():
-                        raise NotUnimodular(
-                            f"[{self.section}]: the structure equations are not unimodular: "
-                            f"d {Form.monomial(n, w).pretty(self.symbol)} = "
-                            f"{residue.pretty(self.symbol)} != 0, so no compact quotient exists"
-                        )
+            for w in words_of_degree(n, 2 * n - 1):
+                residue = self.d_word(w)
+                if not residue.is_zero():
+                    raise NotUnimodular(
+                        f"[{self.section}]: the structure equations are not unimodular: "
+                        f"d {Form.monomial(n, w).pretty(self.symbol)} = "
+                        f"{residue.pretty(self.symbol)} != 0, so no compact quotient exists"
+                    )
         self.fibration.validate()
 
     def _certified(self) -> bool:

@@ -28,10 +28,11 @@ class ObstructionVerdict:
     certificate: dict | None = None
 
 
-def _certify(witness: ModeForm, spec: ManifoldSpec) -> dict:
+def _certify(witness: ModeForm, spec: ManifoldSpec, d_witness: ModeForm) -> dict:
+    """The certificate of ``witness``, whose differential is ``d_witness``."""
     return {
         "dbar_witness_zero": dbar_mode(witness, spec).is_zero(),
-        "d_witness_nonzero": not d_mode(witness, spec).is_zero(),
+        "d_witness_nonzero": not d_witness.is_zero(),
     }
 
 
@@ -45,7 +46,7 @@ def coframe_obstruction(spec: ManifoldSpec) -> ObstructionVerdict:
         if not dphi.component(1, 1).is_zero():
             continue
         witness = ModeForm.invariant(spec.generator(j), spec.fibration.rank)
-        cert = _certify(witness, spec)
+        cert = _certify(witness, spec, d_mode(witness, spec))
         if cert["dbar_witness_zero"] and cert["d_witness_nonzero"]:
             return ObstructionVerdict("Obstructed", witness, "coframe_corollary", cert)
     return ObstructionVerdict("Inconclusive")
@@ -55,9 +56,10 @@ def symplectic_obstruction(spec: ManifoldSpec, dbar: HarmonicSpace) -> Obstructi
     """Search the degree-1 dbar space ``dbar`` (when determined) for a
     witness with nonzero differential; fall back to the coframe criterion."""
     for psi in dbar.basis or ():
-        if d_mode(psi, spec).is_zero():
+        d_psi = d_mode(psi, spec)
+        if d_psi.is_zero():
             continue
-        cert = _certify(psi, spec)
+        cert = _certify(psi, spec, d_psi)
         if cert["dbar_witness_zero"] and cert["d_witness_nonzero"]:
             return ObstructionVerdict("Obstructed", psi, "theorem", cert)
     return coframe_obstruction(spec)

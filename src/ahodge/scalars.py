@@ -501,6 +501,12 @@ def _poly_str(p) -> str:
             if "+" in cs or ("/" in cs) or cs.lstrip("-").find("*") >= 0:
                 cs = cs if cs.startswith("(") else f"({cs})"
             parts.append(f"{cs}*{pi_part}")
+    return join_terms(parts)
+
+
+def join_terms(parts) -> str:
+    """Signed terms written as one sum: a term ``-x`` after the first is
+    joined as " - x", any other as " + " and the term."""
     out = parts[0]
     for term in parts[1:]:
         out += f" - {term[1:]}" if term.startswith("-") else f" + {term}"
@@ -810,9 +816,10 @@ def _pi_enclosure(bits: int) -> tuple[int, int]:
     return lo >> guard, -(-hi >> guard)
 
 
-def _integer_coeffs(p) -> list[int]:
+def integer_coeffs(p) -> list[int]:
     """The real coefficients of p times the lcm of their denominators,
-    which is positive and so keeps the sign of p at every point."""
+    which is positive and so keeps the roots of p and its sign at every
+    point."""
     den = 1
     for c in p:
         if c.b:
@@ -824,7 +831,7 @@ def _integer_coeffs(p) -> list[int]:
 def _poly_sign_at_pi(p, prec: int) -> int:
     if not p:
         return 0
-    coeffs = _integer_coeffs(p)
+    coeffs = integer_coeffs(p)
     if len(coeffs) == 1:
         return 1 if coeffs[0] > 0 else -1
     bits = prec

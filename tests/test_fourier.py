@@ -282,10 +282,6 @@ def test_exhaustive_scan_agrees_on_small_window():
 # -- the integer solver --------------------------------------------------
 
 
-def _rp(terms):
-    return {e: Fraction(c) for e, c in terms.items()}
-
-
 def test_poly_det_matches_gaussian_elimination():
     # Laplace expansion against linalg.det on Scalar matrices over Q(pi),
     # taken as constant polynomials in a rank-2 mode vector
@@ -305,33 +301,33 @@ def test_poly_det_matches_gaussian_elimination():
 
 def test_resultant_eliminates_the_shared_root():
     # x^2 - y and x - 2 share a root in x exactly when y = 4
-    res = _resultant(_rp({(2, 0): 1, (0, 1): -1}), _rp({(1, 0): 1, (0, 0): -2}), 0)
+    res = _resultant({(2, 0): 1, (0, 1): -1}, {(1, 0): 1, (0, 0): -2}, 0)
     assert set(res) == {(0, 0), (0, 1)}
-    assert res[(0, 1)] / res[(0, 0)] == Fraction(-1, 4)
+    assert Fraction(res[(0, 1)], res[(0, 0)]) == Fraction(-1, 4)
 
 
 def test_integer_system_solver_two_variables():
     # lambda*mu = 0 and lambda^2 - mu^2 - 1 = 0 force (+-1, 0)
     system = [
-        _rp({(1, 1): 1}),
-        _rp({(2, 0): 1, (0, 2): -1, (0, 0): -1}),
+        {(1, 1): 1},
+        {(2, 0): 1, (0, 2): -1, (0, 0): -1},
     ]
     assert _solve_integer_system(system, 2, 10**6) == [(-1, 0), (1, 0)]
 
 
 def test_integer_system_solver_edge_cases():
     assert _solve_integer_system([], 2, 10**6) is None
-    assert _solve_integer_system([_rp({(0, 0): 1})], 2, 10**6) == []
+    assert _solve_integer_system([{(0, 0): 1}], 2, 10**6) == []
     # a single curve with infinitely many integer points stays undetermined
-    assert _solve_integer_system([_rp({(1, 1): 1})], 2, 10**6) is None
-    assert _solve_integer_system([_rp({(1,): 2, (0,): -4})], 1, 10**6) == [(2,)]
-    assert _solve_integer_system([_rp({(2,): 1, (0,): 2})], 1, 10**6) == []
+    assert _solve_integer_system([{(1, 1): 1}], 2, 10**6) is None
+    assert _solve_integer_system([{(1,): 2, (0,): -4}], 1, 10**6) == [(2,)]
+    assert _solve_integer_system([{(2,): 1, (0,): 2}], 1, 10**6) == []
 
 
 def test_integer_system_cap_triggers_undetermined():
     # the cap bounds the bit length of the root bound: x - 2^11 has the
     # Cauchy bound 2^11 + 1, of 12 bits
-    system = [_rp({(1,): 1, (0,): -(2**11)})]
+    system = [{(1,): 1, (0,): -(2**11)}]
     assert _solve_integer_system(system, 1, 10) is None
     assert _solve_integer_system(system, 1, 12) == [(2048,)]
 
@@ -342,9 +338,9 @@ def test_integer_system_cap_triggers_undetermined():
 def _poly_from_factors(factors):
     """Coefficients, lowest degree first, of a product of integer
     polynomials given lowest degree first."""
-    out = [Fraction(1)]
+    out = [1]
     for f in factors:
-        prod = [Fraction(0)] * (len(out) + len(f) - 1)
+        prod = [0] * (len(out) + len(f) - 1)
         for i, a in enumerate(out):
             for j, b in enumerate(f):
                 prod[i + j] += a * b
@@ -368,7 +364,7 @@ _ROOTLESS = ([-2, 0, 1], [-1, 3])
         max_size=5,
     ),
     st.lists(st.sampled_from(_ROOTLESS), max_size=2),
-    st.sampled_from([1, -3, Fraction(2, 7)]),
+    st.sampled_from([1, -3, 14]),
 )
 def test_integer_roots_of_a_product_are_its_integer_factors(roots, rootless, scale):
     # repeated roots, a root at 0 and roots beyond 2^40 are all drawn
@@ -380,25 +376,48 @@ def test_integer_roots_of_a_product_are_its_integer_factors(roots, rootless, sca
 def test_integer_roots_agree_with_a_scan_inside_the_cauchy_bound():
     rng = random.Random(11)
     for _ in range(400):
-        coeffs = [Fraction(rng.randint(-12, 12), rng.randint(1, 3)) for _ in range(rng.randint(1, 6))]
-        coeffs.append(Fraction(rng.choice((-2, -1, 1, 3))))
-        bound = 1 + max(abs(c) for c in coeffs[:-1]) / abs(coeffs[-1])
+        coeffs = [rng.randint(-36, 36) for _ in range(rng.randint(1, 6))]
+        coeffs.append(rng.choice((-6, -3, 3, 9)))
+        bound = 1 + max(abs(c) for c in coeffs[:-1]) // abs(coeffs[-1])
         scan = [
             k
-            for k in range(-int(bound), int(bound) + 1)
+            for k in range(-bound, bound + 1)
             if sum(c * k**j for j, c in enumerate(coeffs)) == 0
         ]
         assert _integer_roots(coeffs, 256) == scan, coeffs
 
 
 def test_integer_roots_edge_cases():
-    assert _integer_roots([Fraction(5)], 0) == []
-    assert _integer_roots([Fraction(0), Fraction(0), Fraction(3)], 256) == [0]
+    assert _integer_roots([5], 0) == []
+    assert _integer_roots([0, 0, 3], 256) == [0]
     # a unit interval holding both roots of the derivative keeps its ends:
     # (x - 1)(2x - 3)(x - 2) has both critical points inside (1, 2)
-    assert _integer_roots([Fraction(c) for c in (-6, 13, -9, 2)], 256) == [1, 2]
+    assert _integer_roots([-6, 13, -9, 2], 256) == [1, 2]
     # a cap of 0 bits leaves every nonconstant polynomial undetermined
-    assert _integer_roots([Fraction(0), Fraction(1)], 0) is None
+    assert _integer_roots([0, 1], 0) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sets(st.integers(-6, 6), max_size=4),
+            st.integers(1, 5),
+            st.sampled_from([2, -3, 6]),
+        ),
+        min_size=2,
+        max_size=3,
+    )
+)
+def test_one_variable_conditions_meet_in_their_common_integer_roots(conditions):
+    # each condition is scale * (x^2 + c) * prod (x - r), non-monic, with
+    # x^2 + c rootless; the solutions are the roots all of them share
+    system = []
+    for roots, c, scale in conditions:
+        coeffs = _poly_from_factors([[-r, 1] for r in roots] + [[c, 0, 1], [scale]])
+        system.append({(k,): a for k, a in enumerate(coeffs) if a})
+    shared = set.intersection(*(roots for roots, _, _ in conditions))
+    assert _solve_integer_system(system, 1, 256) == [(r,) for r in sorted(shared)]
 
 
 @pytest.mark.parametrize("k", [1, 10, 100, 1000, 10**6])

@@ -3,10 +3,13 @@ section splits, certified real structures, skeletons of the Laplacian flag)
 never changes a spec, a report or an error message.  Each source is loaded
 cold, with every memo cleared, and then warm, after every other source."""
 
+import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
 
+import ahodge
 from ahodge.builtins import BUILTINS, builtin_names, get_builtin
 from ahodge.cli import RunConfig, _load_source, run
 from ahodge.manifold import load_spec
@@ -103,3 +106,27 @@ def test_the_memo_keeps_a_fixed_number_of_expressions():
     for k in range(scalars.EXPRESSIONS + 1):
         assert parse_scalar(f"{k}/2") == Scalar.rational(k, 2)
     assert compile_text.cache_info().currsize == scalars.EXPRESSIONS
+
+
+def bounded_memos() -> dict:
+    """Every module-level memo of a fixed size in the package, by name."""
+    memos = {}
+    for info in pkgutil.iter_modules(ahodge.__path__):
+        module = importlib.import_module(f"ahodge.{info.name}")
+        for attr, value in vars(module).items():
+            if callable(getattr(value, "cache_info", None)) and value.cache_info().maxsize:
+                memos[f"{info.name}.{attr}"] = value
+    return memos
+
+
+def test_clearing_the_memos_empties_every_bounded_one():
+    # a memo added later that clear_memos misses would carry one test's
+    # state into the next
+    run(RunConfig("builtin:fls"))
+    run(RunConfig("builtin:fls"))
+    memos = bounded_memos()
+    assert any(memo.cache_info().currsize for memo in memos.values())
+    clear_memos()
+    assert {key: memo.cache_info().currsize for key, memo in memos.items()} == dict.fromkeys(
+        memos, 0
+    )

@@ -9,21 +9,22 @@ nontrivial exactly where all maximal minors vanish, so nowhere if one is a
 nonzero constant in m, which ends the search.  Otherwise each minor splits
 (clearing denominators, separating real and imaginary parts, grading by
 powers of pi, all exact by transcendence) into integer-coefficient
-polynomial conditions on m, which are solved by resultant elimination, a
-gcd (``scalars.pgcd``) and exact integer root isolation (bisection between
-the integer breaks where a polynomial is monotone).  Matrix entries, minors
-and resultants are all polynomials of one sparse type (see "Symbolic
-minors" below).
+polynomial conditions on m, solved by substituting integer roots, resultant
+elimination at two coordinates, a gcd (``scalars.pgcd``) and exact integer
+root isolation (bisection between the integer breaks where a polynomial is
+monotone).  Matrix entries, minors and resultants are all polynomials of
+one sparse type (see "Symbolic minors" below).
 
 The other two spaces cut the dbar space by the kernel of one operator on
 the (p,0) block: mubar for the Dolbeault-type space, and the Gram adjoint of
 mu for the (dbar+mu)-harmonic one.  Both are function-linear, so each acts
 on every mode separately.
 
-"No certified answer" is ``None`` throughout: the mode search returns it when
-elimination degenerates or a root bound has more bits than the configured
-cap (``MODES_BOUND`` by default), and a HarmonicSpace holds ``basis=None``,
-rendered as UNDETERMINED, never a guess.
+"No certified answer" is ``None`` throughout, at every base rank: the mode
+search returns it when a root bound has more bits than the configured cap
+(``MODES_BOUND`` by default), or when no coordinate is pinned to finitely
+many roots, by conditions in it alone or by resultants at two coordinates.
+A HarmonicSpace then holds ``basis=None``, rendered as UNDETERMINED.
 """
 
 from __future__ import annotations
@@ -300,8 +301,8 @@ def _poly_det(matrix) -> dict:
     return total
 
 
-def _poly_vars(poly: dict, rank: int):
-    return [j for j in range(rank) if any(e[j] for e in poly)]
+def _poly_vars(poly: dict, coords):
+    return [j for j in coords if any(e[j] for e in poly)]
 
 
 def _poly_substitute(poly: dict, var: int, value: int) -> dict:
@@ -453,50 +454,55 @@ def _common_roots(polys, var: int, cap: int):
     return _integer_roots(integer_coeffs(g), cap)
 
 
-def _solve_integer_system(polys, rank: int, cap: int):
-    """All integer solutions of a finite polynomial system, or None when
-    they cannot be certified.  Every root found is a root of a gcd of all
-    the conditions, so it solves the system without a further check."""
+def _solve_integer_system(polys, coords: tuple, cap: int):
+    """All integer solutions of a polynomial system in the mode coordinates
+    ``coords`` (the others already substituted), as tuples over ``coords``,
+    or None when they cannot be certified.  Roots of conditions in one
+    coordinate alone are substituted first; resultants, of the given
+    conditions only, are taken at two coordinates.  Every root found is a
+    root of a gcd of all the conditions left, so it solves the system."""
     polys = [p for p in polys if p]
-    if any(not _poly_vars(p, rank) for p in polys):
+    held = [_poly_vars(p, coords) for p in polys]
+    if [] in held:
         return []  # a nonzero constant condition
-    if not polys or rank not in (1, 2):
-        return None
-    if rank == 1:
-        roots = _common_roots(polys, 0, cap)
+    if not polys:
+        return None if coords else [()]  # a whole line of modes, or a point
+    if len(coords) == 1:
+        roots = _common_roots(polys, coords[0], cap)
         return None if roots is None else [(k,) for k in roots]
-    for var in (0, 1):
-        other = 1 - var
-        elims = [p for p in polys if _poly_vars(p, rank) == [var]]
-        pair_pool = [p for p in polys if other in _poly_vars(p, rank)]
-        for a, b in combinations(pair_pool, 2):
-            res = _resultant(a, b, other)
-            if res:
-                elims.append(res)
-        if any(not _poly_vars(p, rank) for p in elims):
-            return []
-        if not elims:
-            continue
-        roots = _common_roots(elims, var, cap)
-        if roots is None:
-            return None
-        solutions = []
-        for k in roots:
-            sub = [_poly_substitute(p, var, k) for p in polys]
-            if any(p and not _poly_vars(p, rank) for p in sub):
-                continue
-            remaining = [p for p in sub if p]
-            if not remaining:
-                return None
-            roots2 = _common_roots(remaining, other, cap)
-            if roots2 is None:
-                return None
-            for k2 in roots2:
-                m = [0, 0]
-                m[var], m[other] = k, k2
-                solutions.append(tuple(m))
-        return sorted(set(solutions))
+    for j, var in enumerate(coords):
+        alone = [p for p, h in zip(polys, held) if h == [var]]
+        roots = _common_roots(alone, var, cap) if alone else None
+        if roots is not None:  # over the cap, the elimination may still decide
+            return _lift(polys, coords, j, roots, cap)
+    if len(coords) == 2:
+        for j, var in enumerate(coords):
+            other = coords[1 - j]
+            elims = [p for p, h in zip(polys, held) if h == [var]]
+            pair_pool = [p for p, h in zip(polys, held) if other in h]
+            for a, b in combinations(pair_pool, 2):
+                res = _resultant(a, b, other)
+                if res:
+                    elims.append(res)
+            if any(not _poly_vars(p, coords) for p in elims):
+                return []
+            if elims:
+                roots = _common_roots(elims, var, cap)
+                return None if roots is None else _lift(polys, coords, j, roots, cap)
     return None
+
+
+def _lift(polys, coords: tuple, j: int, roots, cap: int):
+    """The solutions with coordinate ``coords[j]`` at one of ``roots``, or
+    None when one root leaves the rest uncertified."""
+    rest = coords[:j] + coords[j + 1 :]
+    out = []
+    for k in roots:
+        sub = _solve_integer_system([_poly_substitute(p, coords[j], k) for p in polys], rest, cap)
+        if sub is None:
+            return None
+        out += [s[:j] + (k,) + s[j:] for s in sub]
+    return sorted(out)
 
 
 _MINOR_BUDGET = 20000
@@ -523,10 +529,7 @@ def contributing_modes(matrix: ModeMatrix, cap: int = MODES_BOUND):
         minors.append(_poly_det(list(pick)))
         if minors[-1].keys() == {(0,) * rank}:
             return []  # a nonzero constant minor: full column rank at every nonzero mode
-    constraints = _split_constraints(minors)
-    if not constraints:
-        return None
-    solutions = _solve_integer_system(constraints, rank, cap)
+    solutions = _solve_integer_system(_split_constraints(minors), tuple(range(rank)), cap)
     if solutions is None:
         return None
     return [

@@ -3,6 +3,7 @@ import random
 import sys
 from fractions import Fraction
 from itertools import product
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from ahodge import fourier, linalg
 from ahodge.algebra import Form
-from ahodge.builtins import builtin_names, get_builtin
-from ahodge.cli import _load_source
+from ahodge.builtins import BUILTINS, builtin_names, get_builtin
+from ahodge.cli import RunConfig, _load_source, compute_report
 from ahodge.fourier import (
     EXACT,
     ModeForm,
@@ -21,6 +22,7 @@ from ahodge.fourier import (
     _integer_roots,
     _poly_det,
     _poly_eval,
+    _poly_mul,
     _resultant,
     _solve_integer_system,
     contributing_modes,
@@ -32,6 +34,7 @@ from ahodge.fourier import (
     mode_matrix,
 )
 from ahodge.hermitian import metric_for, metric_from_gram
+from ahodge.manifold import load_spec
 from ahodge.pdesolve import (
     Equation,
     PDESystem,
@@ -49,9 +52,12 @@ from util import (
     invariant,
     laplacian_invariant,
     mubar_mode,
+    rank12_integer_system,
+    span_rank,
     spans_equal,
     star_criterion_filter,
     star_mode,
+    times_torus2,
     word,
 )
 
@@ -312,24 +318,117 @@ def test_integer_system_solver_two_variables():
         {(1, 1): 1},
         {(2, 0): 1, (0, 2): -1, (0, 0): -1},
     ]
-    assert _solve_integer_system(system, 2, 10**6) == [(-1, 0), (1, 0)]
+    assert _solve_integer_system(system, (0, 1), 10**6) == [(-1, 0), (1, 0)]
 
 
 def test_integer_system_solver_edge_cases():
-    assert _solve_integer_system([], 2, 10**6) is None
-    assert _solve_integer_system([{(0, 0): 1}], 2, 10**6) == []
+    assert _solve_integer_system([], (0, 1), 10**6) is None
+    assert _solve_integer_system([{(0, 0): 1}], (0, 1), 10**6) == []
     # a single curve with infinitely many integer points stays undetermined
-    assert _solve_integer_system([{(1, 1): 1}], 2, 10**6) is None
-    assert _solve_integer_system([{(1,): 2, (0,): -4}], 1, 10**6) == [(2,)]
-    assert _solve_integer_system([{(2,): 1, (0,): 2}], 1, 10**6) == []
+    assert _solve_integer_system([{(1, 1): 1}], (0, 1), 10**6) is None
+    assert _solve_integer_system([{(1,): 2, (0,): -4}], (0,), 10**6) == [(2,)]
+    assert _solve_integer_system([{(2,): 1, (0,): 2}], (0,), 10**6) == []
 
 
 def test_integer_system_cap_triggers_undetermined():
     # the cap bounds the bit length of the root bound: x - 2^11 has the
     # Cauchy bound 2^11 + 1, of 12 bits
     system = [{(1,): 1, (0,): -(2**11)}]
-    assert _solve_integer_system(system, 1, 10) is None
-    assert _solve_integer_system(system, 1, 12) == [(2048,)]
+    assert _solve_integer_system(system, (0,), 10) is None
+    assert _solve_integer_system(system, (0,), 12) == [(2048,)]
+
+
+def _system(rank):
+    """One to three integer polynomials in ``rank`` mode coordinates, of
+    degree at most 2 in each, with small coefficients."""
+    exponent = st.tuples(*[st.integers(0, 2)] * rank)
+    coeff = st.one_of(st.integers(-6, 6), st.integers(-60, 60)).filter(bool)
+    return st.lists(st.dictionaries(exponent, coeff, min_size=1, max_size=4), min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([1, 2]).flatmap(lambda rank: st.tuples(st.just(rank), _system(rank))),
+    st.sampled_from([0, 1, 2, 4, 256]),
+)
+def test_the_integer_solver_is_never_narrower_than_the_rank12_reference(case, cap):
+    # where the rank-1/2 solver certified an answer, the recursion gives
+    # the same one; it may certify more, never less
+    rank, system = case
+    expected = rank12_integer_system(system, rank, cap)
+    if expected is not None:
+        assert _solve_integer_system(system, tuple(range(rank)), cap) == expected
+
+
+def _vanishes(poly, m) -> bool:
+    return sum(c * prod(mk**k for mk, k in zip(m, e)) for e, c in poly.items()) == 0
+
+
+@st.composite
+def _systems_around_points(draw):
+    """(rank, coordinates held alone, conditions): each condition is a
+    product of one linear form through each of a few known integer points,
+    and each held coordinate gets a condition in it alone whose roots are
+    the points' values there, times a rootless factor."""
+    rank = draw(st.integers(1, 3))
+    box = st.tuples(*[st.integers(-3, 3)] * rank)
+    points = draw(st.lists(box, min_size=1, max_size=3, unique=True))
+    held = draw(st.sets(st.integers(0, rank - 1)))
+    zero = (0,) * rank
+    units = [tuple(int(t == j) for t in range(rank)) for j in range(rank)]
+    system = []
+    for _ in range(draw(st.integers(1, 3))):
+        poly = {zero: 1}
+        for point in points:
+            a = draw(st.tuples(*[st.integers(-2, 2)] * rank))
+            linear = {u: x for u, x in zip(units, a) if x}
+            if sum(x * s for x, s in zip(a, point)):
+                linear[zero] = -sum(x * s for x, s in zip(a, point))
+            poly = _poly_mul(poly, linear)
+        system.append(poly)
+    for j in held:
+        poly = {zero: 1, tuple(2 * x for x in units[j]): 1}  # m_j^2 + 1
+        for value in {point[j] for point in points}:
+            poly = _poly_mul(poly, {units[j]: 1, zero: -value} if value else {units[j]: 1})
+        system.append(poly)
+    return rank, held, [p for p in system if p]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_systems_around_points())
+def test_the_integer_solver_agrees_with_a_scan_around_known_points(case):
+    # a box holding every point solves the system by brute force; with every
+    # coordinate held alone the solutions all lie inside it, so the solver
+    # must certify exactly them, and otherwise any answer it certifies
+    # solves the system and covers the box
+    rank, held, system = case
+    scan = [
+        m for m in product(range(-4, 5), repeat=rank) if all(_vanishes(p, m) for p in system)
+    ]
+    solutions = _solve_integer_system(system, tuple(range(rank)), 256)
+    if len(held) == rank:
+        assert solutions == scan
+    elif solutions is not None:
+        assert all(_vanishes(p, m) for p in system for m in solutions)
+        assert set(scan) <= set(solutions)
+
+
+def test_three_coordinates_none_held_alone_stay_undetermined():
+    # x*y = 0, y*z = 0 and x*z - 1 = 0 meet at no integer point, but no
+    # condition holds one coordinate alone, and resultants are only taken
+    # at two coordinates
+    system = [{(1, 1, 0): 1}, {(0, 1, 1): 1}, {(1, 0, 1): 1, (0, 0, 0): -1}]
+    assert _solve_integer_system(system, (0, 1, 2), 256) is None
+    # holding x alone (x^2 = 1) decides it: then y = 0 and z = x
+    system.append({(2, 0, 0): 1, (0, 0, 0): -1})
+    assert _solve_integer_system(system, (0, 1, 2), 256) == [(-1, 0, -1), (1, 0, 1)]
+
+
+def test_a_root_bound_over_the_cap_falls_through_to_elimination():
+    # x - 2^11 alone is over a cap of 4 bits, but the resultant of x - y
+    # and x + y - 2 in y is 2x - 2: x = 1, y = 1, and then x - 2^11 fails
+    system = [{(1, 0): 1, (0, 0): -(2**11)}, {(1, 0): 1, (0, 1): -1}, {(1, 0): 1, (0, 1): 1, (0, 0): -2}]
+    assert _solve_integer_system(system, (0, 1), 4) == []
 
 
 # -- exact integer root isolation ----------------------------------------
@@ -417,7 +516,7 @@ def test_one_variable_conditions_meet_in_their_common_integer_roots(conditions):
         coeffs = _poly_from_factors([[-r, 1] for r in roots] + [[c, 0, 1], [scale]])
         system.append({(k,): a for k, a in enumerate(coeffs) if a})
     shared = set.intersection(*(roots for roots, _, _ in conditions))
-    assert _solve_integer_system(system, 1, 256) == [(r,) for r in sorted(shared)]
+    assert _solve_integer_system(system, (0,), 256) == [(r,) for r in sorted(shared)]
 
 
 @pytest.mark.parametrize("k", [1, 10, 100, 1000, 10**6])
@@ -428,6 +527,49 @@ def test_lattice_modes_are_exact_for_large_k(k):
     assert contributing_modes(_mode_matrix(spec, 2)) == [(-k, 0), (k, 0)]
     space = harmonic_basis_dbar(2, spec)
     assert (space.dimension, space.status) == (2, EXACT)
+
+
+# -- products with a flat 2-torus -----------------------------------------
+
+# the rank-2 [coframe] built-ins; fls at its default, at two lattice
+# points and at a point where a, b and c carry pi
+PRODUCT_POINTS = [
+    ("fls", {}),
+    ("fls", {"c": "4*pi"}),
+    ("fls", {"a": "3", "b": "2", "c": "-4*pi"}),
+    ("fls", {"a": "pi + 1/2", "b": "-2*pi", "c": "-(1/2)*pi"}),
+    ("fls_nonak", {}),
+    ("iwasawa_ak", {}),
+]
+
+
+def test_the_fls_t2_manifest_is_fls_times_a_flat_torus():
+    text = (ROOT / "manifests" / "fls_t2.am").read_text(encoding="utf-8")
+    assert text.endswith(times_torus2(BUILTINS["fls"]))
+
+
+@pytest.mark.parametrize("name, overrides", PRODUCT_POINTS)
+def test_a_product_with_a_flat_torus_adds_the_degree_below(name, overrides):
+    # a dbar-closed (p,0)-form on X x T^2 is alpha + beta ^ phi^4 with alpha
+    # and beta dbar-closed on X and constant along the torus, so
+    # h^(p,0)(X x T^2) = h^(p,0)(X) + h^(p-1,0)(X); the modes are checked
+    # by a scan, and the two filters by their own oracles
+    report = compute_report(RunConfig(f"builtin:{name}", dict(overrides)))
+    below = [0] + [report.spaces[("dbar", p)].dimension for p in range(4)] + [0]
+    spec = load_spec(times_torus2(BUILTINS[name]), overrides)
+    h = metric_for(spec)
+    for p in range(5):
+        matrix = _mode_matrix(spec, p)
+        assert contributing_modes(matrix) == exhaustive_mode_scan(matrix, 2), p
+        dbar = harmonic_basis_dbar(p, spec)
+        assert dbar.dimension == below[p + 1] + below[p], p
+        deltabar = harmonic_basis_deltabar(dbar, spec, h)
+        assert deltabar.basis == star_criterion_filter(dbar, spec, h), p
+        dol = dolbeault_basis(dbar, spec)
+        assert all(mubar_mode(psi, spec).is_zero() for psi in dol.basis), p
+        assert spans_equal(dol.basis + dbar.basis, dbar.basis), p
+        mubar_rank = span_rank([mubar_mode(psi, spec) for psi in dbar.basis])
+        assert dol.dimension == dbar.dimension - mubar_rank, p
 
 
 # -- harmonic spaces -----------------------------------------------------

@@ -1,6 +1,7 @@
 """Byte-exact behaviour contract: every case of scripts/reproduce_tables.py,
 the standalone torus manifest, the torus and iwasawa_std with a
-non-diagonal Gram block, two large lattice points of the `fls` family,
+non-diagonal Gram block, `fls` times a flat 2-torus (base rank 4) at c = 1
+and at the lattice point c = 4*pi, two large lattice points of the `fls` family,
 two `fls` points whose parameters carry pi in numerator and denominator, and
 one lattice point left UNDETERMINED by a modes bound of 0 must render
 exactly the text and JSON reports pinned under tests/golden/, with the
@@ -35,6 +36,8 @@ CASES = [(source, overrides, {}) for source, overrides in _reproduce_cases()] + 
     (str(ROOT / "manifests" / "torus6.am"), {}, {}),
     (str(ROOT / "manifests" / "torus6_skew.am"), {}, {}),
     (str(ROOT / "manifests" / "iwasawa_std_skew.am"), {}, {}),
+    (str(ROOT / "manifests" / "fls_t2.am"), {}, {}),
+    (str(ROOT / "manifests" / "fls_t2.am"), {"c": "4*pi"}, {}),
     ("builtin:fls", {"c": "400*pi"}, {}),
     ("builtin:fls", {"c": "4000*pi"}, {}),
     ("builtin:fls", {"a": "pi + 1/2", "b": "-2*pi", "c": "-(1/2)*pi"}, {}),

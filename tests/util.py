@@ -1,7 +1,8 @@
 """Shared test helpers: clearing what a process keeps across loads, compact
 word/form builders, span comparison, the linear-algebra and promotion
 checks only tests need (the dense row reduction among them), the
-all-minors oracle for the mode search, dense and all-degree oracles for
+all-minors oracle for the mode search and the rank-1/2 reference for its
+integer solver, dense and all-degree oracles for
 the Gram blocks, the
 Gram adjoints, the operator and Laplacian code and the Laplacian flag, a
 constant change of coframe, the phi-basis oracle for d^2 = 0,
@@ -29,7 +30,10 @@ from ahodge.fourier import (
     MODES_BOUND,
     ModeForm,
     ModeMatrix,
+    _common_roots,
     _poly_det,
+    _poly_substitute,
+    _resultant,
     _solve_integer_system,
     _split_constraints,
 )
@@ -231,14 +235,16 @@ def invariant(spec, terms):
     return ModeForm.invariant(form(spec, terms), spec.fibration.rank)
 
 
-def basis_independent(basis) -> bool:
+def span_rank(basis) -> int:
+    """The dimension of the span of a list of ModeForms."""
     keys = sorted(
         {(m, w) for mf in basis for m, f in mf.modes.items() for w in f.coeffs}
     )
-    if not basis:
-        return True
-    rows = _mode_basis_matrix(basis, keys)
-    return rank(rows) == len(basis)
+    return rank(_mode_basis_matrix(basis, keys)) if keys else 0
+
+
+def basis_independent(basis) -> bool:
+    return span_rank(basis) == len(basis)
 
 
 def all_minors_modes(matrix: ModeMatrix, cap: int = MODES_BOUND):
@@ -257,15 +263,94 @@ def all_minors_modes(matrix: ModeMatrix, cap: int = MODES_BOUND):
     if len(rows) < ncols or comb(len(rows), ncols) > _MINOR_BUDGET:
         return None
     minors = [_poly_det(list(pick)) for pick in combinations(rows, ncols)]
-    constraints = _split_constraints(minors)
-    if not constraints:
-        return None
-    solutions = _solve_integer_system(constraints, rank, cap)
+    solutions = _solve_integer_system(_split_constraints(minors), tuple(range(rank)), cap)
     if solutions is None:
         return None
     return [
         m for m in solutions if any(m) and linalg.kernel_nontrivial(matrix.eval(m), ncols)
     ]
+
+
+def rank12_integer_system(polys, rank: int, cap: int):
+    """The mode search's integer solver as it was for base ranks 1 and 2
+    only, kept as the reference it must never be narrower than: where this
+    returns a list, the recursive solver returns the same list.  Rank 2
+    projects by pairwise resultants onto each coordinate in turn and lifts
+    each root."""
+
+    def held(p):
+        return [j for j in range(rank) if any(e[j] for e in p)]
+
+    polys = [p for p in polys if p]
+    if any(not held(p) for p in polys):
+        return []
+    if not polys or rank not in (1, 2):
+        return None
+    if rank == 1:
+        roots = _common_roots(polys, 0, cap)
+        return None if roots is None else [(k,) for k in roots]
+    for var in (0, 1):
+        other = 1 - var
+        elims = [p for p in polys if held(p) == [var]]
+        pair_pool = [p for p in polys if other in held(p)]
+        for a, b in combinations(pair_pool, 2):
+            res = _resultant(a, b, other)
+            if res:
+                elims.append(res)
+        if any(not held(p) for p in elims):
+            return []
+        if not elims:
+            continue
+        roots = _common_roots(elims, var, cap)
+        if roots is None:
+            return None
+        solutions = []
+        for k in roots:
+            sub = [_poly_substitute(p, var, k) for p in polys]
+            if any(p and not held(p) for p in sub):
+                continue
+            remaining = [p for p in sub if p]
+            if not remaining:
+                return None
+            roots2 = _common_roots(remaining, other, cap)
+            if roots2 is None:
+                return None
+            for k2 in roots2:
+                m = [0, 0]
+                m[var], m[other] = k, k2
+                solutions.append(tuple(m))
+        return sorted(set(solutions))
+    return None
+
+
+def times_torus2(text: str) -> str:
+    """A rank-2 ``[coframe]`` manifest text times a flat 2-torus with base
+    coordinates (u, v) of period 1: d e7 = d e8 = 0, phi4 = e7 + i*e8,
+    omega gains e78, each symbol gains two zeros, and
+    conj(V4) = (1/2)(d/du + i d/dv) acts on exp(2 pi i (nu u + rho v)) by
+    i pi nu - pi rho."""
+    lines = []
+    for line in text.strip().splitlines():
+        if line.startswith("name = "):
+            line += "_t2"
+        elif line == "dim = 6":
+            line = "dim = 8"
+        elif line == "rank = 2":
+            line = "rank = 4"
+        elif line.startswith("coords = "):
+            line = line[:-1] + ", u, v]"
+        elif "symbol = [" in line:
+            line = line[:-1] + ", 0, 0]"
+        elif line.startswith("omega = "):
+            line += " + e78"
+        elif line.startswith("fiber_span = "):
+            lines.append("V4: base, symbol = [0, 0, i*pi, -pi]")
+        lines.append(line)
+        if line.startswith("d e6 = "):
+            lines += ["d e7 = 0", "d e8 = 0"]
+        elif line.startswith("phi3 = "):
+            lines.append("phi4 = e7 + i*e8")
+    return "\n".join(lines) + "\n"
 
 
 def exhaustive_mode_scan(matrix: ModeMatrix, bound: int):

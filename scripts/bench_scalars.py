@@ -4,18 +4,20 @@ reports spend their time on.
 
     python3 scripts/bench_scalars.py --seconds 10 --out BENCH.json --label after
 
-Three shapes of Q(pi)(i) values are drawn with a fixed seed:
+Four shapes of Q(pi)(i) pairs are drawn with a fixed seed:
 
 - ``gaussian``: pi-free Gaussian rationals (a + b*i)/d, as in the tables;
 - ``const_over_linear``: c / (pi - r), as 1/b or 1/c at a pi-bearing point;
-- ``linear_over_1``: c1*pi + c0, as a, b or c at a pi-bearing point.
+- ``linear_over_1``: c1*pi + c0, as a, b or c at a pi-bearing point;
+- ``unit``: x one of 1, -1, i, -i and y of one of the three shapes above,
+  as the signs and factors i of a wedge or a Hodge star.
 
 Roots r and rational parts come from small pools, so some pairs share a
 linear factor and some do not, as in a report.  For each shape the script
-times ``x * y``, ``x + y``, ``x.conj()``, ``x == x'`` (x' an equal copy
-that shares no object with x), ``(x - x').is_zero()`` (the subtract-and-test
-rule for equality) and ``pgcd`` on the two nonconstant polynomials of the
-pair (the constant ones for ``gaussian``).  Each cell gets an equal share
+times ``x * y``, ``x + y``, ``x.conj()``, ``x.inv()``, ``-x``, ``x == x'``
+(x' an equal copy that shares no object with x), ``(x - x').is_zero()``
+(the subtract-and-test rule for equality) and ``pgcd`` on the two
+nonconstant polynomials of the pair (the constant ones for ``gaussian``).  Each cell gets an equal share
 of ``--seconds``; its figure is the median over repeated passes of the
 time per operation in nanoseconds.  There is no threshold: the output is a
 record, not a test.
@@ -75,11 +77,18 @@ def _linear_over_1(rng: random.Random) -> Scalar:
     return Scalar.pi_power(1, _rational(rng)) + Scalar.from_qqi(QQi(rng.choice(ROOTS)))
 
 
+UNITS = (QQi(1), QQi(-1), QQi(0, 1), QQi(0, -1))
+
 SHAPES = {
     "gaussian": _gaussian,
     "const_over_linear": _const_over_linear,
     "linear_over_1": _linear_over_1,
 }
+
+
+def _unit_pair(rng: random.Random):
+    """(+-1 or +-i, a value of one of the other shapes)."""
+    return Scalar.from_qqi(rng.choice(UNITS)), rng.choice(list(SHAPES.values()))(rng)
 
 
 def _copy(x: Scalar) -> Scalar:
@@ -113,6 +122,14 @@ def operations(pairs):
         for x, _ in pairs:
             x.conj()
 
+    def inv():
+        for x, _ in pairs:
+            x.inv()
+
+    def neg():
+        for x, _ in pairs:
+            -x
+
     def eq():
         for x, x2 in copies:
             x == x2
@@ -125,7 +142,16 @@ def operations(pairs):
         for p, q in polys:
             pgcd(p, q)
 
-    return {"mul": mul, "add": add, "conj": conj, "eq": eq, "sub_is_zero": sub_is_zero, "pgcd": gcd}
+    return {
+        "mul": mul,
+        "add": add,
+        "conj": conj,
+        "inv": inv,
+        "neg": neg,
+        "eq": eq,
+        "sub_is_zero": sub_is_zero,
+        "pgcd": gcd,
+    }
 
 
 def probe() -> float:
@@ -168,6 +194,7 @@ def main(argv=None) -> int:
     for shape, draw in SHAPES.items():
         pairs = [(draw(rng), draw(rng)) for _ in range(PAIRS)]
         cells[shape] = operations(pairs)
+    cells["unit"] = operations([_unit_pair(rng) for _ in range(PAIRS)])
     budget = args.seconds / sum(len(ops) for ops in cells.values())
     result = {
         "unit": "ns per operation, calibrated (median over passes)",

@@ -342,10 +342,10 @@ def _split_constraints(mode_polys) -> list:
         groups: dict = {}
         for e, s in mp.items():
             for t, c in enumerate(pmul(s.num, pdivmod(den, s.den)[0])):
-                if c.re != 0:
-                    groups.setdefault((t, "re"), {})[e] = c.re
-                if c.im != 0:
-                    groups.setdefault((t, "im"), {})[e] = c.im
+                if c.a:
+                    groups.setdefault((t, "re"), {})[e] = (c.a, c.d)
+                if c.b:
+                    groups.setdefault((t, "im"), {})[e] = (c.b, c.d)
         for poly in groups.values():
             norm = _rp_normalize(poly)
             key = tuple(sorted(norm.items()))
@@ -356,10 +356,11 @@ def _split_constraints(mode_polys) -> list:
 
 
 def _rp_normalize(poly: dict) -> dict:
-    """Primitive integer multiple of a Fraction polynomial, leading
-    coefficient positive."""
-    den = lcm(*(c.denominator for c in poly.values()))
-    scaled = {e: c.numerator * (den // c.denominator) for e, c in poly.items()}
+    """Primitive integer multiple of a rational polynomial whose
+    coefficients are (numerator, denominator) pairs, leading coefficient
+    positive; the pairs need not be in lowest terms."""
+    den = lcm(*(d for _, d in poly.values()))
+    scaled = {e: n * (den // d) for e, (n, d) in poly.items()}
     g = gcd(*scaled.values())
     if scaled[max(scaled)] < 0:
         g = -g

@@ -8,6 +8,8 @@ plain Gauss-Jordan with exact division is fine.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -85,7 +87,10 @@ def rref(a):
 
 def nullspace(a, cols: int | None = None):
     """Basis of the right kernel, each vector scaled so its first nonzero
-    coordinate is one.  ``cols`` covers the empty-matrix case."""
+    coordinate is one.  ``cols`` covers the empty-matrix case.  The pivots
+    come from division-free elimination, so a full-rank matrix divides
+    nowhere; each free column fc gives the one kernel vector with v[fc] = 1
+    and the other free coordinates 0, by back substitution."""
     if not a:
         n = cols or 0
         basis = []
@@ -95,30 +100,37 @@ def nullspace(a, cols: int | None = None):
             basis.append(v)
         return basis
     n = len(a[0])
-    red, pivots = rref(a)
+    ech, pivots = _echelon(a, n)
+    if len(pivots) == n:
+        return []
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
     basis = []
     for fc in free:
         v = [ZERO] * n
         v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+        # a row whose pivot lies right of fc is zero up to it, so v is 0 there
+        k = bisect_left(pivots, fc)
+        for r in range(k - 1, -1, -1):
+            row = ech[r]
+            total = row[fc]
+            for pc in pivots[r + 1 : k]:
+                total = total + row[pc] * v[pc]
+            if not total.is_zero():
+                v[pivots[r]] = -(total / row[pivots[r]])
         basis.append(normalize_vector(v))
     return basis
 
 
-def kernel_nontrivial(a, cols: int) -> bool:
-    """Whether the right kernel is nonzero, by fraction-free elimination
-    (no divisions, hence no gcd normalization on the hot path)."""
-    if cols == 0:
-        return False
-    if not a:
-        return True
+def _echelon(a, cols: int):
+    """(rows, pivot columns) of a row echelon form of ``a`` by
+    fraction-free elimination: no divisions, hence no gcd normalization.
+    Rows from ``len(pivots)`` on are left unfinished."""
     mat = [row[:] for row in a]
     rows = len(mat)
-    rank = 0
+    pivots = []
     for c in range(cols):
+        rank = len(pivots)
         piv = None
         for r in range(rank, rows):
             if not mat[r][c].is_zero():
@@ -127,6 +139,9 @@ def kernel_nontrivial(a, cols: int) -> bool:
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
+        pivots.append(c)
+        if rank + 1 == rows or c + 1 == cols:
+            break
         pval = mat[rank][c]
         prow = mat[rank]
         for r in range(rank + 1, rows):
@@ -134,10 +149,16 @@ def kernel_nontrivial(a, cols: int) -> bool:
             if f.is_zero():
                 continue
             mat[r] = [pval * x - f * y for x, y in zip(mat[r], prow)]
-        rank += 1
-        if rank == cols:
-            return False
-    return rank < cols
+    return mat, pivots
+
+
+def kernel_nontrivial(a, cols: int) -> bool:
+    """Whether the right kernel is nonzero, by fraction-free elimination."""
+    if cols == 0:
+        return False
+    if not a:
+        return True
+    return len(_echelon(a, cols)[1]) < cols
 
 
 def normalize_vector(v):

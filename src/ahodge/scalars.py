@@ -17,6 +17,10 @@ when one is constant; g = 1 leaves the sum in lowest terms, and otherwise
 one more gcd with g finishes it.  An inverse and a conjugate take none,
 and a conjugate with real coefficients is the scalar itself.  A gcd with an
 operand of degree 1 is a root test: the other operand evaluated at its root.
+A pi-free constant, one coefficient over the denominator (1,), meets
+another in one Gaussian-rational step (a product, sum, difference,
+negation, inverse or conjugate), and a factor 1 or -1 gives the other
+operand, negated for -1.
 
 Sign queries (needed only for inequalities, e.g. metric positivity) evaluate
 the two polynomials exactly in integers on an interval enclosure of pi from
@@ -198,7 +202,7 @@ def padd(p, q):
 
 
 def pneg(p):
-    return tuple(-c for c in p)
+    return tuple([-c for c in p])
 
 
 def pmul(p, q):
@@ -225,7 +229,8 @@ def pmul(p, q):
 def pscale(p, c: QQi):
     if c.is_zero() or not p:
         return P_ZERO
-    return pnorm(tuple(a * c for a in p))
+    # the leading coefficient times c != 0 is nonzero: no trailing zero
+    return tuple([a * c for a in p])
 
 
 def pdivmod(p, q):
@@ -352,6 +357,9 @@ class Scalar:
             return other
         if not n2:
             return self
+        if len(n1) == 1 == len(n2) and len(d1) == 1 == len(d2):
+            c = n1[0] + n2[0]
+            return ZERO if c.is_zero() else Scalar((c,), P_ONE, _canonical=True)
         if d1 == d2:
             total = padd(n1, n2)
             if not total:
@@ -377,15 +385,34 @@ class Scalar:
         return Scalar(t, pmul(e1, d2), _canonical=True)
 
     def __sub__(self, other):
+        n1, n2 = self.num, other.num
+        if len(n1) == 1 == len(n2) and len(self.den) == 1 == len(other.den):
+            c = n1[0] - n2[0]
+            return ZERO if c.is_zero() else Scalar((c,), P_ONE, _canonical=True)
         return self + (-other)
 
     def __neg__(self):
-        return Scalar(pneg(self.num), self.den, _canonical=True)
+        num = self.num
+        if len(num) == 1:
+            return Scalar((-num[0],), self.den, _canonical=True)
+        return Scalar(pneg(num), self.den, _canonical=True)
 
     def __mul__(self, other):
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         if not n1 or not n2:
             return ZERO
+        # a constant has den (1,); a factor +-1 gives the other operand
+        if len(n1) == 1 == len(d1):
+            c = n1[0]
+            if c.d == 1 and not c.b and (c.a == 1 or c.a == -1):
+                return other if c.a == 1 else -other
+            if len(n2) == 1 == len(d2):
+                # a product of nonzero constants is a nonzero constant
+                return Scalar((c * n2[0],), P_ONE, _canonical=True)
+        if len(n2) == 1 == len(d2):
+            c = n2[0]
+            if c.d == 1 and not c.b and (c.a == 1 or c.a == -1):
+                return self if c.a == 1 else -self
         if p_is_one(d1) and p_is_one(d2):
             return Scalar(pmul(n1, n2), P_ONE, _canonical=True)
         # n1/d1 and n2/d2 are in lowest terms, so gcd(n1 n2, d1 d2) is
@@ -404,6 +431,8 @@ class Scalar:
         num, den = self.num, self.den
         if not num:
             raise DivisionByZero("inverse of zero scalar")
+        if len(num) == 1 == len(den):
+            return Scalar((num[0].inv(),), P_ONE, _canonical=True)
         # num and den stay coprime; only num's leading coefficient moves
         lead = num[-1]
         if is_one(lead):
@@ -416,6 +445,9 @@ class Scalar:
 
     def conj(self):
         num, den = self.num, self.den
+        if len(num) == 1 == len(den):
+            c = num[0]
+            return Scalar((c.conj(),), P_ONE, _canonical=True) if c.b else self
         if any(c.b for c in num) or any(c.b for c in den):
             # coefficient conjugation keeps num and den coprime and den monic
             return Scalar(pconj(num), pconj(den), _canonical=True)

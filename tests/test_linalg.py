@@ -1,5 +1,6 @@
 """Exact Gauss-Jordan inverse on matrices whose blocks are interleaved,
-sparse row reduction against the dense oracle, and matrix equality."""
+sparse row reduction and kernels against the dense oracle, and matrix
+equality."""
 
 from unittest import mock
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from ahodge import linalg
 from ahodge.scalars import I, ONE, PI, Scalar, ZERO
-from util import dense_rref, mat_eq
+from util import dense_nullspace, dense_rref, mat_eq
 
 # off-diagonal entries of size at most 1/3, so rows stay diagonally dominant
 entries = st.sampled_from(
@@ -142,14 +143,54 @@ def test_sparse_row_reduction_matches_the_dense_oracle(a, square):
     assert linalg.rref(a) == dense_rref(a)
     assert a == before  # the input is left as it was
     with mock.patch.object(linalg, "rref", dense_rref):
-        kernel = linalg.nullspace(a)
         try:
             inverse = linalg.inverse(square)
         except ValueError:
             inverse = None
-    assert linalg.nullspace(a) == kernel
+    assert linalg.nullspace(a) == dense_nullspace(a)
     if inverse is None:
         with pytest.raises(ValueError):
             linalg.inverse(square)
     else:
         assert linalg.inverse(square) == inverse
+
+
+@st.composite
+def kernel_matrices(draw):
+    """A matrix of one of four kinds: tall of full column rank, wide of full
+    row rank (a diagonally dominant square block beside or above sparse
+    entries), one column, or rank-deficient (a column that is a multiple of
+    another and a repeated row)."""
+    kind = draw(st.sampled_from(["tall", "wide", "one_column", "deficient"]))
+    if kind == "one_column":
+        return [[draw(sparse_entries)] for _ in range(draw(st.integers(1, 5)))]
+    n = draw(st.integers(1, 4))
+    extra = draw(st.integers(0 if kind == "deficient" else 1, 3))
+    square = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    for k in range(n):
+        square[k][k] = Scalar.integer(draw(st.integers(5, 9)))
+    if kind == "tall":
+        a = square + [[draw(sparse_entries) for _ in range(n)] for _ in range(extra)]
+    else:
+        a = [row + [draw(sparse_entries) for _ in range(extra)] for row in square]
+    if kind == "deficient":
+        j, k = draw(st.integers(0, len(a[0]) - 1)), draw(st.integers(0, len(a[0]) - 1))
+        f = draw(sparse_entries)
+        for row in a:
+            row[k] = f * row[j]
+        a.append(a[draw(st.integers(0, len(a) - 1))][:])
+    perm = draw(st.permutations(range(len(a[0]))))
+    return [[row[p] for p in perm] for row in a]
+
+
+@settings(max_examples=120, deadline=None)
+@given(kernel_matrices())
+def test_nullspace_matches_the_dense_oracle(a):
+    before = [row[:] for row in a]
+    kernel = linalg.nullspace(a)
+    assert a == before
+    assert kernel == dense_nullspace(a)
+    for v in kernel:
+        assert all((sum((x * y for x, y in zip(row, v)), ZERO)).is_zero() for row in a)
+    if len(a) >= len(a[0]) and len(dense_rref(a)[1]) == len(a[0]):
+        assert kernel == []

@@ -384,6 +384,54 @@ def test_sums_over_shared_and_coprime_denominators(f, shared, a, b, c, d):
         assert _pair(value) == _reference(raw_num, _raw_mul(x.den, y.den))
 
 
+# -- the constant and unit paths, on every kind of operand ------------------
+
+# (num, den) before normalisation: zero, +-1, +-i, a Gaussian constant, a
+# pi-polynomial and a rational function
+raw_operands = st.one_of(
+    st.just(((), P_ONE)),
+    st.sampled_from([(QQi(1),), (QQi(-1),), (QQi(0, 1),), (QQi(0, -1),)]).map(lambda n: (n, P_ONE)),
+    nonzero_gaussian.map(lambda c: ((c,), P_ONE)),
+    nonzero_polys.map(lambda p: (p, P_ONE)),
+    st.tuples(small_polys, st.builds(_raw_mul, factors, nonzero_polys)),
+)
+
+
+def _assert_canonical(value: Scalar):
+    for c in value.num + value.den:
+        assert c.d > 0 and gcd(c.a, c.b, c.d) == 1, (c.a, c.b, c.d)
+    if len(value.den) == 1:
+        assert (value.den[0].a, value.den[0].b, value.den[0].d) == (1, 0, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_operands, raw_operands)
+def test_constant_and_unit_paths_match_the_reference(first, second):
+    x, y = _canonical(*first), _canonical(*second)
+    (xn, xd), (yn, yd) = _pair(x), _pair(y)
+    neg_yn = tuple(-c for c in yn)
+    checks = [
+        (x * y, _raw_mul(xn, yn), _raw_mul(xd, yd)),
+        (x + y, _raw_add(_raw_mul(xn, yd), _raw_mul(yn, xd)), _raw_mul(xd, yd)),
+        (x - y, _raw_add(_raw_mul(xn, yd), _raw_mul(neg_yn, xd)), _raw_mul(xd, yd)),
+        (-y, neg_yn, yd),
+        (x.conj(), pconj(xn), pconj(xd)),
+        # a sum that cancels must be the zero scalar itself
+        (y + (-y), (), P_ONE),
+        (y - y, (), P_ONE),
+    ]
+    if y.is_zero():
+        with pytest.raises(DivisionByZero):
+            y.inv()
+    else:
+        checks.append((y.inv(), yd, yn))
+    for value, num, den in checks:
+        assert _pair(value) == _reference(num, den)
+        _assert_canonical(value)
+    assert x * ONE == x == ONE * x
+    assert y * -ONE == -y == -ONE * y
+
+
 @settings(max_examples=150, deadline=None)
 @given(linear_factors, st.one_of(st.just(()), small_polys, factors), st.booleans(), small_polys)
 def test_linear_gcd_matches_euclid(lin, other, multiple, extra):

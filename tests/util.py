@@ -163,6 +163,23 @@ def dense_rref(a):
     return m, pivots
 
 
+def dense_nullspace(a):
+    """Right kernel read off ``dense_rref``: for each free column fc the
+    vector with v[fc] = 1 and v[pc] = -red[r][fc] at the pivots, scaled so
+    its first nonzero coordinate is one.  The oracle of ``linalg.nullspace``,
+    which back-substitutes on a division-free echelon form."""
+    red, pivots = dense_rref(a)
+    n = len(a[0])
+    basis = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [ZERO] * n
+        v[fc] = ONE
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(linalg.normalize_vector(v))
+    return basis
+
+
 def rank(a) -> int:
     if not a or not a[0]:
         return 0

@@ -4,17 +4,18 @@ reports spend their time on.
 
     python3 scripts/bench_scalars.py --seconds 10 --out BENCH.json --label after
 
-Four shapes of Q(pi)(i) pairs are drawn with a fixed seed:
+Five shapes of Q(pi)(i) pairs are drawn with a fixed seed:
 
 - ``gaussian``: pi-free Gaussian rationals (a + b*i)/d, as in the tables;
 - ``const_over_linear``: c / (pi - r), as 1/b or 1/c at a pi-bearing point;
 - ``linear_over_1``: c1*pi + c0, as a, b or c at a pi-bearing point;
-- ``unit``: x one of 1, -1, i, -i and y of one of the three shapes above,
+- ``const_over_tau``: c/pi and c/pi^2, as 1/c at a lattice point c = 4k*pi;
+- ``unit``: x one of 1, -1, i, -i and y of one of the four shapes above,
   as the signs and factors i of a wedge or a Hodge star.
 
 Roots r and rational parts come from small pools, so some pairs share a
 linear factor and some do not, as in a report.  For each shape the script
-times ``x * y``, ``x + y``, ``x.conj()``, ``x.inv()``, ``-x``, ``x == x'``
+times ``x * y``, ``x + y``, ``x - y``, ``x.conj()``, ``x.inv()``, ``-x``, ``x == x'``
 (x' an equal copy that shares no object with x), ``(x - x').is_zero()``
 (the subtract-and-test rule for equality) and ``pgcd`` on the two
 nonconstant polynomials of the pair (the constant ones for ``gaussian``).  Each cell gets an equal share
@@ -48,7 +49,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from ahodge.scalars import PI, QQi, Scalar, pgcd  # noqa: E402
+from ahodge.scalars import PI, QQi, Scalar, _scalar, pgcd  # noqa: E402
 
 PAIRS = 200
 SEED = 15
@@ -77,12 +78,17 @@ def _linear_over_1(rng: random.Random) -> Scalar:
     return Scalar.pi_power(1, _rational(rng)) + Scalar.from_qqi(QQi(rng.choice(ROOTS)))
 
 
+def _const_over_tau(rng: random.Random) -> Scalar:
+    return _gaussian(rng) / Scalar.pi_power(rng.choice((1, 2)))
+
+
 UNITS = (QQi(1), QQi(-1), QQi(0, 1), QQi(0, -1))
 
 SHAPES = {
     "gaussian": _gaussian,
     "const_over_linear": _const_over_linear,
     "linear_over_1": _linear_over_1,
+    "const_over_tau": _const_over_tau,
 }
 
 
@@ -97,7 +103,7 @@ def _copy(x: Scalar) -> Scalar:
     def fresh(poly):
         return tuple(QQi(Fraction(c.a, c.d), Fraction(c.b, c.d)) for c in poly)
 
-    return Scalar(fresh(x.num), fresh(x.den), _canonical=True)
+    return _scalar(fresh(x.num), fresh(x.den))
 
 
 def _poly(x: Scalar):
@@ -117,6 +123,10 @@ def operations(pairs):
     def add():
         for x, y in pairs:
             x + y
+
+    def sub():
+        for x, y in pairs:
+            x - y
 
     def conj():
         for x, _ in pairs:
@@ -145,6 +155,7 @@ def operations(pairs):
     return {
         "mul": mul,
         "add": add,
+        "sub": sub,
         "conj": conj,
         "inv": inv,
         "neg": neg,

@@ -68,7 +68,7 @@ def _dual(m, what: str):
     block H and, being an involution, H back to W."""
     try:
         inv = linalg.inverse(linalg.transpose(m))
-    except ValueError as exc:
+    except linalg.Singular as exc:
         raise NotPositive(f"[metric]: {what} is degenerate ({exc})") from exc
     return [[IMAG * x for x in row] for row in inv]
 

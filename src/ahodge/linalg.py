@@ -13,6 +13,10 @@ from bisect import bisect_left
 from .scalars import ONE, ZERO, Scalar
 
 
+class Singular(ValueError):
+    """An inverse asked of a singular matrix."""
+
+
 def zeros(rows: int, cols: int):
     return [[ZERO] * cols for _ in range(rows)]
 
@@ -175,7 +179,7 @@ def inverse(a):
     aug = [row + unit for row, unit in zip(a, identity(n))]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
+        raise Singular("matrix is singular")
     return [row[n:] for row in red]
 
 

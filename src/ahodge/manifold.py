@@ -540,7 +540,7 @@ def load_spec(document: str, overrides: dict | None = None) -> ManifoldSpec:
             cmatrix[j - 1][2 * j - 1] = I
     try:
         e_forms = _coframe_basis(cmatrix)
-    except ValueError as exc:
+    except linalg.Singular as exc:
         at = ", ".join(f"{k} = {format_scalar(v)}" for k, v in sorted(params.items()))
         raise NonInvertibleCoframe(
             f"[acs]: phi1..phi{n} and their conjugates do not span the "

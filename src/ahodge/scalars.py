@@ -14,7 +14,9 @@ The arithmetic takes a polynomial gcd only where lowest terms can need one
 crosswise, gcd(n1, d2) and gcd(n2, d1), each skipped when a side is
 constant.  A sum over different denominators takes g = gcd(d1, d2), skipped
 when one is constant; g = 1 leaves the sum in lowest terms, and otherwise
-one more gcd with g finishes it.  An inverse and a conjugate take none,
+one more gcd with g finishes it.  Laurent polynomials, each over a power
+of tau, take none: their coefficient tuples shift, and only low zeros of
+a numerator cancel against tau^k.  An inverse and a conjugate take none,
 and a conjugate with real coefficients is the scalar itself.  A gcd with an
 operand of degree 1 is a root test: the other operand evaluated at its root.
 A pi-free constant, one coefficient over the denominator (1,), meets
@@ -201,6 +203,15 @@ def padd(p, q):
     return pnorm(out)
 
 
+def psub(p, q):
+    if len(p) < len(q):
+        return pneg(psub(q, p))
+    out = list(p)
+    for k, c in enumerate(q):
+        out[k] -= c
+    return pnorm(out)
+
+
 def pneg(p):
     return tuple([-c for c in p])
 
@@ -291,16 +302,49 @@ def pconj(p):
     return tuple(c.conj() for c in p)
 
 
+def _low_zeros(p, k: int) -> int:
+    """min(v, k) for the number v of low zero coefficients of a nonzero p."""
+    s = 0
+    while s < k and p[s].is_zero():
+        s += 1
+    return s
+
+
+def _tau_power(den) -> int:
+    """k when the monic den is tau^k, else -1."""
+    for k, c in enumerate(den):
+        if c.a or c.b:
+            return k if k == len(den) - 1 else -1
+
+
+def _scalar(num, den) -> "Scalar":
+    """The Scalar num/den for a pair already in canonical form."""
+    s = _new(Scalar)
+    s.num, s.den = num, den
+    return s
+
+
+def _over(num, den) -> "Scalar":
+    """num / den in lowest terms for a canonical den: over tau^k by
+    striking the common low zeros, over any other den by a gcd."""
+    if not num:
+        return ZERO
+    # a nonzero constant is a unit, and 1 divides everything
+    if len(num) == 1 or p_is_one(den):
+        return _scalar(num, den)
+    k = _tau_power(den)
+    if k < 0:
+        return Scalar(num, den)
+    s = _low_zeros(num, k)
+    return _scalar(num[s:], den[s:])
+
+
 class Scalar:
     """Element of Q(pi)(i) as a canonical fraction num/den of tau-polynomials."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=P_ONE, _canonical=False):
-        if _canonical:
-            self.num = num
-            self.den = den
-            return
+    def __init__(self, num, den=P_ONE):
         if not den:
             raise DivisionByZero("zero denominator")
         if not num:
@@ -327,7 +371,7 @@ class Scalar:
     def from_qqi(c: QQi) -> "Scalar":
         if c.is_zero():
             return ZERO
-        return Scalar((c,), P_ONE, _canonical=True)
+        return _scalar((c,), P_ONE)
 
     @staticmethod
     def rational(p, q=1) -> "Scalar":
@@ -347,7 +391,7 @@ class Scalar:
         c = QQi(Fraction(coeff)) if not isinstance(coeff, QQi) else coeff
         if c.is_zero():
             return ZERO
-        return Scalar(tuple([QQI_ZERO] * k) + (c,), P_ONE, _canonical=True)
+        return _scalar(tuple([QQI_ZERO] * k) + (c,), P_ONE)
 
     # -- field operations ---------------------------------------------
 
@@ -359,20 +403,22 @@ class Scalar:
             return self
         if len(n1) == 1 == len(n2) and len(d1) == 1 == len(d2):
             c = n1[0] + n2[0]
-            return ZERO if c.is_zero() else Scalar((c,), P_ONE, _canonical=True)
+            return ZERO if c.is_zero() else _scalar((c,), P_ONE)
         if d1 == d2:
-            total = padd(n1, n2)
-            if not total:
-                return ZERO
-            if p_is_one(d1):
-                return Scalar(total, P_ONE, _canonical=True)
-            return Scalar(total, d1)
+            return _over(padd(n1, n2), d1)
+        k1 = _tau_power(d1)
+        if k1 >= 0 and (k2 := _tau_power(d2)) >= 0:
+            # n1 / tau^k1 = n1 tau^(k2 - k1) / tau^k2; the sum keeps the
+            # constant term of n2, nonzero as k2 > k1, so it is in lowest terms
+            if k1 < k2:
+                return _scalar(padd((QQI_ZERO,) * (k2 - k1) + n1, n2), d2)
+            return _scalar(padd(n1, (QQI_ZERO,) * (k1 - k2) + n2), d1)
         # a constant (monic) denominator is 1, coprime to the other one
         g = pgcd(d1, d2) if len(d1) > 1 and len(d2) > 1 else P_ONE
         if p_is_one(g):
             # an irreducible factor of d1 divides n2 d1 but not n1 d2 (it
             # divides neither n1 nor d2), so not the sum; likewise for d2
-            return Scalar(padd(pmul(n1, d2), pmul(n2, d1)), pmul(d1, d2), _canonical=True)
+            return _scalar(padd(pmul(n1, d2), pmul(n2, d1)), pmul(d1, d2))
         # Knuth, TAOCP 4.5.1: with e_k = d_k / g and t = n1 e2 + n2 e1, the
         # sum is (t / g2) / (e1 (d2 / g2)) for g2 = gcd(t, g)
         e1, e2 = pdivmod(d1, g)[0], pdivmod(d2, g)[0]
@@ -382,20 +428,22 @@ class Scalar:
         g2 = pgcd(t, g) if len(t) > 1 else P_ONE
         if not p_is_one(g2):
             t, d2 = pdivmod(t, g2)[0], pdivmod(d2, g2)[0]
-        return Scalar(t, pmul(e1, d2), _canonical=True)
+        return _scalar(t, pmul(e1, d2))
 
     def __sub__(self, other):
-        n1, n2 = self.num, other.num
-        if len(n1) == 1 == len(n2) and len(self.den) == 1 == len(other.den):
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        if len(n1) == 1 == len(n2) and len(d1) == 1 == len(d2):
             c = n1[0] - n2[0]
-            return ZERO if c.is_zero() else Scalar((c,), P_ONE, _canonical=True)
+            return ZERO if c.is_zero() else _scalar((c,), P_ONE)
+        if d1 == d2:
+            return _over(psub(n1, n2), d1)
         return self + (-other)
 
     def __neg__(self):
         num = self.num
         if len(num) == 1:
-            return Scalar((-num[0],), self.den, _canonical=True)
-        return Scalar(pneg(num), self.den, _canonical=True)
+            return _scalar((-num[0],), self.den)
+        return _scalar(pneg(num), self.den)
 
     def __mul__(self, other):
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
@@ -408,13 +456,19 @@ class Scalar:
                 return other if c.a == 1 else -other
             if len(n2) == 1 == len(d2):
                 # a product of nonzero constants is a nonzero constant
-                return Scalar((c * n2[0],), P_ONE, _canonical=True)
+                return _scalar((c * n2[0],), P_ONE)
         if len(n2) == 1 == len(d2):
             c = n2[0]
             if c.d == 1 and not c.b and (c.a == 1 or c.a == -1):
                 return self if c.a == 1 else -self
         if p_is_one(d1) and p_is_one(d2):
-            return Scalar(pmul(n1, n2), P_ONE, _canonical=True)
+            return _scalar(pmul(n1, n2), P_ONE)
+        k1 = _tau_power(d1)
+        if k1 >= 0 and (k2 := _tau_power(d2)) >= 0:
+            # lowest terms put num[0] != 0 over tau^k, k > 0, so only powers
+            # of tau across cancel: min(v(n1), k2) and min(v(n2), k1)
+            t1, t2 = _low_zeros(n1, k2), _low_zeros(n2, k1)
+            return _scalar(pmul(n1[t1:], n2[t2:]), (QQI_ZERO,) * (k1 + k2 - t1 - t2) + P_ONE)
         # n1/d1 and n2/d2 are in lowest terms, so gcd(n1 n2, d1 d2) is
         # gcd(n1, d2) gcd(n2, d1); a constant side makes its factor 1
         if len(n1) > 1 and len(d2) > 1:
@@ -425,20 +479,20 @@ class Scalar:
             g = pgcd(n2, d1)
             if not p_is_one(g):
                 n2, d1 = pdivmod(n2, g)[0], pdivmod(d1, g)[0]
-        return Scalar(pmul(n1, n2), pmul(d1, d2), _canonical=True)
+        return _scalar(pmul(n1, n2), pmul(d1, d2))
 
     def inv(self):
         num, den = self.num, self.den
         if not num:
             raise DivisionByZero("inverse of zero scalar")
         if len(num) == 1 == len(den):
-            return Scalar((num[0].inv(),), P_ONE, _canonical=True)
+            return _scalar((num[0].inv(),), P_ONE)
         # num and den stay coprime; only num's leading coefficient moves
         lead = num[-1]
         if is_one(lead):
-            return Scalar(den, num, _canonical=True)
+            return _scalar(den, num)
         c = lead.inv()
-        return Scalar(pscale(den, c), pscale(num, c), _canonical=True)
+        return _scalar(pscale(den, c), pscale(num, c))
 
     def __truediv__(self, other):
         return self * other.inv()
@@ -447,10 +501,10 @@ class Scalar:
         num, den = self.num, self.den
         if len(num) == 1 == len(den):
             c = num[0]
-            return Scalar((c.conj(),), P_ONE, _canonical=True) if c.b else self
+            return _scalar((c.conj(),), P_ONE) if c.b else self
         if any(c.b for c in num) or any(c.b for c in den):
             # coefficient conjugation keeps num and den coprime and den monic
-            return Scalar(pconj(num), pconj(den), _canonical=True)
+            return _scalar(pconj(num), pconj(den))
         return self
 
     # -- predicates and parts -----------------------------------------
@@ -484,10 +538,10 @@ class Scalar:
 
 _INT_CACHE: dict = {}
 
-ZERO = Scalar(P_ZERO, P_ONE, _canonical=True)
-ONE = Scalar(P_ONE, P_ONE, _canonical=True)
-I = Scalar((QQI_I,), P_ONE, _canonical=True)
-PI = Scalar((QQI_ZERO, QQI_ONE), P_ONE, _canonical=True)
+ZERO = _scalar(P_ZERO, P_ONE)
+ONE = _scalar(P_ONE, P_ONE)
+I = _scalar((QQI_I,), P_ONE)
+PI = _scalar((QQI_ZERO, QQI_ONE), P_ONE)
 
 
 # -- pretty printing ---------------------------------------------------

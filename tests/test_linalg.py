@@ -9,6 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ahodge import linalg
+from ahodge.algebra import NotPositive
+from ahodge.builtins import get_builtin
+from ahodge.hermitian import _dual
+from ahodge.manifold import NonInvertibleCoframe
 from ahodge.scalars import I, ONE, PI, Scalar, ZERO
 from util import dense_nullspace, dense_rref, mat_eq
 
@@ -58,8 +62,21 @@ def test_inverse_is_two_sided(a):
 @settings(max_examples=60, deadline=None)
 @given(permuted_block_diagonal(singular=True))
 def test_inverse_raises_on_singular(a):
-    with pytest.raises(ValueError):
+    with pytest.raises(linalg.Singular, match="^matrix is singular$"):
         linalg.inverse(a)
+
+
+def test_a_fault_inside_an_inverse_is_not_blamed_on_the_input(monkeypatch):
+    # only a singular matrix is a degenerate metric or coframe; any other
+    # ValueError under rref passes through both catch sites unchanged
+    def fault(*args, **kwargs):
+        raise ValueError("fault")
+
+    monkeypatch.setattr(linalg, "rref", fault)
+    for load in (lambda: get_builtin("fls", {"b": "3"}), lambda: _dual(linalg.identity(3), "omega")):
+        with pytest.raises(ValueError, match="^fault$") as err:
+            load()
+        assert not isinstance(err.value, (NonInvertibleCoframe, NotPositive))
 
 
 def test_inverse_keeps_interleaved_blocks_apart():

@@ -17,6 +17,7 @@ from ahodge.scalars import (
     ZERO,
     _atan_inv_bounds,
     _pi_enclosure,
+    _scalar,
     format_scalar,
     is_one,
     p_is_one,
@@ -351,7 +352,7 @@ def _raw_add(p, q):
 
 
 def _canonical(num, den) -> Scalar:
-    return Scalar(*_reference(num, den), _canonical=True)
+    return _scalar(*_reference(num, den))
 
 
 def _pair(value: Scalar):
@@ -402,20 +403,25 @@ def _assert_canonical(value: Scalar):
         assert c.d > 0 and gcd(c.a, c.b, c.d) == 1, (c.a, c.b, c.d)
     if len(value.den) == 1:
         assert (value.den[0].a, value.den[0].b, value.den[0].d) == (1, 0, 1)
+    # over tau^k, k > 0, lowest terms leave tau out of the numerator
+    if len(value.den) > 1 and all(c.is_zero() for c in value.den[:-1]):
+        assert not value.num[0].is_zero()
 
 
-@settings(max_examples=200, deadline=None)
-@given(raw_operands, raw_operands)
-def test_constant_and_unit_paths_match_the_reference(first, second):
-    x, y = _canonical(*first), _canonical(*second)
+def _check_against_the_reference(x: Scalar, y: Scalar):
+    """x * y, y * x, x + y, x - y, -y, x.conj(), x + y - x, y.inv() and x / y
+    against the full route, each of them canonical."""
     (xn, xd), (yn, yd) = _pair(x), _pair(y)
     neg_yn = tuple(-c for c in yn)
     checks = [
         (x * y, _raw_mul(xn, yn), _raw_mul(xd, yd)),
+        (y * x, _raw_mul(xn, yn), _raw_mul(xd, yd)),
         (x + y, _raw_add(_raw_mul(xn, yd), _raw_mul(yn, xd)), _raw_mul(xd, yd)),
         (x - y, _raw_add(_raw_mul(xn, yd), _raw_mul(neg_yn, xd)), _raw_mul(xd, yd)),
         (-y, neg_yn, yd),
         (x.conj(), pconj(xn), pconj(xd)),
+        # over tau^k, x + y - x must cancel the powers of tau y lacks
+        (x + y - x, yn, yd),
         # a sum that cancels must be the zero scalar itself
         (y + (-y), (), P_ONE),
         (y - y, (), P_ONE),
@@ -425,11 +431,51 @@ def test_constant_and_unit_paths_match_the_reference(first, second):
             y.inv()
     else:
         checks.append((y.inv(), yd, yn))
+        checks.append((x / y, _raw_mul(xn, yd), _raw_mul(xd, yn)))
     for value, num, den in checks:
         assert _pair(value) == _reference(num, den)
         _assert_canonical(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_operands, raw_operands)
+def test_constant_and_unit_paths_match_the_reference(first, second):
+    x, y = _canonical(*first), _canonical(*second)
+    _check_against_the_reference(x, y)
     assert x * ONE == x == ONE * x
     assert y * -ONE == -y == -ONE * y
+
+
+# -- Laurent polynomials: powers of tau cancel by shifting -------------------
+
+# numerators with up to two low zero coefficients over c * tau^k, k <= 3 and c
+# not monic, next to (pi - r) tau^k denominators and constants
+low_zero_polys = st.builds(lambda j, p: pnorm((QQi(0),) * j + p), st.integers(0, 2), small_polys)
+tau_powers = st.builds(lambda k, c: (QQi(0),) * k + (c,), st.integers(0, 3), nonzero_gaussian)
+laurent_operands = st.one_of(
+    st.tuples(low_zero_polys, tau_powers),
+    st.tuples(low_zero_polys, st.builds(_raw_mul, factors, tau_powers)),
+    nonzero_gaussian.map(lambda c: ((c,), P_ONE)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_operands, laurent_operands)
+def test_laurent_paths_match_the_reference(first, second):
+    _check_against_the_reference(_canonical(*first), _canonical(*second))
+
+
+def test_laurent_edge_cases():
+    r, two = Scalar.rational(1, 504), Scalar.integer(2)
+    assert Scalar.integer(-252) * PI * (r / PI) == Scalar.rational(-1, 2)
+    assert PI.inv() - PI.inv() is ZERO
+    assert PI * (PI * PI).inv() == PI.inv() == (PI * PI).inv() * PI
+    # the sum keeps a low zero that tau^2 cancels
+    assert (PI + ONE) / (PI * PI) - ONE / (PI * PI) == PI.inv()
+    value = r / PI + two / (PI * PI)
+    raw = _raw_add(_raw_mul(r.num, (QQi(0), QQi(1))), two.num)
+    assert _pair(value) == _reference(raw, (QQi(0), QQi(0), QQi(1)))
+    _assert_canonical(value)
 
 
 @settings(max_examples=150, deadline=None)
